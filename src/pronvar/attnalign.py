@@ -2,17 +2,22 @@
 
 An attention map pairs the non-native phones (columns) with the
 segmented native reference (rows). For every word but the last, the
-column with the highest weight on the word's final row proposes a cut;
-shifting those cuts within a small radius generates candidate
-segmentations, and the one closest to the reference pronunciations by
-edit distance wins. An utterance whose best candidate is still too far
-from the reference is rejected.
+column with the highest weight on the word's final row proposes a cut.
+Those cuts then move within a radius n, and the segmentation closest to
+the reference pronunciations by edit distance wins:
+
+* ``global_shift`` moves all cuts together, 2n+1 candidates;
+* ``per_boundary`` moves each cut on its own and searches all (2n+1)^k
+  offset tuples exactly, by dynamic programming over the cut positions.
+
+Each word span is scored once per utterance. An utterance whose best
+segmentation is still too far from the reference is rejected.
 """
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import islice, pairwise, product
+from itertools import pairwise
 
 from .errors import (
     DimensionMismatch,
@@ -24,9 +29,6 @@ from .errors import (
 )
 from .dpalign import pair_by_id
 from .phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance
-
-#: Hard cap on candidates per utterance in per-boundary mode.
-PER_BOUNDARY_CAP = 1000
 
 GLOBAL_SHIFT = "global_shift"
 PER_BOUNDARY = "per_boundary"
@@ -129,13 +131,18 @@ class Segmentation:
         return tuple(tuple(phones[a:b]) for a, b in pairwise(bounds))
 
 
+def _clamp(cut: int, prev: int, length: int) -> int:
+    """Move a cut just past the previous one and no further than the end."""
+    return min(max(cut, prev + 1), length)
+
+
 def _repair(cuts: Sequence[int], length: int) -> tuple[tuple[int, ...], int]:
     """Force cuts strictly increasing and within range; count the moves."""
     out: list[int] = []
     moved = 0
     prev = 0
     for cut in cuts:
-        fixed = min(max(cut, prev + 1), length)
+        fixed = _clamp(cut, prev, length)
         if fixed != cut:
             moved += 1
         out.append(fixed)
@@ -265,7 +272,7 @@ def place_boundaries(
 
 
 def _offset_order(radius: int) -> list[int]:
-    # zero first so the unshifted base is always generated before the cap hits
+    # zero first, then outward: the per-boundary tie-break prefers small shifts
     order = [0]
     for d in range(1, radius + 1):
         order.extend((-d, d))
@@ -275,28 +282,20 @@ def _offset_order(radius: int) -> list[int]:
 def split_by_attention(
     amap: AttentionMap, ref_seg: SegmentedUtterance, cfg: AttnConfig = AttnConfig()
 ) -> list[Segmentation]:
-    """Enumerate candidate segmentations around the attention-derived cuts.
+    """Enumerate the global shifts of the attention-derived cuts.
 
-    In ``global_shift`` mode every cut moves together through shifts
-    -n..n, giving at most 2n+1 candidates. In ``per_boundary`` mode each
-    cut moves independently, capped at :data:`PER_BOUNDARY_CAP`
-    candidates. Duplicates after repair keep their first occurrence.
+    Every cut moves together through shifts -n..n, giving at most 2n+1
+    candidates; duplicates after repair keep their first occurrence.
+    ``cfg.mode`` is not read: per-boundary search enumerates nothing and
+    is done by :func:`align_word_boundaries`.
     """
     base = place_boundaries(amap, ref_seg, cfg)
     length = base.length
     n = cfg.shift_radius
 
     unique: dict[tuple[int, ...], Segmentation] = {}
-    if cfg.mode == GLOBAL_SHIFT:
-        proposals = ([c + s for c in base.cuts] for s in range(-n, n + 1))
-    else:
-        offsets = _offset_order(n)
-        proposals = (
-            [c + o for c, o in zip(base.cuts, combo)]
-            for combo in islice(product(offsets, repeat=len(base.cuts)), PER_BOUNDARY_CAP)
-        )
-    for proposal in proposals:
-        cuts, moved = _repair(proposal, length)
+    for shift in range(-n, n + 1):
+        cuts, moved = _repair([c + shift for c in base.cuts], length)
         if cuts not in unique:
             unique[cuts] = Segmentation(cuts, length, repaired=moved)
     return list(unique.values())
@@ -336,22 +335,92 @@ class BoundaryOutcome:
     normalized_distance: float
 
 
+#: Scores word ``j`` over columns ``start:end`` of the hypothesis.
+SpanScore = Callable[[int, int, int], int]
+
+
+def _best_global_shift(
+    amap: AttentionMap, ref_seg: SegmentedUtterance, cfg: AttnConfig, score: SpanScore
+) -> tuple[Segmentation, int]:
+    """Best of the global shifts: least total, then fewest repairs, then first."""
+    best: Segmentation | None = None
+    best_key: tuple[int, int, int] | None = None
+    for order, candidate in enumerate(split_by_attention(amap, ref_seg, cfg)):
+        bounds = (0, *candidate.cuts, candidate.length)
+        total = sum(score(j, a, b) for j, (a, b) in enumerate(pairwise(bounds)))
+        key = (total, candidate.repaired, order)
+        if best_key is None or key < best_key:
+            best, best_key = candidate, key
+    return best, best_key[0]
+
+
+def _best_per_boundary(base: Segmentation, radius: int, score: SpanScore) -> tuple[Segmentation, int]:
+    """Exact best independent per-cut shift of ``base``, by dynamic programming.
+
+    Over every tuple of offsets from :func:`_offset_order`, one per cut,
+    applied left to right with the :func:`_repair` clamp, the winner has
+    the least total distance, then the fewest clamped cuts, then the
+    earliest position in zero-first lexicographic order. Both sums are
+    additive over cuts, so the best completion from (cut i, previous
+    clamped cut) is independent of how that state was reached.
+    """
+    offsets = _offset_order(radius)
+    length = base.length
+    k = len(base.cuts)
+    reach = [{0}]
+    for target in base.cuts:
+        reach.append({_clamp(target + o, prev, length) for prev in reach[-1] for o in offsets})
+
+    # best[i][prev]: (distance, clamps, cut i) of the best completion from
+    # cut i on, with cut i-1 at prev; best[k] scores the last word alone.
+    best: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(k)]
+    best.append({prev: (score(k, prev, length), 0, length) for prev in reach[k]})
+    for i in reversed(range(k)):
+        target = base.cuts[i]
+        for prev in reach[i]:
+            choice = None
+            for o in offsets:
+                cut = _clamp(target + o, prev, length)
+                distance, clamps, _ = best[i + 1][cut]
+                option = (score(i, prev, cut) + distance, clamps + (cut != target + o), cut)
+                if choice is None or option[:2] < choice[:2]:
+                    choice = option
+            best[i][prev] = choice
+
+    total, clamps, _ = best[0][0]
+    cuts = []
+    prev = 0
+    for row in best[:k]:
+        prev = row[prev][2]
+        cuts.append(prev)
+    return Segmentation(cuts, length, repaired=clamps), total
+
+
 def align_word_boundaries(
     amap: AttentionMap,
     ref_seg: SegmentedUtterance,
     cfg: AttnConfig = AttnConfig(),
     dictionary: ReferenceDictionary | None = None,
 ) -> BoundaryOutcome:
-    """Pick the candidate segmentation closest to the reference pronunciations.
+    """Pick the segmentation closest to the reference pronunciations.
 
-    Each candidate is scored by the sum over words of the edit distance
-    between the word's hypothesis span and its reference pronunciation
-    (minimum over dictionary variants when the word is listed). Ties
-    prefer fewer repaired cuts, then generation order. The utterance is
-    accepted when total distance divided by the reference phone count is
-    within ``cfg.threshold``.
+    A segmentation scores the sum over words of the edit distance between
+    the word's hypothesis span and its reference pronunciation (minimum
+    over dictionary variants when the word is listed); each (word, span)
+    is scored once per utterance.
+
+    * ``global_shift`` tries the :func:`split_by_attention` candidates;
+      ties prefer fewer repaired cuts, then generation order.
+    * ``per_boundary`` searches every tuple of independent per-cut
+      offsets exactly. The order is total distance, then cuts repaired
+      by the tuple, then the tuple's position in zero-first
+      lexicographic order (offsets 0, -1, +1, -2, +2, ...); a
+      segmentation that several tuples reach ranks by its best tuple.
+
+    The utterance is accepted when total distance divided by the
+    reference phone count is within ``cfg.threshold``.
     """
-    candidates = split_by_attention(amap, ref_seg, cfg)
+    cols = amap.col_phones
     ref_variants: list[tuple[tuple[str, ...], ...]] = []
     for span in ref_seg.words:
         if dictionary is not None and span.word in dictionary:
@@ -359,28 +428,28 @@ def align_word_boundaries(
         else:
             ref_variants.append((span.phones,))
 
-    best: Segmentation | None = None
-    best_spans: tuple[tuple[str, ...], ...] = ()
-    best_key: tuple[int, int, int] | None = None
-    for order, candidate in enumerate(candidates):
-        spans = candidate.spans(amap.col_phones)
-        total = sum(
-            min(edit_distance(span, pron) for pron in prons)
-            for span, prons in zip(spans, ref_variants)
-        )
-        key = (total, candidate.repaired, order)
-        if best_key is None or key < best_key:
-            best, best_spans, best_key = candidate, spans, key
+    scores: dict[tuple[int, int, int], int] = {}
 
-    total_ref = len(ref_seg.phones)
-    normalized = best_key[0] / total_ref
-    variants = tuple((span.word, hyp) for span, hyp in zip(ref_seg.words, best_spans))
+    def score(word: int, start: int, end: int) -> int:
+        key = (word, start, end)
+        if key not in scores:
+            span = cols[start:end]
+            scores[key] = min(edit_distance(span, pron) for pron in ref_variants[word])
+        return scores[key]
+
+    if cfg.mode == GLOBAL_SHIFT:
+        best, total = _best_global_shift(amap, ref_seg, cfg, score)
+    else:
+        best, total = _best_per_boundary(place_boundaries(amap, ref_seg, cfg), cfg.shift_radius, score)
+
+    normalized = total / len(ref_seg.phones)
+    variants = tuple((span.word, hyp) for span, hyp in zip(ref_seg.words, best.spans(cols)))
     return BoundaryOutcome(
         utterance_id=amap.utterance_id,
         accepted=normalized <= cfg.threshold,
         segmentation=best,
         variants=variants,
-        total_distance=best_key[0],
+        total_distance=total,
         normalized_distance=normalized,
     )
 

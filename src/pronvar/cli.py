@@ -51,10 +51,15 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise InputFormatError(f"{path}: not valid UTF-8 at byte {err.start}") from None
 
 
 def _write(path: "str | Path", content: str) -> None:
-    Path(path).write_text(content, encoding="utf-8")
+    try:
+        Path(path).write_text(content, encoding="utf-8")
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _catching(path: str, parse, *args):
@@ -200,7 +205,10 @@ def _cmd_synth(args) -> int:
         indel_probability=args.indel_prob,
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"cannot create {out_dir}: {err.strerror}") from None
     _write(out_dir / "inventory.txt", emit_inventory(corpus.inventory))
     _write(out_dir / "hyp.txt", emit_phone_file(corpus.hypotheses))
     _write(out_dir / "ref.txt", emit_segmented_file(corpus.references))

@@ -1,15 +1,18 @@
 import functools
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pronvar import errors
 from pronvar.attnalign import (
-    PER_BOUNDARY_CAP,
     AttentionMap,
     AttnConfig,
+    BoundaryOutcome,
     Segmentation,
+    _offset_order,
+    _repair,
     align_word_boundaries,
     edit_distance,
     emit_attention_file,
@@ -18,7 +21,7 @@ from pronvar.attnalign import (
     place_boundaries,
     split_by_attention,
 )
-from pronvar.phonecore import PhoneInventory, ReferenceDictionary
+from pronvar.phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, WordSpan
 from pronvar.synthbench import identity_attention, jittered_attention
 
 
@@ -173,25 +176,11 @@ class TestSplitByAttention:
             cands = split_by_attention(amap, ref, AttnConfig(shift_radius=radius))
             assert len(cands) == 2 * radius + 1
 
-    def test_per_boundary_enumerates_independently(self, seg):
-        ref = seg("u1", [("a", ["K", "AE"]), ("b", ["T", "S"]), ("c", ["D", "G"])])
-        amap = identity_attention("u1", ref.phones, ref.phones)
-        cfg = AttnConfig(shift_radius=1, mode="per_boundary")
-        cands = split_by_attention(amap, ref, cfg)
-        # base (2, 4) first, then offset combos in zero-first order;
-        # (3, 3) repairs to (3, 4) and is deduplicated
-        assert [c.cuts for c in cands] == [
-            (2, 4), (2, 3), (2, 5), (1, 4), (1, 3), (1, 5), (3, 4), (3, 5),
-        ]
-
-    def test_per_boundary_cap(self, seg):
-        words = [(f"w{i}", ["K"]) for i in range(8)]
-        ref = seg("u1", words)
-        amap = identity_attention("u1", ref.phones, ref.phones)
-        cfg = AttnConfig(shift_radius=3, mode="per_boundary")
-        cands = split_by_attention(amap, ref, cfg)
-        assert len(cands) <= PER_BOUNDARY_CAP
-        assert cands[0].cuts == tuple(range(1, 8))  # base survives the cap
+    def test_mode_is_not_read(self, seg):
+        amap, ref = self.make(seg)
+        per_boundary = AttnConfig(shift_radius=1, mode="per_boundary")
+        cands = split_by_attention(amap, ref, per_boundary)
+        assert [c.cuts for c in cands] == [(1,), (2,), (3,)]
 
 
 class TestEditDistance:
@@ -275,6 +264,21 @@ class TestAlignWordBoundaries:
         with_dict = align_word_boundaries(amap, ref, dictionary=d)
         assert with_dict.total_distance == 0
 
+    def test_per_boundary_moves_the_first_of_five_cuts(self, seg):
+        ref = seg(
+            "u1",
+            [("a", ["K", "AE"]), ("b", ["T", "S", "D", "G", "Z"]), ("c", ["M", "N"]),
+             ("d", ["P", "B"]), ("e", ["F", "V"]), ("f", ["L", "R"])],
+        )
+        # the end of 'a' (row 1) peaks three columns late, proposing cut 5
+        peaks = [0, 4, *range(2, 15)]
+        amap = peak_map("u1", ref.phones, ref.phones, peaks)
+        assert place_boundaries(amap, ref).cuts == (5, 7, 9, 11, 13)
+        out = align_word_boundaries(amap, ref, AttnConfig(shift_radius=3, mode="per_boundary"))
+        assert out.segmentation.cuts == (2, 7, 9, 11, 13)
+        assert out.total_distance == 0
+        assert out.accepted
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**30), st.integers(0, 3))
@@ -323,3 +327,115 @@ class TestExtractVariantsAttn:
         amap = identity_attention("u2", ("K",), ("K",))
         with pytest.raises(errors.MissingUtterance):
             extract_variants_attn([amap], [ref])
+
+
+ABC = PhoneInventory.from_phones(["A", "B", "C"])
+short_pron = st.lists(st.sampled_from("ABC"), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def search_cases(draw, max_words):
+    """An utterance, a dictionary with 1-3 pronunciations per listed word,
+    hypothesis columns and one attention peak per reference row."""
+    names = draw(st.lists(st.sampled_from(["w0", "w1", "w2"]), min_size=1, max_size=max_words))
+    listed = {
+        name: draw(st.lists(short_pron, min_size=1, max_size=3, unique=True))
+        for name in set(names)
+        if draw(st.booleans())
+    }
+    words = tuple(WordSpan(name, draw(short_pron)) for name in names)
+    ref = SegmentedUtterance("u", words, ABC)
+    cols = tuple(draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=len(ref.phones) + 2)))
+    peaks = [draw(st.integers(0, len(cols) - 1)) for _ in ref.phones]
+    return peak_map("u", cols, ref.phones, peaks), ref, ReferenceDictionary(listed)
+
+
+def brute_force_per_boundary(amap, ref, radius, dictionary):
+    """Every offset tuple, keyed (total, repaired by the tuple, position)."""
+    base = place_boundaries(amap, ref)
+    prons = [
+        dictionary.pronunciations(w.word) if w.word in dictionary else (w.phones,)
+        for w in ref.words
+    ]
+    best = None
+    combos = product(_offset_order(radius), repeat=len(base.cuts))
+    for position, combo in enumerate(combos):
+        cuts, repaired = _repair([c + o for c, o in zip(base.cuts, combo)], base.length)
+        spans = Segmentation(cuts, base.length).spans(amap.col_phones)
+        total = sum(min(edit_distance(s, p) for p in ps) for s, ps in zip(spans, prons))
+        key = (total, repaired, position)
+        if best is None or key < best[0]:
+            best = (key, cuts, spans)
+    (total, repaired, _), cuts, spans = best
+    return total, cuts, repaired, tuple(zip((w.word for w in ref.words), spans))
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases(max_words=5), st.integers(0, 3), st.sampled_from([0.0, 0.3, 1.0]))
+def test_per_boundary_matches_the_brute_force(case, radius, threshold):
+    amap, ref, dictionary = case
+    cfg = AttnConfig(shift_radius=radius, mode="per_boundary", threshold=threshold)
+    out = align_word_boundaries(amap, ref, cfg, dictionary)
+    total, cuts, repaired, variants = brute_force_per_boundary(amap, ref, radius, dictionary)
+    assert out.total_distance == total
+    assert out.segmentation.cuts == cuts
+    assert out.segmentation.repaired == repaired
+    assert out.variants == variants
+    assert out.accepted == (total / len(ref.phones) <= threshold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(max_words=6), st.integers(0, 3))
+def test_per_boundary_never_loses_to_global(case, radius):
+    amap, ref, dictionary = case
+    per_boundary = align_word_boundaries(amap, ref, AttnConfig(radius, "per_boundary"), dictionary)
+    global_shift = align_word_boundaries(amap, ref, AttnConfig(radius, "global_shift"), dictionary)
+    assert per_boundary.total_distance <= global_shift.total_distance
+
+
+def global_shift_scoring_loop(amap, ref_seg, cfg, dictionary):
+    """The global-mode search as it was before span scores were memoised."""
+    candidates = split_by_attention(amap, ref_seg, cfg)
+    ref_variants = []
+    for span in ref_seg.words:
+        if dictionary is not None and span.word in dictionary:
+            ref_variants.append(dictionary.pronunciations(span.word))
+        else:
+            ref_variants.append((span.phones,))
+
+    best = None
+    best_spans = ()
+    best_key = None
+    for order, candidate in enumerate(candidates):
+        spans = candidate.spans(amap.col_phones)
+        total = sum(
+            min(edit_distance(span, pron) for pron in prons)
+            for span, prons in zip(spans, ref_variants)
+        )
+        key = (total, candidate.repaired, order)
+        if best_key is None or key < best_key:
+            best, best_spans, best_key = candidate, spans, key
+
+    total_ref = len(ref_seg.phones)
+    normalized = best_key[0] / total_ref
+    variants = tuple((span.word, hyp) for span, hyp in zip(ref_seg.words, best_spans))
+    return BoundaryOutcome(
+        utterance_id=amap.utterance_id,
+        accepted=normalized <= cfg.threshold,
+        segmentation=best,
+        variants=variants,
+        total_distance=best_key[0],
+        normalized_distance=normalized,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases(max_words=6), st.integers(0, 3), st.sampled_from([0.0, 0.3, 1.0]), st.booleans())
+def test_memoised_global_shift_matches_the_scoring_loop(case, radius, threshold, use_dictionary):
+    amap, ref, dictionary = case
+    dictionary = dictionary if use_dictionary else None
+    cfg = AttnConfig(shift_radius=radius, threshold=threshold)
+    out = align_word_boundaries(amap, ref, cfg, dictionary)
+    expected = global_shift_scoring_loop(amap, ref, cfg, dictionary)
+    assert out == expected
+    assert out.segmentation.repaired == expected.segmentation.repaired

@@ -52,6 +52,19 @@ class TestSynth:
         )
         assert code == 1
 
+    def test_out_dir_under_a_file_is_a_usage_error(self, tmp_path, capsys):
+        d = write(tmp_path / "dict.txt", DICT)
+        r = write(tmp_path / "rules.txt", RULES)
+        write(tmp_path / "blocker", "")
+        code = main(
+            ["synth", "--dict", d, "--rules", r, "--words", "1", "--utts", "1",
+             "--seed", "1", "--out-dir", str(tmp_path / "blocker" / "x")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "blocker" in err
+        assert "Traceback" not in err
+
 
 class TestAlignDp:
     def test_harvests_pairs(self, corpus_dir):
@@ -242,6 +255,23 @@ class TestExitCodes:
 
     def test_unreadable_file_is_a_usage_error(self, tmp_path):
         assert main(["stats", "--lex", str(tmp_path / "nope.lex")]) == 1
+
+    def test_invalid_utf8_is_a_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.lex"
+        bad.write_bytes(b"cat\t1\tK AE T\n\xff\xfe\t1\tK\n")
+        assert main(["stats", "--lex", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.lex" in err
+        assert "UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_output_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys):
+        lex = write(tmp_path / "a.lex", "cat\t1\tK AE T\n")
+        out = str(tmp_path / "nodir" / "o.lex")
+        assert main(["merge", "--in", lex, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "nodir" in err
+        assert "Traceback" not in err
 
 
 class TestInventoryFlag:
