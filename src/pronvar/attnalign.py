@@ -25,10 +25,9 @@ from .errors import (
     MalformedLine,
     NegativeWeight,
     RowMismatch,
-    UnknownPhone,
 )
 from .dpalign import pair_by_id
-from .phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance
+from .phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, checked_symbols
 
 GLOBAL_SHIFT = "global_shift"
 PER_BOUNDARY = "per_boundary"
@@ -195,9 +194,7 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
             raise DimensionMismatch(utt_id, f"{len(row_phones)} row phones declared {n_rows}", record[1][0])
         if len(col_phones) != n_cols:
             raise DimensionMismatch(utt_id, f"{len(col_phones)} col phones declared {n_cols}", record[2][0])
-        for symbol in (*row_phones, *col_phones):
-            if symbol not in inventory:
-                raise UnknownPhone(symbol, f"attention map {utt_id!r}")
+        inventory.require((*row_phones, *col_phones), f"attention map {utt_id!r}")
 
         weights: list[tuple[float, ...]] = []
         for r, (wlineno, wline) in enumerate(record[3:]):
@@ -205,15 +202,13 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
             if len(tokens) != n_cols:
                 raise DimensionMismatch(utt_id, f"row {r} has {len(tokens)} weights, declared {n_cols}", wlineno)
             row: list[float] = []
-            for c, token in enumerate(tokens):
+            for token in tokens:
                 try:
                     value = float(token)
                 except ValueError:
                     raise MalformedLine(wlineno, f"bad weight {token!r}") from None
                 if not math.isfinite(value):
                     raise MalformedLine(wlineno, f"non-finite weight {token!r}")
-                if value < 0:
-                    raise NegativeWeight(utt_id, r, c)
                 row.append(value)
             weights.append(tuple(row))
         maps.append(AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), tuple(weights)))
@@ -232,16 +227,15 @@ def emit_attention_file(maps: Iterable[AttentionMap]) -> str:
     return "\n".join(blocks)
 
 
-def scan_attention_tokens(text: str):
-    """Lenient phone-token scan of an attention file (axis lines only)."""
+def scan_attention_tokens(text: str) -> list[str]:
+    """Lenient phone-symbol scan of an attention file (axis lines only)."""
+    axis_lines = []
     block_line = 0
-    for raw in text.splitlines():
-        if not raw.strip():
-            block_line = 0
-            continue
-        block_line += 1
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        block_line = block_line + 1 if raw.strip() else 0
         if block_line in (2, 3):
-            yield from raw.split()
+            axis_lines.append((lineno, raw.split()))
+    return checked_symbols(axis_lines)
 
 
 def place_boundaries(

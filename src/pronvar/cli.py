@@ -17,7 +17,7 @@ from .attnalign import (
     scan_attention_tokens,
 )
 from .dpalign import AlignConfig, extract_variants_dp
-from .errors import ConstraintError, InputFormatError, MissingUtterance, PronvarError
+from .errors import ConstraintError, InputFormatError, PronvarError
 from .phonecore import (
     derive_inventory,
     emit_inventory,
@@ -62,62 +62,63 @@ def _write(path: "str | Path", content: str) -> None:
         raise UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
-def _catching(path: str, parse, *args):
+def _parsed(path: str, text: str, parse, *args):
     """Run a parser over a file's text, prefixing any error with the path."""
     try:
-        return parse(_read(path), *args)
+        return parse(text, *args)
     except (InputFormatError, ConstraintError) as err:
         err.args = (f"{path}: {err}",)
         raise
 
 
-def _load_inventory(args, scans):
-    """Use --inventory when given, else derive an all-EN inventory from inputs."""
-    if getattr(args, "inventory", None):
-        return _catching(args.inventory, parse_inventory)
-    return derive_inventory(*scans)
+def _catching(path: str, parse, *args):
+    return _parsed(path, _read(path), parse, *args)
+
+
+def _load(args, *inputs) -> list:
+    """Read and parse each ``(path, scan, parse)`` input once, against one inventory.
+
+    The inventory is --inventory when given, else an all-EN one derived
+    from the symbols the inputs' scans find.
+    """
+    texts = [_read(path) for path, _, _ in inputs]
+    if args.inventory:
+        inv = _catching(args.inventory, parse_inventory)
+    else:
+        inv = derive_inventory(*(_parsed(path, text, scan) for (path, scan, _), text in zip(inputs, texts)))
+    return [_parsed(path, text, parse, inv) for (path, _, parse), text in zip(inputs, texts)]
+
+
+def _checked(make, *args):
+    """Call a config constructor with flag values; a value it rejects is a usage error."""
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def _cmd_align_dp(args) -> int:
-    inv = _load_inventory(
+    dictionary, hyps, refs = _load(
         args,
-        (
-            scan_dictionary_tokens(_read(args.dict)),
-            scan_segmented_tokens(_read(args.ref)),
-            scan_phone_tokens(_read(args.hyp)),
-        ),
+        (args.dict, scan_dictionary_tokens, parse_dictionary_file),
+        (args.hyp, scan_phone_tokens, parse_phone_file),
+        (args.ref, scan_segmented_tokens, parse_segmented_file),
     )
-    dictionary = _catching(args.dict, parse_dictionary_file, inv)
-    hyps = _catching(args.hyp, parse_phone_file, inv)
-    refs = _catching(args.ref, parse_segmented_file, inv)
-    if args.gap <= 0:
-        raise UsageError("--gap must be positive")
-    if args.mismatch < args.match:
-        raise UsageError("--mismatch must be >= --match")
-    cfg = AlignConfig(args.match, args.mismatch, args.gap)
+    cfg = _checked(AlignConfig, args.match, args.mismatch, args.gap)
     result = extract_variants_dp(hyps, refs, dictionary, cfg)
     _write(args.out, emit_pairs(result.pairs))
     return 0
 
 
 def _cmd_align_attn(args) -> int:
-    inv = _load_inventory(
+    dictionary, refs, maps = _load(
         args,
-        (
-            scan_dictionary_tokens(_read(args.dict)),
-            scan_segmented_tokens(_read(args.ref)),
-            scan_attention_tokens(_read(args.attn)),
-        ),
+        (args.dict, scan_dictionary_tokens, parse_dictionary_file),
+        (args.ref, scan_segmented_tokens, parse_segmented_file),
+        (args.attn, scan_attention_tokens, parse_attention_file),
     )
-    dictionary = _catching(args.dict, parse_dictionary_file, inv)
-    refs = _catching(args.ref, parse_segmented_file, inv)
-    maps = _catching(args.attn, parse_attention_file, inv)
-    if args.radius < 0:
-        raise UsageError("--radius must be >= 0")
-    if not 0.0 <= args.threshold <= 1.0:
-        raise UsageError("--threshold must be in [0, 1]")
     mode = {"global": "global_shift", "per-boundary": "per_boundary"}[args.mode]
-    cfg = AttnConfig(shift_radius=args.radius, mode=mode, threshold=args.threshold)
+    cfg = _checked(AttnConfig, args.radius, mode, args.threshold)
     result = extract_variants_attn(maps, refs, dictionary, cfg)
     _write(args.out, emit_pairs(result.pairs))
     if args.rejects:
@@ -142,11 +143,7 @@ def _cmd_build(args) -> int:
     if args.dict:
         canonical = _catching(args.dict, parse_dictionary_file, inv)
         lex = lexbuild.merge(lexbuild.from_dictionary(canonical), lex)
-    if args.min_count < 0:
-        raise UsageError("--min-count must be >= 0")
-    if args.max_variants is not None and args.max_variants < 1:
-        raise UsageError("--max-variants must be >= 1")
-    lex = lexbuild.prune(lex, args.min_count, args.max_variants, canonical)
+    lex = _checked(lexbuild.prune, lex, args.min_count, args.max_variants, canonical)
     _write(args.out, emit_lexicon(lex))
     return 0
 
@@ -184,11 +181,13 @@ def _parse_attn_flag(value: str) -> tuple[str, int]:
 
 
 def _cmd_synth(args) -> int:
-    inv = None
-    if args.inventory:
-        inv = _catching(args.inventory, parse_inventory)
-    dictionary = _catching(args.dict, parse_dictionary_file, inv)
-    rules = _catching(args.rules, synthbench.parse_rules_file, inv)
+    dictionary, rules = _load(
+        args,
+        (args.dict, scan_dictionary_tokens, parse_dictionary_file),
+        (args.rules, synthbench.scan_rules_tokens, synthbench.parse_rules_file),
+    )
+    if not dictionary:
+        raise InputFormatError(f"{args.dict}: no words to sample")
     attn_kind, jitter_radius = _parse_attn_flag(args.attn)
     if args.words < 1 or args.utts < 1:
         raise UsageError("--words and --utts must be >= 1")
@@ -231,19 +230,7 @@ def _cmd_eval(args) -> int:
 def _cmd_eval_bounds(args) -> int:
     pred = _catching(args.pred, synthbench.parse_bounds_file)
     truth = _catching(args.truth, synthbench.parse_bounds_file)
-    truth_map = dict(truth)
-    correct = n_pred = n_truth = 0
-    for utt_id, cuts in pred:
-        if utt_id not in truth_map:
-            raise MissingUtterance(utt_id)
-        truth_cuts = set(truth_map[utt_id])
-        cuts = set(cuts)
-        correct += len(cuts & truth_cuts)
-        n_pred += len(cuts)
-        n_truth += len(truth_cuts)
-    precision = correct / n_pred if n_pred else 1.0
-    recall = correct / n_truth if n_truth else 1.0
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    precision, recall, f1 = synthbench.pooled_boundary_f1(pred, truth)
     print(f"precision\t{precision:.4f}")
     print(f"recall\t{recall:.4f}")
     print(f"f1\t{f1:.4f}")

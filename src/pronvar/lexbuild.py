@@ -8,20 +8,12 @@ was partitioned.
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import EmptyPronunciation
 from .phonecore import Lexicon, ReferenceDictionary
 
 
 def accumulate(pairs: Iterable[tuple[str, Sequence[str]]]) -> Lexicon:
     """Count occurrences; identical (word, pronunciation) pairs share a counter."""
-    entries: dict[str, dict[tuple[str, ...], int]] = {}
-    for word, pron in pairs:
-        pron = tuple(pron)
-        if not pron:
-            raise EmptyPronunciation(word)
-        variants = entries.setdefault(word, {})
-        variants[pron] = variants.get(pron, 0) + 1
-    return Lexicon(entries)
+    return from_counted_pairs((word, pron, 1) for word, pron in pairs)
 
 
 def from_counted_pairs(triples: Iterable[tuple[str, Sequence[str], int]]) -> Lexicon:
@@ -29,8 +21,6 @@ def from_counted_pairs(triples: Iterable[tuple[str, Sequence[str], int]]) -> Lex
     entries: dict[str, dict[tuple[str, ...], int]] = {}
     for word, pron, count in triples:
         pron = tuple(pron)
-        if not pron:
-            raise EmptyPronunciation(word)
         variants = entries.setdefault(word, {})
         variants[pron] = variants.get(pron, 0) + count
     return Lexicon(entries)
@@ -116,40 +106,32 @@ class LexiconStats:
     size_ratio: float | None = None
     reduction_pct: float | None = None
 
-    def to_tsv(self) -> str:
-        lines = [
-            f"words\t{self.words}",
-            f"entries\t{self.entries}",
-            f"mean_variants\t{self.mean_variants:.4f}",
-            f"max_variants\t{self.max_variants}",
+    def _rows(self) -> list[tuple[str, str, str]]:
+        """(tsv key, text label, value) for each reported figure, in order."""
+        rows = [
+            ("words", "words", str(self.words)),
+            ("entries", "entries", str(self.entries)),
+            ("mean_variants", "mean variants/word", f"{self.mean_variants:.4f}"),
+            ("max_variants", "max variants/word", str(self.max_variants)),
         ]
         if self.baseline_entries is not None:
-            lines.append(f"baseline_entries\t{self.baseline_entries}")
-            lines.append(f"shared_entries\t{self.shared}")
             ratio = "undefined" if self.size_ratio is None else f"{self.size_ratio:.4f}"
             reduction = "undefined" if self.reduction_pct is None else f"{self.reduction_pct:.2f}"
-            lines.append(f"size_ratio\t{ratio}")
-            lines.append(f"reduction_pct\t{reduction}")
-        return "\n".join(lines) + "\n"
+            rows += [
+                ("baseline_entries", "baseline entries", str(self.baseline_entries)),
+                ("shared_entries", "shared entries", str(self.shared)),
+                ("size_ratio", "size ratio", ratio),
+                ("reduction_pct", "reduction %", reduction),
+            ]
+        return rows
+
+    def to_tsv(self) -> str:
+        return "".join(f"{key}\t{value}\n" for key, _, value in self._rows())
 
     def to_text(self) -> str:
-        rows = [
-            ("words", str(self.words)),
-            ("entries", str(self.entries)),
-            ("mean variants/word", f"{self.mean_variants:.4f}"),
-            ("max variants/word", str(self.max_variants)),
-        ]
-        if self.baseline_entries is not None:
-            rows.append(("baseline entries", str(self.baseline_entries)))
-            rows.append(("shared entries", str(self.shared)))
-            rows.append(
-                ("size ratio", "undefined" if self.size_ratio is None else f"{self.size_ratio:.4f}")
-            )
-            rows.append(
-                ("reduction %", "undefined" if self.reduction_pct is None else f"{self.reduction_pct:.2f}")
-            )
-        width = max(len(k) for k, _ in rows)
-        return "".join(f"{k:<{width}}  {v}\n" for k, v in rows)
+        rows = self._rows()
+        width = max(len(label) for _, label, _ in rows)
+        return "".join(f"{label:<{width}}  {value}\n" for _, label, value in rows)
 
 
 def stats(lex: Lexicon, baseline: Lexicon | None = None) -> LexiconStats:

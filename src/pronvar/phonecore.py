@@ -16,6 +16,7 @@ endings:
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -103,6 +104,12 @@ class PhoneInventory:
     def __len__(self) -> int:
         return len(self.phones)
 
+    def require(self, symbols: Iterable[str], context: str) -> None:
+        """Raise :class:`UnknownPhone` for the first symbol outside the inventory."""
+        for symbol in symbols:
+            if symbol not in self._index:
+                raise UnknownPhone(symbol, context)
+
     def origin(self, symbol: str) -> str:
         try:
             return self._index[symbol]
@@ -125,9 +132,7 @@ class PhoneSequence:
     def __post_init__(self):
         object.__setattr__(self, "phones", tuple(self.phones))
         _check_word(self.utterance_id)
-        for symbol in self.phones:
-            if symbol not in self.inventory:
-                raise UnknownPhone(symbol, f"utterance {self.utterance_id!r}")
+        self.inventory.require(self.phones, f"utterance {self.utterance_id!r}")
 
     def __len__(self) -> int:
         return len(self.phones)
@@ -160,9 +165,7 @@ class SegmentedUtterance:
             _check_word(span.word)
             if not span.phones:
                 raise EmptySpan(self.utterance_id, i)
-            for symbol in span.phones:
-                if symbol not in self.inventory:
-                    raise UnknownPhone(symbol, f"utterance {self.utterance_id!r}")
+            self.inventory.require(span.phones, f"utterance {self.utterance_id!r}")
 
     @property
     def phones(self) -> tuple[str, ...]:
@@ -351,11 +354,7 @@ def parse_phone_file(text: str, inventory: PhoneInventory) -> list[PhoneSequence
         if utt_id in seen:
             raise DuplicateUtteranceId(utt_id)
         seen.add(utt_id)
-        phones = rest.split()
-        for symbol in phones:
-            if symbol not in inventory:
-                raise UnknownPhone(symbol, f"utterance {utt_id!r}")
-        out.append(PhoneSequence(utt_id, tuple(phones), inventory))
+        out.append(PhoneSequence(utt_id, tuple(rest.split()), inventory))
     return out
 
 
@@ -370,33 +369,24 @@ def parse_segmented_file(text: str, inventory: PhoneInventory) -> list[Segmented
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-        utt_id = fields[0].strip()
-        if not utt_id or any(c.isspace() for c in utt_id):
-            raise MalformedLine(lineno, f"bad utterance id {utt_id!r}")
+        utt_id, rest = _split_id_line(raw, lineno)
+        fields = rest.split("\t")
+        if len(fields) != 2:
+            raise MalformedLine(lineno, f"expected 3 tab-separated fields, got {len(fields) + 1}")
         if utt_id in seen:
             raise DuplicateUtteranceId(utt_id)
         seen.add(utt_id)
 
         spans: list[list[str]] = [[]]
-        for token in fields[1].split():
+        for token in fields[0].split():
             if token == "#":
                 spans.append([])
             else:
                 spans[-1].append(token)
-        words = fields[2].split()
+        words = fields[1].split()
         if len(spans) != len(words):
             raise SpanWordMismatch(utt_id, len(spans), len(words))
-        for i, span in enumerate(spans):
-            if not span:
-                raise EmptySpan(utt_id, i)
-            for symbol in span:
-                if symbol not in inventory:
-                    raise UnknownPhone(symbol, f"utterance {utt_id!r}")
-        pairs = tuple(WordSpan(w, tuple(s)) for w, s in zip(words, spans))
-        out.append(SegmentedUtterance(utt_id, pairs, inventory))
+        out.append(SegmentedUtterance(utt_id, zip(words, spans), inventory))
     return out
 
 
@@ -421,12 +411,8 @@ def parse_dictionary_file(text: str, inventory: PhoneInventory | None = None) ->
             continue
         word, rest = _split_id_line(raw, lineno)
         pron = tuple(rest.split())
-        if not pron:
-            raise EmptyPronunciation(word)
         if inventory is not None:
-            for symbol in pron:
-                if symbol not in inventory:
-                    raise UnknownPhone(symbol, f"dictionary word {word!r}")
+            inventory.require(pron, f"dictionary word {word!r}")
         prons = entries.setdefault(word, [])
         if pron in prons:
             raise DuplicateVariant(word, lineno)
@@ -442,20 +428,27 @@ def emit_dictionary(dictionary: ReferenceDictionary) -> str:
     return "".join(lines)
 
 
-def _parse_lexicon_line(raw: str, lineno: int) -> tuple[str, int, tuple[str, ...]]:
+def _parse_lexicon_line(
+    raw: str, lineno: int, inventory: PhoneInventory | None, context: str
+) -> tuple[str, int, tuple[str, ...]]:
+    """Split one lexicon-format line; ``context`` names the word's role in errors."""
     fields = raw.split("\t")
     if len(fields) != 3:
         raise MalformedLine(lineno, f"expected word<TAB>count<TAB>phones, got {len(fields)} fields")
     word = fields[0].strip()
-    if not word or any(c.isspace() for c in word):
-        raise MalformedLine(lineno, f"bad word {word!r}")
+    _check_word(word, lineno)
     try:
         count = int(fields[1])
     except ValueError:
         raise MalformedLine(lineno, f"bad count {fields[1]!r}") from None
     if count < 0:
         raise MalformedLine(lineno, f"negative count {count}")
-    return word, count, tuple(fields[2].split())
+    pron = tuple(fields[2].split())
+    if not pron:
+        raise EmptyPronunciation(word)
+    if inventory is not None:
+        inventory.require(pron, f"{context} {word!r}")
+    return word, count, pron
 
 
 def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexicon":
@@ -464,13 +457,7 @@ def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexico
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        word, count, pron = _parse_lexicon_line(raw, lineno)
-        if not pron:
-            raise EmptyPronunciation(word)
-        if inventory is not None:
-            for symbol in pron:
-                if symbol not in inventory:
-                    raise UnknownPhone(symbol, f"lexicon word {word!r}")
+        word, count, pron = _parse_lexicon_line(raw, lineno, inventory, "lexicon word")
         variants = entries.setdefault(word, {})
         if pron in variants:
             raise DuplicateVariant(word, lineno)
@@ -484,13 +471,7 @@ def parse_pairs_file(text: str, inventory: PhoneInventory | None = None) -> list
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        word, count, pron = _parse_lexicon_line(raw, lineno)
-        if not pron:
-            raise EmptyPronunciation(word)
-        if inventory is not None:
-            for symbol in pron:
-                if symbol not in inventory:
-                    raise UnknownPhone(symbol, f"pair for word {word!r}")
+        word, count, pron = _parse_lexicon_line(raw, lineno, inventory, "pair for word")
         out.append((word, pron, count))
     return out
 
@@ -521,35 +502,40 @@ def emit_lexicon(lexicon: Lexicon) -> str:
 # lenient token scanners, used to derive an inventory when none is supplied
 
 
-def scan_phone_tokens(text: str) -> Iterator[str]:
-    for raw in text.splitlines():
-        if not raw.strip() or "\t" not in raw:
-            continue
-        yield from raw.split("\t", 1)[1].split()
+def checked_symbols(lines: Iterable[tuple[int, Iterable[str]]]) -> list[str]:
+    """Distinct tokens of ``(line number, tokens)`` pairs, in first-seen order.
+
+    Each token is checked against the phone-symbol rule on the line where
+    it first appears, so a bad symbol raises an error naming that line.
+    """
+    seen: dict[str, None] = {}
+    for lineno, tokens in lines:
+        for token in tokens:
+            if token not in seen:
+                _check_symbol(token, lineno)
+                seen[token] = None
+    return list(seen)
 
 
-def scan_segmented_tokens(text: str) -> Iterator[str]:
-    for raw in text.splitlines():
-        fields = raw.split("\t")
-        if len(fields) < 2:
-            continue
-        for token in fields[1].split():
-            if token != "#":
-                yield token
+def scan_phone_tokens(text: str) -> list[str]:
+    lines = enumerate(text.splitlines(), 1)
+    return checked_symbols((n, raw.split("\t", 1)[1].split()) for n, raw in lines if "\t" in raw)
 
 
-def scan_dictionary_tokens(text: str) -> Iterator[str]:
-    for raw in text.splitlines():
-        if not raw.strip() or raw.startswith("#") or "\t" not in raw:
-            continue
-        yield from raw.split("\t", 1)[1].split()
+def scan_segmented_tokens(text: str) -> list[str]:
+    lines = enumerate(text.splitlines(), 1)
+    return checked_symbols(
+        (n, [t for t in raw.split("\t", 2)[1].split() if t != "#"]) for n, raw in lines if "\t" in raw
+    )
+
+
+def scan_dictionary_tokens(text: str) -> list[str]:
+    lines = enumerate(text.splitlines(), 1)
+    return checked_symbols(
+        (n, raw.split("\t", 1)[1].split()) for n, raw in lines if "\t" in raw and not raw.startswith("#")
+    )
 
 
 def derive_inventory(*token_streams: Iterable[str]) -> PhoneInventory:
     """Build a permissive all-EN inventory from first-seen token order."""
-    seen: dict[str, None] = {}
-    for stream in token_streams:
-        for token in stream:
-            seen.setdefault(token, None)
-    phones = tuple(seen)
-    return PhoneInventory(phones, tuple("EN" for _ in phones))
+    return PhoneInventory.from_phones(dict.fromkeys(chain.from_iterable(token_streams)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .attnalign import AttentionMap, Segmentation
 from .dpalign import AlignConfig
-from .errors import BadRule, MalformedLine, SizeBound, UnknownPhone
+from .errors import BadRule, MalformedLine, MissingUtterance, SizeBound
 from .phonecore import (
     Lexicon,
     PhoneInventory,
@@ -20,6 +20,8 @@ from .phonecore import (
     ReferenceDictionary,
     SegmentedUtterance,
     WordSpan,
+    checked_symbols,
+    derive_inventory,
 )
 from . import lexbuild
 
@@ -67,14 +69,18 @@ def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tupl
         except ValueError:
             raise MalformedLine(lineno, f"bad probability {fields[2]!r}") from None
         if inventory is not None:
-            for symbol in (source, target):
-                if symbol not in inventory:
-                    raise UnknownPhone(symbol, f"rule on line {lineno}")
+            inventory.require((source, target), f"rule on line {lineno}")
         try:
             rules.append(ConfusionRule(source, target, probability))
         except BadRule as err:
             raise BadRule(str(err), lineno) from None
     return tuple(rules)
+
+
+def scan_rules_tokens(text: str) -> list[str]:
+    """Lenient phone-symbol scan of a rules file; see :func:`checked_symbols`."""
+    rows = ((n, raw.split("\t")) for n, raw in enumerate(text.splitlines(), 1) if not raw.startswith("#"))
+    return checked_symbols((n, (f[0].strip(), f[1].strip())) for n, f in rows if len(f) == 3)
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,7 @@ def corrupt(
     reduced to zero phones, so the ground-truth cuts stay valid.
     """
     for rule in rules:
-        for symbol in (rule.source, rule.target):
-            if symbol not in seg.inventory:
-                raise UnknownPhone(symbol, "confusion rule")
+        seg.inventory.require((rule.source, rule.target), "confusion rule")
     rng = random.Random(seed)
     all_phones = seg.inventory.phones
     out_spans: list[list[str]] = []
@@ -181,11 +185,27 @@ def boundary_f1(pred: Segmentation, truth: Segmentation) -> tuple[float, float, 
 
     Two empty segmentations count as a perfect score.
     """
-    pred_cuts = set(pred.cuts)
-    truth_cuts = set(truth.cuts)
-    correct = len(pred_cuts & truth_cuts)
-    precision = correct / len(pred_cuts) if pred_cuts else 1.0
-    recall = correct / len(truth_cuts) if truth_cuts else 1.0
+    return pooled_boundary_f1([("", pred.cuts)], [("", truth.cuts)])
+
+
+def pooled_boundary_f1(
+    pred: Iterable[tuple[str, Sequence[int]]], truth: Iterable[tuple[str, Sequence[int]]]
+) -> tuple[float, float, float]:
+    """:func:`boundary_f1` with counts pooled over ``(utt_id, cuts)`` predictions.
+
+    Each predicted id must be in ``truth``; other true utterances are not counted.
+    """
+    truth_map = dict(truth)
+    correct = n_pred = n_truth = 0
+    for utt_id, cuts in pred:
+        if utt_id not in truth_map:
+            raise MissingUtterance(utt_id)
+        cuts, truth_cuts = set(cuts), set(truth_map[utt_id])
+        correct += len(cuts & truth_cuts)
+        n_pred += len(cuts)
+        n_truth += len(truth_cuts)
+    precision = correct / n_pred if n_pred else 1.0
+    recall = correct / n_truth if n_truth else 1.0
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
 
@@ -281,7 +301,10 @@ def build_corpus(
     all_words = list(dictionary.words())
     vocab = all_words if vocabulary >= len(all_words) else rng.sample(all_words, vocabulary)
 
-    inventory = _inventory_for(dictionary, rules)
+    inventory = derive_inventory(
+        (p for word in dictionary.words() for pron in dictionary.pronunciations(word) for p in pron),
+        (p for rule in rules for p in (rule.source, rule.target)),
+    )
     references: list[SegmentedUtterance] = []
     hypotheses: list[PhoneSequence] = []
     maps: list[AttentionMap] = []
@@ -324,19 +347,6 @@ def build_corpus(
         truth_lexicon=lexbuild.accumulate(injected),
         truth_bounds=tuple(bounds),
     )
-
-
-def _inventory_for(dictionary: ReferenceDictionary, rules: Sequence[ConfusionRule]) -> PhoneInventory:
-    seen: dict[str, None] = {}
-    for word in dictionary.words():
-        for pron in dictionary.pronunciations(word):
-            for symbol in pron:
-                seen.setdefault(symbol, None)
-    for rule in rules:
-        seen.setdefault(rule.source, None)
-        seen.setdefault(rule.target, None)
-    phones = tuple(seen)
-    return PhoneInventory(phones, tuple("EN" for _ in phones))
 
 
 def emit_bounds_file(bounds: Iterable[tuple[str, Segmentation]]) -> str:

@@ -52,6 +52,16 @@ class TestSynth:
         )
         assert code == 1
 
+    def test_empty_dictionary_is_a_format_error(self, tmp_path, capsys):
+        d = write(tmp_path / "dict.txt", "")
+        r = write(tmp_path / "rules.txt", RULES)
+        code = main(
+            ["synth", "--dict", d, "--rules", r, "--words", "1", "--utts", "1",
+             "--seed", "1", "--out-dir", str(tmp_path / "x")]
+        )
+        assert code == 2
+        assert "dict.txt: no words to sample" in capsys.readouterr().err
+
     def test_out_dir_under_a_file_is_a_usage_error(self, tmp_path, capsys):
         d = write(tmp_path / "dict.txt", DICT)
         r = write(tmp_path / "rules.txt", RULES)
@@ -294,3 +304,127 @@ class TestInventoryFlag:
         code = main(["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--out", str(out)])
         assert code == 0
         assert "QX" in out.read_text()
+
+
+class TestBadPhoneSymbol:
+    """Without --inventory, a symbol that breaks the phone-symbol rule is a format error."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_align_dp_non_ascii_phone(self, tmp_path, capsys):
+        hyp = write(tmp_path / "hyp.txt", "u1\tK AE T\nu2\tK É T\n")
+        ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\nu2\tK AE T\tcat\n")
+        d = write(tmp_path / "dict.txt", "cat\tK AE T\n")
+        code, err = self.run(
+            ["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 2
+        assert "hyp.txt: line 2: bad phone symbol 'É'" in err
+        assert "Traceback" not in err
+
+    def test_align_attn_non_ascii_phone(self, tmp_path, capsys):
+        attn = write(tmp_path / "attn.txt", "u1 1 2\nK\nK É\n1.0 0.0\n")
+        ref = write(tmp_path / "ref.txt", "u1\tK\tcat\n")
+        d = write(tmp_path / "dict.txt", "cat\tK\n")
+        code, err = self.run(
+            ["align-attn", "--attn", attn, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 2
+        assert "attn.txt: line 3: bad phone symbol 'É'" in err
+
+    def test_synth_non_ascii_dictionary_phone(self, tmp_path, capsys):
+        d = write(tmp_path / "dict.txt", "cat\tK AE T\ndog\tD É G\n")
+        r = write(tmp_path / "rules.txt", RULES)
+        code, err = self.run(
+            ["synth", "--dict", d, "--rules", r, "--words", "1", "--utts", "1",
+             "--seed", "1", "--out-dir", str(tmp_path / "x")], capsys
+        )
+        assert code == 2
+        assert "dict.txt: line 2: bad phone symbol 'É'" in err
+
+    def test_synth_empty_rule_field(self, tmp_path, capsys):
+        d = write(tmp_path / "dict.txt", DICT)
+        r = write(tmp_path / "rules.txt", "Z\t\t1.0\n")
+        code, err = self.run(
+            ["synth", "--dict", d, "--rules", r, "--words", "1", "--utts", "1",
+             "--seed", "1", "--out-dir", str(tmp_path / "x")], capsys
+        )
+        assert code == 2
+        assert "rules.txt: line 1: bad phone symbol ''" in err
+
+    def test_reserved_symbol_in_a_derived_inventory_names_the_file(self, tmp_path, capsys):
+        hyp = write(tmp_path / "hyp.txt", "u1\tK | T\n")
+        ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\n")
+        d = write(tmp_path / "dict.txt", "cat\tK AE T\n")
+        code, err = self.run(
+            ["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 3
+        assert "hyp.txt: reserved symbol in phone '|' (line 1)" in err
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("align-dp", ["--gap", "0"]),
+            ("align-dp", ["--match", "1", "--mismatch", "0.5"]),
+            ("align-attn", ["--radius", "-1"]),
+            ("align-attn", ["--threshold", "1.5"]),
+            ("build", ["--min-count", "-1"]),
+            ("build", ["--max-variants", "0"]),
+        ],
+    )
+    def test_rejected_value_is_a_usage_error(self, tmp_path, capsys, command, flags):
+        d = write(tmp_path / "dict.txt", "cat\tK AE T\n")
+        ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\n")
+        out = str(tmp_path / "o")
+        inputs = {
+            "align-dp": ["--hyp", write(tmp_path / "hyp.txt", "u1\tK AH T\n"), "--ref", ref, "--dict", d],
+            "align-attn": ["--attn", write(tmp_path / "attn.txt", "u1 3 3\nK AE T\nK AH T\n1 0 0\n0 1 0\n0 0 1\n"),
+                           "--ref", ref, "--dict", d],
+            "build": ["--pairs", write(tmp_path / "p.pairs", "cat\t1\tK AE T\n")],
+        }[command]
+        assert main([command, *inputs, *flags, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
+
+
+class TestReportBytes:
+    def test_eval_bounds_pools_counts_over_utterances(self, tmp_path, capsys):
+        # per utterance: u1 P=1/2 R=1/2, u2 P=1 R=1/2; pooled: 2 of 3 predicted, 2 of 4 true
+        pred = write(tmp_path / "pred.bounds", "u1\t2 5\nu2\t3\n")
+        truth = write(tmp_path / "truth.bounds", "u1\t2 4\nu2\t3 6\nu3\t1\n")
+        assert main(["eval-bounds", "--pred", pred, "--truth", truth]) == 0
+        assert capsys.readouterr().out == "precision\t0.6667\nrecall\t0.5000\nf1\t0.5714\n"
+
+    LEX = "cat\t2\tK AE T\ncat\t1\tK AH T\ndog\t1\tD AO G\n"
+    BASELINE = "cat\t1\tK AE T\nfish\t3\tF IH SH\nfish\t1\tF IY SH\nox\t1\tAA K S\n"
+
+    @pytest.mark.parametrize(
+        "fmt, baseline, expected",
+        [
+            ("tsv", BASELINE,
+             "words\t2\nentries\t3\nmean_variants\t1.5000\nmax_variants\t2\nbaseline_entries\t4\n"
+             "shared_entries\t1\nsize_ratio\t0.7500\nreduction_pct\t25.00\n"),
+            ("tsv", "",
+             "words\t2\nentries\t3\nmean_variants\t1.5000\nmax_variants\t2\nbaseline_entries\t0\n"
+             "shared_entries\t0\nsize_ratio\tundefined\nreduction_pct\tundefined\n"),
+            ("text", BASELINE,
+             "words               2\nentries             3\nmean variants/word  1.5000\n"
+             "max variants/word   2\nbaseline entries    4\nshared entries      1\n"
+             "size ratio          0.7500\nreduction %         25.00\n"),
+            ("text", "",
+             "words               2\nentries             3\nmean variants/word  1.5000\n"
+             "max variants/word   2\nbaseline entries    0\nshared entries      0\n"
+             "size ratio          undefined\nreduction %         undefined\n"),
+        ],
+    )
+    def test_stats_with_a_baseline(self, tmp_path, capsys, fmt, baseline, expected):
+        lex = write(tmp_path / "l.lex", self.LEX)
+        base = write(tmp_path / "b.lex", baseline)
+        assert main(["stats", "--lex", lex, "--baseline", base, "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
