@@ -12,7 +12,6 @@ from .attnalign import (
     BoundaryOutcome,
     Segmentation,
     align_word_boundaries,
-    edit_distance,
     extract_variants_attn,
     parse_attention_file,
     place_boundaries,
@@ -22,6 +21,7 @@ from .dpalign import (
     AlignConfig,
     Alignment,
     EditOp,
+    edit_distance,
     extract_variants_dp,
     nw_align,
     project_boundaries,

@@ -4,7 +4,8 @@ An attention map pairs the non-native phones (columns) with the
 segmented native reference (rows). For every word but the last, the
 column with the highest weight on the word's final row proposes a cut.
 Those cuts then move within a radius n, and the segmentation closest to
-the reference pronunciations by edit distance wins:
+the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
+(the row kernel that global alignment also uses) wins:
 
 * ``global_shift`` moves all cuts together, 2n+1 candidates;
 * ``per_boundary`` moves each cut on its own and searches all (2n+1)^k
@@ -26,7 +27,7 @@ from .errors import (
     NegativeWeight,
     RowMismatch,
 )
-from .dpalign import pair_by_id
+from .dpalign import edit_distance, pair_by_id
 from .phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, checked_symbols
 
 GLOBAL_SHIFT = "global_shift"
@@ -238,9 +239,7 @@ def scan_attention_tokens(text: str) -> list[str]:
     return checked_symbols(axis_lines)
 
 
-def place_boundaries(
-    amap: AttentionMap, ref_seg: SegmentedUtterance, cfg: AttnConfig = AttnConfig()
-) -> Segmentation:
+def place_boundaries(amap: AttentionMap, ref_seg: SegmentedUtterance) -> Segmentation:
     """Cut after the peak-attention column of each word's final phone.
 
     Ties take the earliest column; the resulting cuts are repaired to be
@@ -283,7 +282,7 @@ def split_by_attention(
     ``cfg.mode`` is not read: per-boundary search enumerates nothing and
     is done by :func:`align_word_boundaries`.
     """
-    base = place_boundaries(amap, ref_seg, cfg)
+    base = place_boundaries(amap, ref_seg)
     length = base.length
     n = cfg.shift_radius
 
@@ -293,23 +292,6 @@ def split_by_attention(
         if cuts not in unique:
             unique[cuts] = Segmentation(cuts, length, repaired=moved)
     return list(unique.values())
-
-
-def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
-    """Levenshtein distance with unit insert/delete/substitute costs."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, x in enumerate(a, 1):
-        current = [i] + [0] * len(b)
-        for j, y in enumerate(b, 1):
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (0 if x == y else 1),
-            )
-        previous = current
-    return previous[len(b)]
 
 
 @dataclass(frozen=True)
@@ -325,20 +307,20 @@ class BoundaryOutcome:
     accepted: bool
     segmentation: Segmentation
     variants: tuple[tuple[str, tuple[str, ...]], ...]
-    total_distance: int
+    total_distance: float
     normalized_distance: float
 
 
 #: Scores word ``j`` over columns ``start:end`` of the hypothesis.
-SpanScore = Callable[[int, int, int], int]
+SpanScore = Callable[[int, int, int], float]
 
 
 def _best_global_shift(
     amap: AttentionMap, ref_seg: SegmentedUtterance, cfg: AttnConfig, score: SpanScore
-) -> tuple[Segmentation, int]:
+) -> tuple[Segmentation, float]:
     """Best of the global shifts: least total, then fewest repairs, then first."""
     best: Segmentation | None = None
-    best_key: tuple[int, int, int] | None = None
+    best_key: tuple[float, int, int] | None = None
     for order, candidate in enumerate(split_by_attention(amap, ref_seg, cfg)):
         bounds = (0, *candidate.cuts, candidate.length)
         total = sum(score(j, a, b) for j, (a, b) in enumerate(pairwise(bounds)))
@@ -348,7 +330,7 @@ def _best_global_shift(
     return best, best_key[0]
 
 
-def _best_per_boundary(base: Segmentation, radius: int, score: SpanScore) -> tuple[Segmentation, int]:
+def _best_per_boundary(base: Segmentation, radius: int, score: SpanScore) -> tuple[Segmentation, float]:
     """Exact best independent per-cut shift of ``base``, by dynamic programming.
 
     Over every tuple of offsets from :func:`_offset_order`, one per cut,
@@ -367,7 +349,7 @@ def _best_per_boundary(base: Segmentation, radius: int, score: SpanScore) -> tup
 
     # best[i][prev]: (distance, clamps, cut i) of the best completion from
     # cut i on, with cut i-1 at prev; best[k] scores the last word alone.
-    best: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(k)]
+    best: list[dict[int, tuple[float, int, int]]] = [{} for _ in range(k)]
     best.append({prev: (score(k, prev, length), 0, length) for prev in reach[k]})
     for i in reversed(range(k)):
         target = base.cuts[i]
@@ -422,9 +404,9 @@ def align_word_boundaries(
         else:
             ref_variants.append((span.phones,))
 
-    scores: dict[tuple[int, int, int], int] = {}
+    scores: dict[tuple[int, int, int], float] = {}
 
-    def score(word: int, start: int, end: int) -> int:
+    def score(word: int, start: int, end: int) -> float:
         key = (word, start, end)
         if key not in scores:
             span = cols[start:end]
@@ -434,7 +416,7 @@ def align_word_boundaries(
     if cfg.mode == GLOBAL_SHIFT:
         best, total = _best_global_shift(amap, ref_seg, cfg, score)
     else:
-        best, total = _best_per_boundary(place_boundaries(amap, ref_seg, cfg), cfg.shift_radius, score)
+        best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, score)
 
     normalized = total / len(ref_seg.phones)
     variants = tuple((span.word, hyp) for span, hyp in zip(ref_seg.words, best.spans(cols)))

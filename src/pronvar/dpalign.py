@@ -1,13 +1,14 @@
 """Global alignment of non-native phone sequences against native references.
 
-The aligner minimizes total cost over matches, substitutions, and gaps
-with a classic (n+1) x (m+1) score matrix, then backtracks from the
-bottom-right corner. Native word boundaries are projected through the
-alignment to carve the unsegmented hypothesis into per-word
-pronunciation variants.
+Both aligners share one row recurrence with :class:`AlignConfig` costs.
+:func:`edit_distance` keeps one row and returns the cost; it scores dictionary
+alternatives here and word spans in :mod:`pronvar.attnalign`. :func:`nw_align`
+keeps the whole matrix to backtrack the ops, and native word boundaries are
+projected through them to carve the hypothesis into per-word variants.
 """
 
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,6 +39,9 @@ class AlignConfig:
     gap_penalty: float = 1.0
 
     def __post_init__(self):
+        for name in ("match_score", "mismatch_score", "gap_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mismatch_score < self.match_score:
             raise ValueError("mismatch_score must be >= match_score")
         if self.gap_penalty <= 0:
@@ -80,6 +84,46 @@ class Alignment:
     total_cost: float
 
 
+def _cost_rows(a: Sequence[str], b: Sequence[str], cfg: AlignConfig) -> Iterator[list[float]]:
+    """Cost-matrix rows 0..len(a) of ``a`` (rows) against ``b`` (columns).
+
+    The edges are running sums of the gap penalty; an inner cell is the least
+    of diagonal (match or substitute), up (delete) and left (insert).
+    """
+    match, mismatch, gap = cfg.match_score, cfg.mismatch_score, cfg.gap_penalty
+    row = [0]
+    for _ in b:
+        row.append(row[-1] + gap)
+    yield row
+    for x in a:
+        prev, left = row, row[0] + gap
+        row = [left]
+        for j, y in enumerate(b):
+            left = min(prev[j] + (match if x == y else mismatch), prev[j + 1] + gap, left + gap)
+            row.append(left)
+        yield row
+
+
+def edit_distance(a: Sequence[str], b: Sequence[str], cfg: AlignConfig = AlignConfig()) -> float:
+    """Least cost of aligning ``a`` with ``b``, bit for bit :func:`nw_align`'s total.
+
+    Keeps one row. The longer sequence is the outer loop: one gap cost serves
+    both directions, so the swapped matrix is the exact transpose.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    for row in _cost_rows(a, b, cfg):
+        pass
+    return row[-1]
+
+
+def _checked_reference(hyp: PhoneSequence, ref: Sequence[str]) -> tuple[str, ...]:
+    for symbol in ref:
+        if symbol not in hyp.inventory:
+            raise InventoryMismatch(f"reference phone {symbol!r} not in the hypothesis inventory")
+    return tuple(ref)
+
+
 def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignConfig()) -> Alignment:
     """Minimum-cost global alignment of ``hyp`` against ``ref``.
 
@@ -88,49 +132,26 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
     insert.
     """
     a = hyp.phones
-    b = tuple(ref)
-    for symbol in b:
-        if symbol not in hyp.inventory:
-            raise InventoryMismatch(
-                f"reference phone {symbol!r} not in the hypothesis inventory"
-            )
-    n, m = len(a), len(b)
-    gap = cfg.gap_penalty
-
-    score = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        score[i][0] = score[i - 1][0] + gap
-    for j in range(1, m + 1):
-        score[0][j] = score[0][j - 1] + gap
-    for i in range(1, n + 1):
-        row = score[i]
-        prev = score[i - 1]
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            diag = prev[j - 1] + (cfg.match_score if ai == b[j - 1] else cfg.mismatch_score)
-            up = prev[j] + gap
-            left = row[j - 1] + gap
-            row[j] = min(diag, up, left)
+    b = _checked_reference(hyp, ref)
+    score = list(_cost_rows(a, b, cfg))
 
     ops: list[EditOp] = []
-    i, j = n, m
+    i, j = len(a), len(b)
     while i > 0 or j > 0:
         if i > 0 and j > 0:
-            step = cfg.match_score if a[i - 1] == b[j - 1] else cfg.mismatch_score
-            if score[i][j] == score[i - 1][j - 1] + step:
-                kind = MATCH if a[i - 1] == b[j - 1] else SUBSTITUTE
-                ops.append(EditOp(kind, i - 1, j - 1))
-                i -= 1
-                j -= 1
+            same = a[i - 1] == b[j - 1]
+            if score[i][j] == score[i - 1][j - 1] + (cfg.match_score if same else cfg.mismatch_score):
+                ops.append(EditOp(MATCH if same else SUBSTITUTE, i - 1, j - 1))
+                i, j = i - 1, j - 1
                 continue
-        if i > 0 and score[i][j] == score[i - 1][j] + gap:
+        if i > 0 and score[i][j] == score[i - 1][j] + cfg.gap_penalty:
             ops.append(EditOp.delete(i - 1))
             i -= 1
             continue
         ops.append(EditOp.insert(j - 1))
         j -= 1
     ops.reverse()
-    return Alignment(a, b, tuple(ops), score[n][m])
+    return Alignment(a, b, tuple(ops), score[-1][-1])
 
 
 def project_boundaries(
@@ -215,8 +236,8 @@ def _resolve_reference(
 
     Words with a single listed pronunciation (or none) keep the span they
     came with. For a word with alternatives, each is tried in place while
-    the other spans stay fixed, and the full-utterance alignment cost
-    decides; ties keep the dictionary's file order.
+    the other spans stay fixed, and the full-utterance
+    :func:`edit_distance` decides; ties keep the dictionary's file order.
     """
     spans = list(ref_seg.words)
     changed = False
@@ -226,15 +247,12 @@ def _resolve_reference(
         variants = dictionary.pronunciations(span.word)
         if len(variants) < 2:
             continue
-        best = None
-        best_cost = None
-        for pron in variants:
-            candidate = [p for s in spans[:wi] for p in s.phones]
-            candidate.extend(pron)
-            candidate.extend(p for s in spans[wi + 1 :] for p in s.phones)
-            cost = nw_align(hyp, candidate, cfg).total_cost
-            if best_cost is None or cost < best_cost:
-                best, best_cost = pron, cost
+        before = tuple(p for s in spans[:wi] for p in s.phones)
+        after = tuple(p for s in spans[wi + 1 :] for p in s.phones)
+        best = min(
+            variants,
+            key=lambda pron: edit_distance(hyp.phones, _checked_reference(hyp, before + pron + after), cfg),
+        )
         if best != span.phones:
             spans[wi] = WordSpan(span.word, best)
             changed = True

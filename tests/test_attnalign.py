@@ -295,7 +295,7 @@ def test_selected_distance_never_exceeds_the_base(seed, radius):
     cols = tuple(rng.choice("ABC") for _ in range(len(ref.phones)))
     amap = jittered_attention("u", cols, ref.phones, radius=2, seed=seed ^ 99)
     cfg = AttnConfig(shift_radius=radius)
-    base = place_boundaries(amap, ref, cfg)
+    base = place_boundaries(amap, ref)
     base_distance = sum(
         edit_distance(span, word.phones)
         for span, word in zip(base.spans(cols), ref.words)

@@ -375,6 +375,9 @@ class TestFlagValues:
             ("align-attn", ["--threshold", "1.5"]),
             ("build", ["--min-count", "-1"]),
             ("build", ["--max-variants", "0"]),
+            ("align-dp", ["--gap", "nan"]),
+            ("align-dp", ["--match", "nan"]),
+            ("align-dp", ["--mismatch", "inf"]),
         ],
     )
     def test_rejected_value_is_a_usage_error(self, tmp_path, capsys, command, flags):

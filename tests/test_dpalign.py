@@ -7,12 +7,20 @@ from pronvar import errors
 from pronvar.dpalign import (
     AlignConfig,
     EditOp,
+    _resolve_reference,
+    edit_distance,
     extract_variants_dp,
     nw_align,
     pair_by_id,
     project_boundaries,
 )
-from pronvar.phonecore import PhoneInventory, PhoneSequence, ReferenceDictionary
+from pronvar.phonecore import (
+    PhoneInventory,
+    PhoneSequence,
+    ReferenceDictionary,
+    SegmentedUtterance,
+    WordSpan,
+)
 from pronvar.synthbench import oracle_align
 
 ABC = PhoneInventory.from_phones(["A", "B", "C"])
@@ -123,6 +131,24 @@ def test_ops_form_a_monotone_global_alignment(a, b):
         "insert": cfg.gap_penalty,
     }
     assert al.total_cost == sum(per_op[op.kind] for op in al.ops)
+
+
+# Costs whose sums are not exact in binary, so any change to the order of
+# the additions would show up as an unequal float.
+costs = st.builds(
+    AlignConfig,
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from([0.1, 0.3, 0.7]),
+    st.sampled_from([0.1, 0.2, 0.3]),
+)
+longer = st.lists(st.sampled_from(["A", "B", "C"]), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(longer, longer, costs)
+def test_edit_distance_is_the_nw_align_cost_bit_for_bit(a, b, cfg):
+    assert edit_distance(a, b, cfg) == nw_align(abc_seq(a), b, cfg).total_cost
+    assert edit_distance(b, a, cfg) == nw_align(abc_seq(a), b, cfg).total_cost
 
 
 class TestProjectBoundaries:
@@ -271,6 +297,62 @@ class TestExtractVariantsDp:
             d,
         )
         assert [w for w, _ in result.pairs] == ["dog", "cat"]
+
+    def test_losing_alternative_outside_the_inventory_is_an_error(self):
+        inventory = PhoneInventory.from_phones(["A", "B"])
+        hyp = PhoneSequence("u", ("A", "B"), inventory)
+        ref = SegmentedUtterance("u", (WordSpan("w", ("A",)), WordSpan("v", ("B",))), inventory)
+        d = ReferenceDictionary({"w": [("A",), ("Z",)]})
+        with pytest.raises(errors.InventoryMismatch, match="reference phone 'Z'"):
+            extract_variants_dp([hyp], [ref], d)
+
+
+def resolve_reference_by_full_alignment(hyp, ref_seg, dictionary, cfg):
+    """The resolver as it was before the cost-only kernel, kept as the oracle."""
+    spans = list(ref_seg.words)
+    changed = False
+    for wi, span in enumerate(spans):
+        if span.word not in dictionary:
+            continue
+        variants = dictionary.pronunciations(span.word)
+        if len(variants) < 2:
+            continue
+        best = None
+        best_cost = None
+        for pron in variants:
+            candidate = [p for s in spans[:wi] for p in s.phones]
+            candidate.extend(pron)
+            candidate.extend(p for s in spans[wi + 1 :] for p in s.phones)
+            cost = nw_align(hyp, candidate, cfg).total_cost
+            if best_cost is None or cost < best_cost:
+                best, best_cost = pron, cost
+        if best != span.phones:
+            spans[wi] = WordSpan(span.word, best)
+            changed = True
+    if not changed:
+        return ref_seg
+    return SegmentedUtterance(ref_seg.utterance_id, tuple(spans), ref_seg.inventory)
+
+
+pronunciation = st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3).map(tuple)
+# (span the reference carries, 1-3 dictionary pronunciations) per word
+ref_words = st.lists(
+    st.tuples(pronunciation, st.lists(pronunciation, min_size=1, max_size=3, unique=True)),
+    min_size=1,
+    max_size=4,
+)
+dyadic_costs = st.builds(
+    AlignConfig, st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.5, 1.0, 3.0])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(longer, ref_words, st.one_of(costs, dyadic_costs))
+def test_resolved_reference_matches_the_full_alignment_oracle(hyp_phones, words, cfg):
+    ref = SegmentedUtterance("u", tuple(WordSpan(f"w{i}", p) for i, (p, _) in enumerate(words)), ABC)
+    d = ReferenceDictionary({f"w{i}": prons for i, (_, prons) in enumerate(words)})
+    hyp = abc_seq(hyp_phones)
+    assert _resolve_reference(hyp, ref, d, cfg) == resolve_reference_by_full_alignment(hyp, ref, d, cfg)
 
 
 def test_pair_by_id_duplicate_detection(seq):
