@@ -1,15 +1,17 @@
 """Global alignment of non-native phone sequences against native references.
 
 Both aligners share one row recurrence with :class:`AlignConfig` costs.
-:func:`edit_distance` keeps one row and returns the cost; it scores dictionary
-alternatives here and word spans in :mod:`pronvar.attnalign`. :func:`nw_align`
-keeps the whole matrix to backtrack the ops, and native word boundaries are
-projected through them to carve the hypothesis into per-word variants.
+:func:`edit_distance` keeps one row and returns the cost; it scores word spans
+in :mod:`pronvar.attnalign`. Dictionary alternatives are costed here from
+forward and backward rows of the same recurrence. :func:`nw_align` keeps the
+whole matrix to backtrack the ops, and native word boundaries are projected
+through them to carve the hypothesis into per-word variants.
 """
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import add, itemgetter
 
 from .errors import (
     AlignmentReferenceMismatch,
@@ -84,16 +86,21 @@ class Alignment:
     total_cost: float
 
 
-def _cost_rows(a: Sequence[str], b: Sequence[str], cfg: AlignConfig) -> Iterator[list[float]]:
+def _cost_rows(
+    a: Sequence[str], b: Sequence[str], cfg: AlignConfig, row: list[float] | None = None
+) -> Iterator[list[float]]:
     """Cost-matrix rows 0..len(a) of ``a`` (rows) against ``b`` (columns).
 
-    The edges are running sums of the gap penalty; an inner cell is the least
-    of diagonal (match or substitute), up (delete) and left (insert).
+    Row 0 is ``row`` when given, the last row of a matrix whose rows aligned
+    what precedes ``a``; by default it is the top edge. The edges are running
+    sums of the gap penalty; an inner cell is the least of diagonal (match or
+    substitute), up (delete) and left (insert).
     """
     match, mismatch, gap = cfg.match_score, cfg.mismatch_score, cfg.gap_penalty
-    row = [0]
-    for _ in b:
-        row.append(row[-1] + gap)
+    if row is None:
+        row = [0]
+        for _ in b:
+            row.append(row[-1] + gap)
     yield row
     for x in a:
         prev, left = row, row[0] + gap
@@ -112,9 +119,28 @@ def edit_distance(a: Sequence[str], b: Sequence[str], cfg: AlignConfig = AlignCo
     """
     if len(a) < len(b):
         a, b = b, a
-    for row in _cost_rows(a, b, cfg):
+    return _last_row(a, b, cfg)[-1]
+
+
+def _last_row(
+    a: Sequence[str], b: Sequence[str], cfg: AlignConfig, row: list[float] | None = None
+) -> list[float]:
+    """The last of :func:`_cost_rows`, keeping one row at a time."""
+    for row in _cost_rows(a, b, cfg, row):
         pass
-    return row[-1]
+    return row
+
+
+def _exact(cfg: AlignConfig) -> AlignConfig:
+    """``cfg`` with its costs scaled to integers by one common denominator.
+
+    Sums of the scaled costs are exact, so alignment costs compare as they
+    would in real arithmetic, where float sums can round a tie apart. Unit
+    costs come out as the integers 0 and 1.
+    """
+    ratios = [c.as_integer_ratio() for c in (cfg.match_score, cfg.mismatch_score, cfg.gap_penalty)]
+    scale = math.lcm(*(d for _, d in ratios))
+    return AlignConfig(*(n * (scale // d) for n, d in ratios))
 
 
 def _checked_reference(hyp: PhoneSequence, ref: Sequence[str]) -> tuple[str, ...]:
@@ -234,28 +260,58 @@ def _resolve_reference(
 ) -> SegmentedUtterance:
     """Swap in the dictionary variant that aligns cheapest, word by word.
 
-    Words with a single listed pronunciation (or none) keep the span they
-    came with. For a word with alternatives, each is tried in place while
-    the other spans stay fixed, and the full-utterance
-    :func:`edit_distance` decides; ties keep the dictionary's file order.
+    Words are resolved left to right. Words with a single listed
+    pronunciation (or none) keep the span they came with. For a word with
+    alternatives, each is tried in place, with the words before it as
+    resolved and the words after it at their given spans, and the cost of
+    aligning the whole utterance decides. Costs are compared exactly (see
+    :func:`_exact`); ties keep the dictionary's file order.
+
+    The whole-utterance cost is split at the word's end (Hirschberg, 1975):
+    it is ``min_i F[i] + B[i]``, where ``F`` continues the resolved prefix's
+    last row through the alternative and ``B[i]``, from one backward pass,
+    is the cost of ``hyp[i:]`` against the given spans after the word. The
+    work is O(n·m·(1 + alternatives)) for n hypothesis and m reference
+    phones, not one full alignment per alternative.
     """
     spans = list(ref_seg.words)
+    choices = [dictionary.pronunciations(s.word) if s.word in dictionary else () for s in spans]
+    if all(len(variants) < 2 for variants in choices):
+        return ref_seg
+    exact = _exact(cfg)
+    hyp_phones = hyp.phones
+    reversed_hyp = hyp_phones[::-1]
+    edge = _last_row((), hyp_phones, exact)
+    # backward[wi][j]: cost of the last j hypothesis phones against the given
+    # spans after word wi
+    backward = [edge]
+    for span in reversed(spans[1:]):
+        backward.append(_last_row(span.phones[::-1], reversed_hyp, exact, backward[-1]))
+    backward.reverse()
+
+    given = ref_seg.phones
+    given_end = 0
+    before: tuple[str, ...] = ()
+    forward = edge
     changed = False
-    for wi, span in enumerate(spans):
-        if span.word not in dictionary:
-            continue
-        variants = dictionary.pronunciations(span.word)
+    for wi, (span, variants) in enumerate(zip(spans, choices)):
+        given_end += len(span.phones)
         if len(variants) < 2:
+            forward = _last_row(span.phones, hyp_phones, exact, forward)
+            before += span.phones
             continue
-        before = tuple(p for s in spans[:wi] for p in s.phones)
-        after = tuple(p for s in spans[wi + 1 :] for p in s.phones)
-        best = min(
-            variants,
-            key=lambda pron: edit_distance(hyp.phones, _checked_reference(hyp, before + pron + after), cfg),
-        )
+        after = given[given_end:]
+        suffix_cost = backward[wi][::-1]
+        scored = []
+        for pron in variants:
+            _checked_reference(hyp, before + pron + after)
+            row = _last_row(pron, hyp_phones, exact, forward)
+            scored.append((min(map(add, row, suffix_cost)), pron, row))
+        _, best, forward = min(scored, key=itemgetter(0))
         if best != span.phones:
             spans[wi] = WordSpan(span.word, best)
             changed = True
+        before += best
     if not changed:
         return ref_seg
     return SegmentedUtterance(ref_seg.utterance_id, tuple(spans), ref_seg.inventory)

@@ -103,6 +103,17 @@ class TestAlignDp:
         assert main(["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--out", str(out)]) == 0
         assert out.read_text() == ""
 
+    def test_variant_tie_at_non_dyadic_costs_keeps_file_order(self, tmp_path):
+        # both pronunciations of w cost exactly 0.6; summed in floats, 'A'
+        # reads 0.6000000000000001 and 'B B' 0.6
+        d = write(tmp_path / "dict.txt", "w\tA\nw\tB B\nv\tB\n")
+        hyp = write(tmp_path / "hyp.txt", "u1\tA B A A A\n")
+        ref = write(tmp_path / "ref.txt", "u1\tA # B\tw v\n")
+        out = tmp_path / "out.pairs"
+        argv = ["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--mismatch", "0.1", "--gap", "0.2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == "w\t1\tA\nv\t1\tB A A A\n"
+
 
 class TestAlignAttn:
     def test_harvests_pairs_with_sidecars(self, corpus_dir):

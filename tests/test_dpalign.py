@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pronvar import errors
 from pronvar.dpalign import (
@@ -306,6 +307,18 @@ class TestExtractVariantsDp:
         with pytest.raises(errors.InventoryMismatch, match="reference phone 'Z'"):
             extract_variants_dp([hyp], [ref], d)
 
+    def test_later_span_outside_the_inventory_is_an_error_of_the_resolver(self):
+        # 'w' has alternatives that are all in the hypothesis inventory; the
+        # reference's own inventory admits 'Z', which only the later 'v' carries
+        hyp = PhoneSequence("u", ("A", "B"), PhoneInventory.from_phones(["A", "B"]))
+        ref = SegmentedUtterance(
+            "u", (WordSpan("w", ("A",)), WordSpan("v", ("Z",))), PhoneInventory.from_phones(["A", "B", "Z"])
+        )
+        d = ReferenceDictionary({"w": [("A",), ("B", "B")], "v": [("Z",)]})
+        message = "^reference phone 'Z' not in the hypothesis inventory$"
+        with pytest.raises(errors.InventoryMismatch, match=message):
+            _resolve_reference(hyp, ref, d, AlignConfig())
+
 
 def resolve_reference_by_full_alignment(hyp, ref_seg, dictionary, cfg):
     """The resolver as it was before the cost-only kernel, kept as the oracle."""
@@ -335,24 +348,49 @@ def resolve_reference_by_full_alignment(hyp, ref_seg, dictionary, cfg):
 
 
 pronunciation = st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3).map(tuple)
-# (span the reference carries, 1-3 dictionary pronunciations) per word
+# (span the reference carries, 1-3 dictionary pronunciations or None for a
+# word outside the dictionary) per word; the span may be none of them
 ref_words = st.lists(
-    st.tuples(pronunciation, st.lists(pronunciation, min_size=1, max_size=3, unique=True)),
+    st.lists(pronunciation, min_size=1, max_size=3, unique=True).flatmap(
+        lambda prons: st.tuples(
+            st.one_of(st.sampled_from(prons), pronunciation), st.one_of(st.just(prons), st.none())
+        )
+    ),
     min_size=1,
-    max_size=4,
+    max_size=8,
 )
 dyadic_costs = st.builds(
     AlignConfig, st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.5, 1.0, 3.0])
 )
 
 
+def in_fractions(cfg):
+    """``cfg`` with the exact values of its float costs, so the oracle's sums do not round."""
+    return AlignConfig(Fraction(cfg.match_score), Fraction(cfg.mismatch_score), Fraction(cfg.gap_penalty))
+
+
 @settings(max_examples=300, deadline=None)
-@given(longer, ref_words, st.one_of(costs, dyadic_costs))
-def test_resolved_reference_matches_the_full_alignment_oracle(hyp_phones, words, cfg):
+@given(
+    longer,
+    ref_words,
+    st.one_of(costs.map(lambda cfg: (cfg, in_fractions(cfg))), dyadic_costs.map(lambda cfg: (cfg, cfg))),
+)
+# both pronunciations of w0 cost 0.6 exactly; summed in floats, 'A' costs
+# 0.6000000000000001 and 'B B' 0.6
+@example(
+    ("A", "B", "A", "A", "A"),
+    [(("A",), [("A",), ("B", "B")]), (("B",), [("B",)])],
+    (AlignConfig(0.0, 0.1, 0.2), in_fractions(AlignConfig(0.0, 0.1, 0.2))),
+)
+def test_resolved_reference_matches_the_full_alignment_oracle(hyp_phones, words, configs):
+    # dyadic costs sum exactly in floats, so there the float oracle is the
+    # old behaviour itself; other costs are compared in exact arithmetic,
+    # where a tie is a tie and goes to file order
+    cfg, oracle_cfg = configs
     ref = SegmentedUtterance("u", tuple(WordSpan(f"w{i}", p) for i, (p, _) in enumerate(words)), ABC)
-    d = ReferenceDictionary({f"w{i}": prons for i, (_, prons) in enumerate(words)})
+    d = ReferenceDictionary({f"w{i}": prons for i, (_, prons) in enumerate(words) if prons is not None})
     hyp = abc_seq(hyp_phones)
-    assert _resolve_reference(hyp, ref, d, cfg) == resolve_reference_by_full_alignment(hyp, ref, d, cfg)
+    assert _resolve_reference(hyp, ref, d, cfg) == resolve_reference_by_full_alignment(hyp, ref, d, oracle_cfg)
 
 
 def test_pair_by_id_duplicate_detection(seq):
