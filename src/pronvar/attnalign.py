@@ -11,14 +11,18 @@ the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
 * ``per_boundary`` moves each cut on its own and searches all (2n+1)^k
   offset tuples exactly, by dynamic programming over the cut positions.
 
-Each word span is scored once per utterance. An utterance whose best
-segmentation is still too far from the reference is rejected.
+Spans are scored from one lazy row pass per (word, start, pronunciation):
+the pass's row i is the distance of the span that ends i columns after the
+start, so every end of one start comes from the same pass, and no span is
+scored twice in an utterance. An utterance whose best segmentation is
+still too far from the reference is rejected.
 """
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -27,7 +31,7 @@ from .errors import (
     NegativeWeight,
     RowMismatch,
 )
-from .dpalign import edit_distance, pair_by_id
+from .dpalign import AlignConfig, _cost_rows, edit_distance, pair_by_id  # edit_distance stays importable here
 from .phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, checked_symbols
 
 GLOBAL_SHIFT = "global_shift"
@@ -315,6 +319,33 @@ class BoundaryOutcome:
 SpanScore = Callable[[int, int, int], float]
 
 
+def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[str]]]) -> SpanScore:
+    """Score (word, start, end) as the unit-cost edit distance of ``cols[start:end]``
+    to the word's nearest pronunciation.
+
+    Each (word, start) runs one lazy :func:`pronvar.dpalign._cost_rows` pass
+    per pronunciation, with ``cols[start:]`` as the rows. Row i's last cell is
+    the distance of the first i columns: one gap cost serves both
+    directions, so this is the transpose of :func:`edit_distance`'s matrix and
+    the same value. A pass advances only as far as the largest ``end`` asked
+    of it, and each (word, start, end) is computed once.
+    """
+    unit = AlignConfig()
+    passes: dict[tuple[int, int], tuple[list[float], Iterator[float]]] = {}
+
+    def score(word: int, start: int, end: int) -> float:
+        key = (word, start)
+        if key not in passes:
+            rows = (map(itemgetter(-1), _cost_rows(cols[start:], pron, unit)) for pron in ref_variants[word])
+            passes[key] = ([], map(min, zip(*rows)))
+        distances, more = passes[key]
+        while len(distances) <= end - start:
+            distances.append(next(more))
+        return distances[end - start]
+
+    return score
+
+
 def _best_global_shift(
     amap: AttentionMap, ref_seg: SegmentedUtterance, cfg: AttnConfig, score: SpanScore
 ) -> tuple[Segmentation, float]:
@@ -382,8 +413,8 @@ def align_word_boundaries(
 
     A segmentation scores the sum over words of the edit distance between
     the word's hypothesis span and its reference pronunciation (minimum
-    over dictionary variants when the word is listed); each (word, span)
-    is scored once per utterance.
+    over dictionary variants when the word is listed), scored by
+    :func:`_span_scorer`.
 
     * ``global_shift`` tries the :func:`split_by_attention` candidates;
       ties prefer fewer repaired cuts, then generation order.
@@ -404,15 +435,7 @@ def align_word_boundaries(
         else:
             ref_variants.append((span.phones,))
 
-    scores: dict[tuple[int, int, int], float] = {}
-
-    def score(word: int, start: int, end: int) -> float:
-        key = (word, start, end)
-        if key not in scores:
-            span = cols[start:end]
-            scores[key] = min(edit_distance(span, pron) for pron in ref_variants[word])
-        return scores[key]
-
+    score = _span_scorer(cols, ref_variants)
     if cfg.mode == GLOBAL_SHIFT:
         best, total = _best_global_shift(amap, ref_seg, cfg, score)
     else:

@@ -1,11 +1,12 @@
 """Global alignment of non-native phone sequences against native references.
 
 Both aligners share one row recurrence with :class:`AlignConfig` costs.
-:func:`edit_distance` keeps one row and returns the cost; it scores word spans
-in :mod:`pronvar.attnalign`. Dictionary alternatives are costed here from
-forward and backward rows of the same recurrence. :func:`nw_align` keeps the
-whole matrix to backtrack the ops, and native word boundaries are projected
-through them to carve the hypothesis into per-word variants.
+:func:`edit_distance` keeps one row and returns the cost. :mod:`pronvar.attnalign`
+scores word spans from the rows themselves, many span ends per pass.
+Dictionary alternatives are costed here from forward and backward rows of
+the same recurrence. :func:`nw_align` keeps the whole matrix to backtrack
+the ops, and native word boundaries are projected through them to carve
+the hypothesis into per-word variants.
 """
 
 import math
@@ -106,7 +107,15 @@ def _cost_rows(
         prev, left = row, row[0] + gap
         row = [left]
         for j, y in enumerate(b):
-            left = min(prev[j] + (match if x == y else mismatch), prev[j + 1] + gap, left + gap)
+            # the least of left, up and diagonal; only its value is kept, so
+            # which of equal candidates wins does not matter
+            left += gap
+            up = prev[j + 1] + gap
+            if up < left:
+                left = up
+            diag = prev[j] + (match if x == y else mismatch)
+            if diag < left:
+                left = diag
             row.append(left)
         yield row
 
@@ -291,27 +300,28 @@ def _resolve_reference(
 
     given = ref_seg.phones
     given_end = 0
-    before: tuple[str, ...] = ()
     forward = edge
-    changed = False
+    changed = checked = False
     for wi, (span, variants) in enumerate(zip(spans, choices)):
-        given_end += len(span.phones)
+        given_start, given_end = given_end, given_end + len(span.phones)
         if len(variants) < 2:
             forward = _last_row(span.phones, hyp_phones, exact, forward)
-            before += span.phones
             continue
         after = given[given_end:]
         suffix_cost = backward[wi][::-1]
         scored = []
         for pron in variants:
-            _checked_reference(hyp, before + pron + after)
+            # The first alternative is checked with the given phones around
+            # it; by the next one, every phone of a reference tried except
+            # the alternative's own has been checked.
+            _checked_reference(hyp, pron if checked else given[:given_start] + pron + after)
+            checked = True
             row = _last_row(pron, hyp_phones, exact, forward)
             scored.append((min(map(add, row, suffix_cost)), pron, row))
         _, best, forward = min(scored, key=itemgetter(0))
         if best != span.phones:
             spans[wi] = WordSpan(span.word, best)
             changed = True
-        before += best
     if not changed:
         return ref_seg
     return SegmentedUtterance(ref_seg.utterance_id, tuple(spans), ref_seg.inventory)

@@ -13,6 +13,7 @@ from pronvar.attnalign import (
     Segmentation,
     _offset_order,
     _repair,
+    _span_scorer,
     align_word_boundaries,
     edit_distance,
     emit_attention_file,
@@ -439,3 +440,21 @@ def test_memoised_global_shift_matches_the_scoring_loop(case, radius, threshold,
     expected = global_shift_scoring_loop(amap, ref, cfg, dictionary)
     assert out == expected
     assert out.segmentation.repaired == expected.segmentation.repaired
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from("ABC"), max_size=8).map(tuple),
+    st.lists(st.lists(short_pron, min_size=1, max_size=3, unique=True), min_size=1, max_size=4),
+    st.data(),
+)
+def test_span_scorer_matches_edit_distance(cols, prons, data):
+    n = len(cols)
+    requests = [(w, start, end) for w in range(len(prons)) for start in range(n + 1) for end in range(start, n + 1)]
+    # one start first asked its ends from the last down, so its passes run
+    # to the end before any shorter span is read back
+    word, start = data.draw(st.integers(0, len(prons) - 1)), data.draw(st.integers(0, n))
+    requests = [(word, start, end) for end in range(n, start - 1, -1)] + data.draw(st.permutations(requests))
+    score = _span_scorer(cols, prons)
+    for word, start, end in requests:
+        assert score(word, start, end) == min(edit_distance(cols[start:end], p) for p in prons[word])

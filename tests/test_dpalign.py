@@ -8,6 +8,8 @@ from pronvar import errors
 from pronvar.dpalign import (
     AlignConfig,
     EditOp,
+    _cost_rows,
+    _exact,
     _resolve_reference,
     edit_distance,
     extract_variants_dp,
@@ -150,6 +152,33 @@ longer = st.lists(st.sampled_from(["A", "B", "C"]), max_size=9)
 def test_edit_distance_is_the_nw_align_cost_bit_for_bit(a, b, cfg):
     assert edit_distance(a, b, cfg) == nw_align(abc_seq(a), b, cfg).total_cost
     assert edit_distance(b, a, cfg) == nw_align(abc_seq(a), b, cfg).total_cost
+
+
+def min_recurrence_rows(a, b, cfg, row=None):
+    """The kernel's rows as computed with ``min()`` before it compared twice, kept as the oracle."""
+    match, mismatch, gap = cfg.match_score, cfg.mismatch_score, cfg.gap_penalty
+    if row is None:
+        row = [0]
+        for _ in b:
+            row.append(row[-1] + gap)
+    yield row
+    for x in a:
+        prev, left = row, row[0] + gap
+        row = [left]
+        for j, y in enumerate(b):
+            left = min(prev[j] + (match if x == y else mismatch), prev[j + 1] + gap, left + gap)
+            row.append(left)
+        yield row
+
+
+@settings(max_examples=300, deadline=None)
+@given(longer, longer, st.one_of(st.none(), longer), costs, st.booleans())
+def test_cost_rows_equal_the_min_recurrence(a, b, before, cfg, exact):
+    # ``before`` stands for what a starting row has already aligned against
+    # ``b``; the oracle makes that row, so both kernels start from the same one
+    cfg = _exact(cfg) if exact else cfg
+    row = None if before is None else list(min_recurrence_rows(before, b, cfg))[-1]
+    assert list(_cost_rows(a, b, cfg, row)) == list(min_recurrence_rows(a, b, cfg, row))
 
 
 class TestProjectBoundaries:
