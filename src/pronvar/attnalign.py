@@ -32,7 +32,7 @@ from .errors import (
     RowMismatch,
 )
 from .dpalign import AlignConfig, _cost_rows, edit_distance, pair_by_id  # edit_distance stays importable here
-from .phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, checked_symbols
+from .phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, _split_id_line, checked_symbols
 
 GLOBAL_SHIFT = "global_shift"
 PER_BOUNDARY = "per_boundary"
@@ -122,17 +122,37 @@ class Segmentation:
     def word_count(self) -> int:
         return len(self.cuts) + 1
 
-    @property
-    def has_empty_span(self) -> bool:
-        return bool(self.cuts) and (
-            self.cuts[-1] == self.length or any(a == b for a, b in pairwise(self.cuts))
-        )
-
     def spans(self, phones: Sequence[str]) -> tuple[tuple[str, ...], ...]:
         if len(phones) != self.length:
             raise ValueError(f"expected {self.length} phones, got {len(phones)}")
         bounds = (0, *self.cuts, self.length)
         return tuple(tuple(phones[a:b]) for a, b in pairwise(bounds))
+
+
+def emit_bounds_file(bounds: Iterable[tuple[str, Segmentation]]) -> str:
+    """Write ``utt_id<TAB>c1 c2 ...`` lines, one per segmentation."""
+    return "".join(f"{utt_id}\t{' '.join(str(c) for c in seg.cuts)}\n" for utt_id, seg in bounds)
+
+
+def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
+    """Read ``utt_id<TAB>c1 c2 ...`` cut lists (the cut field may be empty).
+
+    A cut is ASCII digits with a value of at least 1; ids are unique.
+    """
+    out: list[tuple[str, tuple[int, ...]]] = []
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        utt_id, rest = _split_id_line(raw, lineno)
+        if utt_id in seen:
+            raise MalformedLine(lineno, f"repeated utterance id {utt_id!r}")
+        seen.add(utt_id)
+        tokens = rest.split()
+        if not all(tok.isascii() and tok.isdigit() and int(tok) >= 1 for tok in tokens):
+            raise MalformedLine(lineno, f"bad cut list {rest!r}")
+        out.append((utt_id, tuple(int(tok) for tok in tokens)))
+    return out
 
 
 def _clamp(cut: int, prev: int, length: int) -> int:
@@ -282,13 +302,15 @@ def split_by_attention(
     """Enumerate the global shifts of the attention-derived cuts.
 
     Every cut moves together through shifts -n..n, giving at most 2n+1
-    candidates; duplicates after repair keep their first occurrence.
-    ``cfg.mode`` is not read: per-boundary search enumerates nothing and
-    is done by :func:`align_word_boundaries`.
+    candidates; duplicates after repair keep their first occurrence. A
+    radius past the column count acts as that count, since a longer shift
+    clamps to the cuts of a shorter one. ``cfg.mode`` is not read:
+    per-boundary search enumerates nothing and is done by
+    :func:`align_word_boundaries`.
     """
     base = place_boundaries(amap, ref_seg)
     length = base.length
-    n = cfg.shift_radius
+    n = min(cfg.shift_radius, length)
 
     unique: dict[tuple[int, ...], Segmentation] = {}
     for shift in range(-n, n + 1):
@@ -369,10 +391,12 @@ def _best_per_boundary(base: Segmentation, radius: int, score: SpanScore) -> tup
     the least total distance, then the fewest clamped cuts, then the
     earliest position in zero-first lexicographic order. Both sums are
     additive over cuts, so the best completion from (cut i, previous
-    clamped cut) is independent of how that state was reached.
+    clamped cut) is independent of how that state was reached. Offsets
+    past the column count clamp to the cut of a shorter offset, which
+    comes first and repairs no more, so the radius is capped there.
     """
-    offsets = _offset_order(radius)
     length = base.length
+    offsets = _offset_order(min(radius, length))
     k = len(base.cuts)
     reach = [{0}]
     for target in base.cuts:

@@ -12,8 +12,10 @@ from . import lexbuild, synthbench
 from .attnalign import (
     AttnConfig,
     emit_attention_file,
+    emit_bounds_file,
     extract_variants_attn,
     parse_attention_file,
+    parse_bounds_file,
     scan_attention_tokens,
 )
 from .dpalign import AlignConfig, extract_variants_dp
@@ -127,7 +129,7 @@ def _cmd_align_attn(args) -> int:
             "".join(f"{utt}\t{dist:.4f}\n" for utt, dist in result.rejects),
         )
     if args.bounds:
-        _write(args.bounds, synthbench.emit_bounds_file(result.segmentations))
+        _write(args.bounds, emit_bounds_file(result.segmentations))
     return 0
 
 
@@ -213,7 +215,7 @@ def _cmd_synth(args) -> int:
     _write(out_dir / "ref.txt", emit_segmented_file(corpus.references))
     _write(out_dir / "attn.txt", emit_attention_file(corpus.maps))
     _write(out_dir / "truth_lexicon.txt", emit_lexicon(corpus.truth_lexicon))
-    _write(out_dir / "truth_bounds.txt", synthbench.emit_bounds_file(corpus.truth_bounds))
+    _write(out_dir / "truth_bounds.txt", emit_bounds_file(corpus.truth_bounds))
     return 0
 
 
@@ -228,8 +230,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_eval_bounds(args) -> int:
-    pred = _catching(args.pred, synthbench.parse_bounds_file)
-    truth = _catching(args.truth, synthbench.parse_bounds_file)
+    pred = _catching(args.pred, parse_bounds_file)
+    truth = _catching(args.truth, parse_bounds_file)
     precision, recall, f1 = synthbench.pooled_boundary_f1(pred, truth)
     print(f"precision\t{precision:.4f}")
     print(f"recall\t{recall:.4f}")

@@ -60,22 +60,6 @@ class EditOp:
     hyp_index: int | None = None
     ref_index: int | None = None
 
-    @classmethod
-    def match(cls, i: int, j: int) -> "EditOp":
-        return cls(MATCH, i, j)
-
-    @classmethod
-    def substitute(cls, i: int, j: int) -> "EditOp":
-        return cls(SUBSTITUTE, i, j)
-
-    @classmethod
-    def delete(cls, i: int) -> "EditOp":
-        return cls(DELETE, i, None)
-
-    @classmethod
-    def insert(cls, j: int) -> "EditOp":
-        return cls(INSERT, None, j)
-
 
 @dataclass(frozen=True)
 class Alignment:
@@ -180,10 +164,10 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
                 i, j = i - 1, j - 1
                 continue
         if i > 0 and score[i][j] == score[i - 1][j] + cfg.gap_penalty:
-            ops.append(EditOp.delete(i - 1))
+            ops.append(EditOp(DELETE, i - 1))
             i -= 1
             continue
-        ops.append(EditOp.insert(j - 1))
+        ops.append(EditOp(INSERT, None, j - 1))
         j -= 1
     ops.reverse()
     return Alignment(a, b, tuple(ops), score[-1][-1])
@@ -336,7 +320,7 @@ def extract_variants_dp(
     """Align every utterance and emit one (word, span) pair per non-empty span.
 
     Hypotheses and references are paired by utterance id; output order
-    follows the hypothesis order regardless of how work is scheduled.
+    follows the hypothesis order.
     """
     pairs: list[tuple[str, tuple[str, ...]]] = []
     empty = 0

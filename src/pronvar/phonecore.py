@@ -71,29 +71,28 @@ class PhoneInventory:
 
     phones: tuple[str, ...]
     origins: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    _index: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phones", tuple(self.phones))
         object.__setattr__(self, "origins", tuple(self.origins))
         if len(self.phones) != len(self.origins):
             raise ValueError("phones and origins must be parallel")
-        index: dict[str, str] = {}
+        index: set[str] = set()
         for symbol, origin in zip(self.phones, self.origins):
             _check_symbol(symbol)
             if origin not in ORIGINS:
                 raise BadOrigin(origin, 0)
             if symbol in index:
                 raise DuplicatePhone(symbol)
-            index[symbol] = origin
-        object.__setattr__(self, "_index", index)
+            index.add(symbol)
+        object.__setattr__(self, "_index", frozenset(index))
 
     @classmethod
-    def from_phones(cls, phones: Iterable[str], l1: Iterable[str] = ()) -> "PhoneInventory":
-        """Build an inventory from plain symbols, tagging ``l1`` members as L1."""
+    def from_phones(cls, phones: Iterable[str]) -> "PhoneInventory":
+        """Build an all-EN inventory from plain symbols."""
         phones = tuple(phones)
-        l1 = frozenset(l1)
-        return cls(phones, tuple("L1" if p in l1 else "EN" for p in phones))
+        return cls(phones, ("EN",) * len(phones))
 
     def __contains__(self, symbol: object) -> bool:
         return symbol in self._index
@@ -109,16 +108,6 @@ class PhoneInventory:
         for symbol in symbols:
             if symbol not in self._index:
                 raise UnknownPhone(symbol, context)
-
-    def origin(self, symbol: str) -> str:
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise UnknownPhone(symbol, "inventory") from None
-
-    @property
-    def l1_phones(self) -> tuple[str, ...]:
-        return tuple(p for p, o in zip(self.phones, self.origins) if o == "L1")
 
 
 @dataclass(frozen=True)
@@ -171,15 +160,6 @@ class SegmentedUtterance:
     def phones(self) -> tuple[str, ...]:
         """All phones in order, boundaries dropped."""
         return tuple(p for span in self.words for p in span.phones)
-
-    def boundary_cuts(self) -> tuple[int, ...]:
-        """Cut indices implied by the word spans (one per internal boundary)."""
-        cuts = []
-        total = 0
-        for span in self.words[:-1]:
-            total += len(span.phones)
-            cuts.append(total)
-        return tuple(cuts)
 
 
 class ReferenceDictionary:

@@ -10,7 +10,8 @@ import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .attnalign import AttentionMap, Segmentation
+# the bounds I/O stays importable here: bench/ reads it as synthbench.*
+from .attnalign import AttentionMap, Segmentation, emit_bounds_file, parse_bounds_file
 from .dpalign import AlignConfig
 from .errors import BadRule, MalformedLine, MissingUtterance, SizeBound
 from .phonecore import (
@@ -89,7 +90,6 @@ class CorruptionResult:
 
     sequence: PhoneSequence
     truth: Segmentation
-    applied: tuple[tuple[str, int, str, str], ...]  # (kind, position, was, became)
 
 
 def corrupt(
@@ -110,8 +110,6 @@ def corrupt(
     rng = random.Random(seed)
     all_phones = seg.inventory.phones
     out_spans: list[list[str]] = []
-    log: list[tuple[str, int, str, str]] = []
-    position = 0
     for span in seg.words:
         out: list[str] = []
         for pi, phone in enumerate(span.phones):
@@ -119,7 +117,6 @@ def corrupt(
             for rule in rules:
                 if rule.source == phone and rng.random() < rule.probability:
                     emitted = rule.target
-                    log.append(("sub", position, phone, emitted))
                     break
             keep = True
             insert_after = None
@@ -130,15 +127,12 @@ def corrupt(
                 if draw < indel_probability / 2:
                     if out or pi < len(span.phones) - 1:
                         keep = False
-                        log.append(("del", position, emitted, ""))
                 elif draw < indel_probability:
                     insert_after = all_phones[rng.randrange(len(all_phones))]
-                    log.append(("ins", position, "", insert_after))
             if keep:
                 out.append(emitted)
             if insert_after is not None:
                 out.append(insert_after)
-            position += 1
         out_spans.append(out)
 
     flat = [p for span in out_spans for p in span]
@@ -148,7 +142,7 @@ def corrupt(
         total += len(span)
         cuts.append(total)
     sequence = PhoneSequence(seg.utterance_id, tuple(flat), seg.inventory)
-    return CorruptionResult(sequence, Segmentation(tuple(cuts), len(flat)), tuple(log))
+    return CorruptionResult(sequence, Segmentation(tuple(cuts), len(flat)))
 
 
 def oracle_align(a: Sequence[str], b: Sequence[str], cfg: AlignConfig = AlignConfig()) -> float:
@@ -347,30 +341,3 @@ def build_corpus(
         truth_lexicon=lexbuild.accumulate(injected),
         truth_bounds=tuple(bounds),
     )
-
-
-def emit_bounds_file(bounds: Iterable[tuple[str, Segmentation]]) -> str:
-    return "".join(
-        f"{utt_id}\t{' '.join(str(c) for c in seg.cuts)}\n" for utt_id, seg in bounds
-    )
-
-
-def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
-    """Read ``utt_id<TAB>c1 c2 ...`` cut lists (the cut field may be empty)."""
-    out: list[tuple[str, tuple[int, ...]]] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        if "\t" not in raw:
-            raise MalformedLine(lineno, f"missing tab separator in {raw!r}")
-        utt_id, rest = raw.split("\t", 1)
-        if not utt_id or utt_id in seen:
-            raise MalformedLine(lineno, f"bad or repeated utterance id {utt_id!r}")
-        seen.add(utt_id)
-        try:
-            cuts = tuple(int(tok) for tok in rest.split())
-        except ValueError:
-            raise MalformedLine(lineno, f"bad cut list {rest!r}") from None
-        out.append((utt_id, cuts))
-    return out

@@ -17,8 +17,10 @@ from pronvar.attnalign import (
     align_word_boundaries,
     edit_distance,
     emit_attention_file,
+    emit_bounds_file,
     extract_variants_attn,
     parse_attention_file,
+    parse_bounds_file,
     place_boundaries,
     split_by_attention,
 )
@@ -95,11 +97,11 @@ class TestSegmentation:
         seg = Segmentation((2, 4), 5)
         assert seg.spans("abcde") == (("a", "b"), ("c", "d"), ("e",))
         assert seg.word_count == 3
-        assert not seg.has_empty_span
+        assert () not in seg.spans("abcde")
 
     def test_tie_allowed_only_at_the_end(self):
         seg = Segmentation((3, 5, 5), 5)
-        assert seg.has_empty_span
+        assert () in seg.spans("abcde")
         with pytest.raises(ValueError):
             Segmentation((2, 2, 4), 5)
 
@@ -108,6 +110,13 @@ class TestSegmentation:
             Segmentation((0,), 5)
         with pytest.raises(ValueError):
             Segmentation((6,), 5)
+
+
+def test_bounds_file_round_trip():
+    bounds = [("u1", Segmentation((2, 4), 6)), ("u2", Segmentation((), 3))]
+    text = emit_bounds_file(bounds)
+    assert text == "u1\t2 4\nu2\t\n"
+    assert parse_bounds_file(text) == [("u1", (2, 4)), ("u2", ())]
 
 
 class TestPlaceBoundaries:
@@ -144,7 +153,7 @@ class TestPlaceBoundaries:
         placed = place_boundaries(amap, ref)
         assert placed.cuts == (3, 3)
         assert placed.repaired == 1
-        assert placed.has_empty_span
+        assert () in placed.spans(amap.col_phones)
 
 
 class TestSplitByAttention:
@@ -383,6 +392,33 @@ def test_per_boundary_matches_the_brute_force(case, radius, threshold):
     assert out.segmentation.repaired == repaired
     assert out.variants == variants
     assert out.accepted == (total / len(ref.phones) <= threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases(max_words=3), st.sampled_from([(1, 0), (1, 1), (1, 7), (3, 2)]), st.booleans())
+def test_a_radius_past_the_column_count_acts_as_the_column_count(case, scale_extra, use_dictionary):
+    amap, ref, dictionary = case
+    dictionary = dictionary if use_dictionary else ReferenceDictionary({})
+    length = len(amap.col_phones)
+    scale, extra = scale_extra
+    radius = scale * length + extra
+    # global: the candidates of every shift -radius..radius, as before the cap
+    base = place_boundaries(amap, ref)
+    uncapped: dict[tuple[int, ...], int] = {}
+    for shift in range(-radius, radius + 1):
+        cuts, moved = _repair([c + shift for c in base.cuts], length)
+        uncapped.setdefault(cuts, moved)
+    candidates = split_by_attention(amap, ref, AttnConfig(radius))
+    assert [(c.cuts, c.repaired) for c in candidates] == list(uncapped.items())
+    # per-boundary: the best of every offset tuple at the full radius
+    out = align_word_boundaries(amap, ref, AttnConfig(radius, "per_boundary"), dictionary)
+    found = (out.total_distance, out.segmentation.cuts, out.segmentation.repaired, out.variants)
+    assert found == brute_force_per_boundary(amap, ref, radius, dictionary)
+    for mode in ("global_shift", "per_boundary"):
+        at_length = align_word_boundaries(amap, ref, AttnConfig(length, mode), dictionary)
+        past = align_word_boundaries(amap, ref, AttnConfig(radius, mode), dictionary)
+        assert past == at_length
+        assert past.segmentation.repaired == at_length.segmentation.repaired
 
 
 @settings(max_examples=100, deadline=None)

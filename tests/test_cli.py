@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from pronvar.cli import main
@@ -158,6 +160,33 @@ class TestAlignAttn:
         imperfect = {l.split("\t")[0] for l in hyp_lines if " S " in l or l.endswith(" S")}
         assert imperfect <= rejected
 
+    @pytest.mark.parametrize("mode", ["global", "per-boundary"])
+    def test_a_huge_radius_acts_as_the_longest_utterance(self, corpus_dir, mode):
+        tmp, out = corpus_dir
+        longest = max(len(line.split("\t")[1].split()) for line in (out / "hyp.txt").read_text().splitlines())
+
+        def run(radius):
+            prefix = tmp / f"r{radius}"
+            argv = [
+                "align-attn",
+                "--attn", str(out / "attn.txt"),
+                "--ref", str(out / "ref.txt"),
+                "--dict", str(tmp / "dict.txt"),
+                "--mode", mode,
+                "--radius", str(radius),
+                "--threshold", "0",
+                "--out", f"{prefix}.pairs",
+                "--rejects", f"{prefix}.rejects",
+                "--bounds", f"{prefix}.bounds",
+            ]
+            assert main(argv) == 0
+            return [(tmp / f"r{radius}.{ext}").read_bytes() for ext in ("pairs", "rejects", "bounds")]
+
+        expected = run(longest)
+        start = time.perf_counter()
+        assert run(1_000_000_000) == expected
+        assert time.perf_counter() - start < 10
+
 
 class TestBuildMergeStats:
     def test_build_counts_and_prunes(self, tmp_path):
@@ -247,6 +276,18 @@ class TestEval:
         pred = write(tmp_path / "pred.bounds", "u9\t2\n")
         truth = write(tmp_path / "truth.bounds", "u1\t2\n")
         assert main(["eval-bounds", "--pred", pred, "--truth", truth]) == 3
+
+    @pytest.mark.parametrize(
+        "line",
+        ["u2\t1_0", "u2\t\uff13", "u2\t-1", "u2\t0", "u2\t+1", "u 2\t3", "u1\t3"],
+        ids=["underscore", "fullwidth-digit", "negative", "zero", "plus-sign", "space-in-id", "repeated-id"],
+    )
+    def test_eval_bounds_rejects_a_bad_line(self, tmp_path, capsys, line):
+        pred = write(tmp_path / "pred.bounds", f"u1\t2\n{line}\n")
+        truth = write(tmp_path / "truth.bounds", "u1\t2\nu2\t3\n")
+        assert main(["eval-bounds", "--pred", pred, "--truth", truth]) == 2
+        err = capsys.readouterr().err
+        assert "pred.bounds: line 2" in err
 
 
 class TestExitCodes:

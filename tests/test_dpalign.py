@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from pronvar import errors
 from pronvar.dpalign import (
+    INSERT,
+    MATCH,
     AlignConfig,
     EditOp,
     _cost_rows,
@@ -72,9 +74,9 @@ class TestNwAlign:
         al = nw_align(hyp, ref)
         assert al.total_cost == 1
         assert al.ops == (
-            EditOp.match(0, 0),
-            EditOp.insert(1),
-            EditOp.match(1, 2),
+            EditOp(MATCH, 0, 0),
+            EditOp(INSERT, None, 1),
+            EditOp(MATCH, 1, 2),
         )
 
     def test_empty_sides(self, seq):
@@ -90,7 +92,7 @@ class TestNwAlign:
         # both [match(0,0), insert(1)] and [insert(0), match(0,1)] cost 1;
         # diagonal-first backtracking from the corner picks the latter
         al = nw_align(abc_seq(["A"]), ["A", "A"])
-        assert al.ops == (EditOp.insert(0), EditOp.match(0, 1))
+        assert al.ops == (EditOp(INSERT, None, 0), EditOp(MATCH, 0, 1))
 
     def test_determinism(self, seq):
         hyp = seq("u1", ["K", "AE", "T", "S"])

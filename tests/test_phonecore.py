@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,7 +29,7 @@ class TestInventory:
     def test_parse_plain_symbols(self):
         inventory = parse_inventory("AA\nAE\nZ")
         assert inventory.phones == ("AA", "AE", "Z")
-        assert all(inventory.origin(p) == "EN" for p in inventory)
+        assert inventory.origins == ("EN", "EN", "EN")
 
     def test_duplicate_symbol(self):
         with pytest.raises(errors.DuplicatePhone) as exc:
@@ -42,12 +44,12 @@ class TestInventory:
         inventory = parse_inventory(text)
         assert len(inventory) == 62
         assert inventory.phones == tuple(en + l1)
-        assert inventory.l1_phones == tuple(l1)
+        assert inventory.origins == ("EN",) * 39 + ("L1",) * 23
 
     def test_comments_and_blank_lines(self):
         inventory = parse_inventory("# comment\n\nAA\n  \nAE\tL1\n")
         assert inventory.phones == ("AA", "AE")
-        assert inventory.origin("AE") == "L1"
+        assert inventory.origins == ("EN", "L1")
 
     def test_reserved_symbol(self):
         with pytest.raises(errors.ReservedSymbol):
@@ -72,8 +74,9 @@ class TestInventory:
 
     def test_unknown_origin_lookup(self):
         inventory = parse_inventory("AA")
+        assert "ZZ" not in inventory
         with pytest.raises(errors.UnknownPhone):
-            inventory.origin("ZZ")
+            inventory.require(["ZZ"], "inventory")
 
 
 class TestPhoneFile:
@@ -118,7 +121,7 @@ class TestSegmentedFile:
             WordSpan("cat", ("K", "AE", "T")),
         )
         assert utts[0].phones == ("DH", "AH", "K", "AE", "T")
-        assert utts[0].boundary_cuts() == (2,)
+        assert tuple(accumulate(len(w.phones) for w in utts[0].words[:-1])) == (2,)
 
     def test_span_word_mismatch(self, inv):
         with pytest.raises(errors.SpanWordMismatch) as exc:
@@ -128,7 +131,7 @@ class TestSegmentedFile:
     def test_single_word(self, inv):
         utts = parse_segmented_file("u2\tD AH Z N T\tdoesn't", inv)
         assert utts[0].words == (WordSpan("doesn't", ("D", "AH", "Z", "N", "T")),)
-        assert utts[0].boundary_cuts() == ()
+        assert tuple(accumulate(len(w.phones) for w in utts[0].words[:-1])) == ()
 
     def test_empty_span(self, inv):
         with pytest.raises(errors.EmptySpan) as exc:

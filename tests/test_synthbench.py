@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from pronvar import errors, lexbuild
@@ -10,11 +12,9 @@ from pronvar.synthbench import (
     boundary_f1,
     build_corpus,
     corrupt,
-    emit_bounds_file,
     identity_attention,
     jittered_attention,
     oracle_align,
-    parse_bounds_file,
     parse_rules_file,
     recovery_report,
 )
@@ -62,14 +62,12 @@ class TestCorrupt:
         result = corrupt(ref, [ConfusionRule("Z", "S", 1.0)], seed=11)
         assert result.sequence.phones == ("D", "AH", "S", "N", "T")
         assert result.truth.cuts == ()
-        assert result.applied == (("sub", 2, "Z", "S"),)
 
     def test_zero_probability_is_identity(self, seg):
         ref = seg("u1", [("the", ["DH", "AH"]), ("cat", ["K", "AE", "T"])])
         result = corrupt(ref, [ConfusionRule("K", "G", 0.0)], seed=5)
         assert result.sequence.phones == ref.phones
-        assert result.truth.cuts == ref.boundary_cuts()
-        assert result.applied == ()
+        assert result.truth.cuts == (2,)
 
     def test_everything_pattern(self, seg):
         ref = seg("u1", [("everything", EVERYTHING)])
@@ -230,7 +228,7 @@ class TestBuildCorpus:
         assert corpus.truth_lexicon.entry_count == 0
         for ref, (utt_id, seg) in zip(corpus.references, corpus.truth_bounds):
             assert ref.utterance_id == utt_id
-            assert seg.cuts == ref.boundary_cuts()
+            assert seg.cuts == tuple(accumulate(len(w.phones) for w in ref.words[:-1]))
 
     def test_full_pipeline_recovers_certain_corruption(self):
         # every word contains Z, the rule always fires, maps are exact:
@@ -253,10 +251,3 @@ class TestBuildCorpus:
         attn = extract_variants_attn(corpus.maps, corpus.references, d, AttnConfig())
         _, attn_recall = recovery_report(lexbuild.accumulate(attn.pairs), corpus.truth_lexicon, d)
         assert attn_recall == 1.0
-
-
-def test_bounds_file_round_trip():
-    bounds = [("u1", Segmentation((2, 4), 6)), ("u2", Segmentation((), 3))]
-    text = emit_bounds_file(bounds)
-    assert text == "u1\t2 4\nu2\t\n"
-    assert parse_bounds_file(text) == [("u1", (2, 4)), ("u2", ())]
