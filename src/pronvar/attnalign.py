@@ -32,7 +32,14 @@ from .errors import (
     RowMismatch,
 )
 from .dpalign import AlignConfig, _cost_rows, edit_distance, pair_by_id  # edit_distance stays importable here
-from .phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, _split_id_line, checked_symbols
+from .phonecore import (
+    PhoneInventory,
+    ReferenceDictionary,
+    SegmentedUtterance,
+    _natural,
+    _split_id_line,
+    checked_symbols,
+)
 
 GLOBAL_SHIFT = "global_shift"
 PER_BOUNDARY = "per_boundary"
@@ -148,10 +155,7 @@ def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
         if utt_id in seen:
             raise MalformedLine(lineno, f"repeated utterance id {utt_id!r}")
         seen.add(utt_id)
-        tokens = rest.split()
-        if not all(tok.isascii() and tok.isdigit() and int(tok) >= 1 for tok in tokens):
-            raise MalformedLine(lineno, f"bad cut list {rest!r}")
-        out.append((utt_id, tuple(int(tok) for tok in tokens)))
+        out.append((utt_id, tuple(_natural(tok, lineno, "cut", 1) for tok in rest.split())))
     return out
 
 
@@ -174,37 +178,38 @@ def _repair(cuts: Sequence[int], length: int) -> tuple[tuple[int, ...], int]:
     return tuple(out), moved
 
 
+def _records(text: str) -> Iterator[list[tuple[int, str]]]:
+    """Yield each blank-line-separated record as its ``(line number, line)`` pairs.
+
+    A whitespace-only line separates records, as an empty one does.
+    """
+    record: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if raw.strip():
+            record.append((lineno, raw))
+        elif record:
+            yield record
+            record = []
+    if record:
+        yield record
+
+
 def parse_attention_file(text: str, inventory: PhoneInventory) -> list[AttentionMap]:
     """Parse blank-line-separated attention records.
 
     Each record is ``utt_id R C`` on the first line, R row phones on the
-    second, C column phones on the third, then R lines of C weights.
+    second, C column phones on the third, then R lines of C weights. R and
+    C are ASCII digits with a value of at least 1.
     """
-    records: list[list[tuple[int, str]]] = []
-    current: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if raw.strip():
-            current.append((lineno, raw))
-        elif current:
-            records.append(current)
-            current = []
-    if current:
-        records.append(current)
-
     maps: list[AttentionMap] = []
     seen: set[str] = set()
-    for record in records:
+    for record in _records(text):
         lineno, header = record[0]
         fields = header.split()
         if len(fields) != 3:
             raise MalformedLine(lineno, f"expected 'utt_id R C', got {header!r}")
         utt_id = fields[0]
-        try:
-            n_rows, n_cols = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise MalformedLine(lineno, f"bad dimensions in {header!r}") from None
-        if n_rows < 1 or n_cols < 1:
-            raise MalformedLine(lineno, f"dimensions must be positive in {header!r}")
+        n_rows, n_cols = (_natural(token, lineno, "dimension", 1) for token in fields[1:])
         if utt_id in seen:
             raise DuplicateUtteranceId(utt_id)
         seen.add(utt_id)
@@ -254,12 +259,7 @@ def emit_attention_file(maps: Iterable[AttentionMap]) -> str:
 
 def scan_attention_tokens(text: str) -> list[str]:
     """Lenient phone-symbol scan of an attention file (axis lines only)."""
-    axis_lines = []
-    block_line = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        block_line = block_line + 1 if raw.strip() else 0
-        if block_line in (2, 3):
-            axis_lines.append((lineno, raw.split()))
+    axis_lines = ((lineno, raw.split()) for record in _records(text) for lineno, raw in record[1:3])
     return checked_symbols(axis_lines)
 
 

@@ -29,8 +29,9 @@ class MalformedLine(InputFormatError):
 
 
 class BadOrigin(InputFormatError):
-    def __init__(self, token: str, line: int):
-        super().__init__(f"line {line}: bad origin {token!r} (expected EN or L1)")
+    def __init__(self, token: str, line: int | None = None):
+        at = f"line {line}: " if line is not None else ""
+        super().__init__(f"{at}bad origin {token!r} (expected EN or L1)")
         self.token = token
         self.line = line
 
@@ -110,13 +111,11 @@ class EmptyPronunciation(ConstraintError):
 
 
 class InventoryMismatch(ConstraintError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A reference phone is missing from the hypothesis inventory."""
 
 
 class AlignmentReferenceMismatch(ConstraintError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """An alignment's reference phones differ from the segmentation it is projected onto."""
 
 
 class MissingUtterance(ConstraintError):

@@ -7,6 +7,7 @@ was partitioned.
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .phonecore import Lexicon, ReferenceDictionary
 
@@ -28,23 +29,14 @@ def from_counted_pairs(triples: Iterable[tuple[str, Sequence[str], int]]) -> Lex
 
 def from_dictionary(dictionary: ReferenceDictionary) -> Lexicon:
     """Seed a lexicon with every canonical pronunciation at count zero."""
-    return Lexicon(
-        {
-            word: {pron: 0 for pron in dictionary.pronunciations(word)}
-            for word in dictionary.words()
-        }
+    return from_counted_pairs(
+        (word, pron, 0) for word in dictionary.words() for pron in dictionary.pronunciations(word)
     )
 
 
 def merge(a: Lexicon, b: Lexicon) -> Lexicon:
     """Union of variants per word; counts of shared variants are summed."""
-    entries: dict[str, dict[tuple[str, ...], int]] = {
-        word: dict(variants) for word, variants in ((w, dict(a.variants(w))) for w in a.words())
-    }
-    for word, pron, count in b.pairs():
-        variants = entries.setdefault(word, {})
-        variants[pron] = variants.get(pron, 0) + count
-    return Lexicon(entries)
+    return from_counted_pairs(chain(a.pairs(), b.pairs()))
 
 
 def prune(

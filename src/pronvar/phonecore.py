@@ -11,7 +11,8 @@ endings:
   ``#`` separates one word span from the next.
 * dictionary: ``word<TAB>PH PH PH``, one pronunciation per line,
   repeated word lines list alternative pronunciations.
-* lexicon: ``word<TAB>count<TAB>PH PH PH``, sorted for determinism.
+* lexicon: ``word<TAB>count<TAB>PH PH PH``, sorted for determinism; the
+  count is ASCII digits.
 """
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -82,7 +83,7 @@ class PhoneInventory:
         for symbol, origin in zip(self.phones, self.origins):
             _check_symbol(symbol)
             if origin not in ORIGINS:
-                raise BadOrigin(origin, 0)
+                raise BadOrigin(origin)
             if symbol in index:
                 raise DuplicatePhone(symbol)
             index.add(symbol)
@@ -321,6 +322,17 @@ def _split_id_line(raw: str, lineno: int) -> tuple[str, str]:
     return utt_id, rest
 
 
+def _natural(token: str, lineno: int, what: str, least: int) -> int:
+    """Read a decimal field: ASCII digits worth at least ``least``, without the signs,
+    ``_`` separators, spaces and non-ASCII digits that ``int()`` also takes."""
+    try:
+        if token.isascii() and token.isdigit() and (value := int(token)) >= least:
+            return value
+    except ValueError:  # more digits than int() converts
+        pass
+    raise MalformedLine(lineno, f"bad {what} {token!r}")
+
+
 def parse_phone_file(text: str, inventory: PhoneInventory) -> list[PhoneSequence]:
     """Parse decoded phone sequences, one utterance per line, order preserved."""
     out: list[PhoneSequence] = []
@@ -417,12 +429,7 @@ def _parse_lexicon_line(
         raise MalformedLine(lineno, f"expected word<TAB>count<TAB>phones, got {len(fields)} fields")
     word = fields[0].strip()
     _check_word(word, lineno)
-    try:
-        count = int(fields[1])
-    except ValueError:
-        raise MalformedLine(lineno, f"bad count {fields[1]!r}") from None
-    if count < 0:
-        raise MalformedLine(lineno, f"negative count {count}")
+    count = _natural(fields[1], lineno, "count", 0)
     pron = tuple(fields[2].split())
     if not pron:
         raise EmptyPronunciation(word)

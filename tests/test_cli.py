@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -334,6 +335,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "nodir" in err
         assert "Traceback" not in err
+
+
+class TestDecimalFields:
+    """A count, a cut or an attention dimension is ASCII digits: anything else
+    that ``int()`` would take is a format error naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "count",
+        ["1_0", "\uff13", "+1", " 1", "-1"],
+        ids=["underscore", "fullwidth-digit", "plus-sign", "leading-space", "negative"],
+    )
+    def test_stats_rejects_a_bad_count(self, tmp_path, capsys, count):
+        lex = write(tmp_path / "in.lex", f"cat\t1\tK AE T\ndog\t{count}\tD AO G\n")
+        assert main(["stats", "--lex", lex]) == 2
+        assert f"in.lex: line 2: bad count {count!r}" in capsys.readouterr().err
+
+    def test_build_rejects_a_bad_pairs_count(self, tmp_path, capsys):
+        pairs = write(tmp_path / "in.pairs", "cat\t1\tK AE T\ncat\t1_0\tK AE T\n")
+        assert main(["build", "--pairs", pairs, "--out", str(tmp_path / "out.lex")]) == 2
+        assert "in.pairs: line 2: bad count '1_0'" in capsys.readouterr().err
+        assert not (tmp_path / "out.lex").exists()
+
+    @pytest.mark.parametrize(
+        "header",
+        ["u1 \uff11 1", "u1 1_0 1", "u1 +1 1", "u1 0 1"],
+        ids=["fullwidth-digit", "underscore", "plus-sign", "zero"],
+    )
+    def test_align_attn_rejects_a_bad_dimension(self, tmp_path, capsys, header):
+        attn = write(tmp_path / "attn.txt", f"u0 1 1\nK\nK\n1\n\n{header}\nK\nK\n1\n")
+        ref = write(tmp_path / "ref.txt", "u0\tK\tk\nu1\tK\tk\n")
+        d = write(tmp_path / "dict.txt", "k\tK\n")
+        argv = ["align-attn", "--attn", attn, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"attn.txt: line 6: bad dimension {header.split()[1]!r}" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() converts any digit count")
+    def test_eval_bounds_rejects_a_cut_too_long_for_int(self, tmp_path, capsys):
+        pred = write(tmp_path / "pred.bounds", f"u1\t2\nu2\t{'1' * 5000}\n")
+        truth = write(tmp_path / "truth.bounds", "u1\t2\nu2\t3\n")
+        assert main(["eval-bounds", "--pred", pred, "--truth", truth]) == 2
+        assert "pred.bounds: line 2: bad cut" in capsys.readouterr().err
 
 
 class TestInventoryFlag:

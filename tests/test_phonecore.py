@@ -62,6 +62,16 @@ class TestInventory:
             parse_inventory("AA\tKR")
         assert exc.value.token == "KR"
 
+    def test_bad_origin_names_a_line_only_from_a_file(self):
+        with pytest.raises(errors.BadOrigin) as exc:
+            PhoneInventory(("A",), ("XX",))
+        assert exc.value.line is None
+        assert str(exc.value) == "bad origin 'XX' (expected EN or L1)"
+        with pytest.raises(errors.BadOrigin) as exc:
+            parse_inventory("AA\nBB\tKR")
+        assert exc.value.line == 2
+        assert str(exc.value).startswith("line 2: bad origin 'KR'")
+
     def test_malformed(self):
         with pytest.raises(errors.MalformedLine):
             parse_inventory("AA\tEN\textra")
