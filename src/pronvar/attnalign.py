@@ -7,7 +7,9 @@ Those cuts then move within a radius n, and the segmentation closest to
 the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
 (the row kernel that global alignment also uses) wins:
 
-* ``global_shift`` moves all cuts together, 2n+1 candidates;
+* ``global_shift`` moves all cuts together, 2n+1 candidates. They are
+  visited by a lower bound from span and pronunciation lengths, and one
+  is dropped as soon as it cannot beat the best so far (branch-and-bound);
 * ``per_boundary`` moves each cut on its own and searches all (2n+1)^k
   offset tuples exactly, by dynamic programming over the cut positions.
 
@@ -37,6 +39,7 @@ from .phonecore import (
     ReferenceDictionary,
     SegmentedUtterance,
     _natural,
+    _plain_decimals,
     _split_id_line,
     checked_symbols,
 )
@@ -199,10 +202,13 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
 
     Each record is ``utt_id R C`` on the first line, R row phones on the
     second, C column phones on the third, then R lines of C weights. R and
-    C are ASCII digits with a value of at least 1.
+    C are ASCII digits with a value of at least 1; a weight row is ASCII
+    without ``_``.
     """
     maps: list[AttentionMap] = []
     seen: set[str] = set()
+    # one scan of the whole text clears every weight row of the usual file
+    plain = text.isascii() and "_" not in text
     for record in _records(text):
         lineno, header = record[0]
         fields = header.split()
@@ -228,6 +234,8 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
 
         weights: list[tuple[float, ...]] = []
         for r, (wlineno, wline) in enumerate(record[3:]):
+            if not plain:
+                _plain_decimals(wline, wlineno, "weight row")
             tokens = wline.split()
             if len(tokens) != n_cols:
                 raise DimensionMismatch(utt_id, f"row {r} has {len(tokens)} weights, declared {n_cols}", wlineno)
@@ -358,8 +366,8 @@ def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[s
     def score(word: int, start: int, end: int) -> float:
         key = (word, start)
         if key not in passes:
-            rows = (map(itemgetter(-1), _cost_rows(cols[start:], pron, unit)) for pron in ref_variants[word])
-            passes[key] = ([], map(min, zip(*rows)))
+            last_cells = [map(itemgetter(-1), _cost_rows(cols[start:], pron, unit)) for pron in ref_variants[word]]
+            passes[key] = ([], last_cells[0] if len(last_cells) == 1 else map(min, zip(*last_cells)))
         distances, more = passes[key]
         while len(distances) <= end - start:
             distances.append(next(more))
@@ -369,17 +377,48 @@ def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[s
 
 
 def _best_global_shift(
-    amap: AttentionMap, ref_seg: SegmentedUtterance, cfg: AttnConfig, score: SpanScore
+    amap: AttentionMap,
+    ref_seg: SegmentedUtterance,
+    cfg: AttnConfig,
+    ref_variants: Sequence[Sequence[Sequence[str]]],
+    score: SpanScore,
 ) -> tuple[Segmentation, float]:
-    """Best of the global shifts: least total, then fewest repairs, then first."""
-    best: Segmentation | None = None
-    best_key: tuple[float, int, int] | None = None
+    """Best of the global shifts: least total, then fewest repairs, then first.
+
+    A branch-and-bound over the :func:`split_by_attention` candidates. A
+    span of ``len`` columns scores at least its floor ``max(lo - len, len - hi,
+    0)``, where ``lo`` and ``hi`` are the lengths of the word's shortest and
+    longest pronunciations: unit-cost edit distance is at least the length
+    difference. Candidates are visited by ascending floor sum, ties in
+    generation order. The search stops at the first floor sum strictly
+    greater than the best total, and a candidate is dropped part-way once its
+    partial sum plus the floors of its unscored words is strictly greater.
+    A candidate that equals the best is scored in full, so the winner and its
+    exact total are those of scoring every candidate.
+    """
+    extents = [(min(map(len, prons)), max(map(len, prons))) for prons in ref_variants]
+    visits = []
     for order, candidate in enumerate(split_by_attention(amap, ref_seg, cfg)):
-        bounds = (0, *candidate.cuts, candidate.length)
-        total = sum(score(j, a, b) for j, (a, b) in enumerate(pairwise(bounds)))
-        key = (total, candidate.repaired, order)
-        if best_key is None or key < best_key:
-            best, best_key = candidate, key
+        spans = list(pairwise((0, *candidate.cuts, candidate.length)))
+        floors = [max(lo - (b - a), b - a - hi, 0) for (lo, hi), (a, b) in zip(extents, spans)]
+        visits.append((sum(floors), order, candidate, spans, floors))
+    visits.sort(key=itemgetter(0))
+
+    best = None
+    best_key: tuple[float, int, int] = (math.inf, 0, 0)
+    for unscored, order, candidate, spans, floors in visits:
+        if unscored > best_key[0]:
+            break
+        total = 0
+        for word, ((a, b), floor) in enumerate(zip(spans, floors)):
+            unscored -= floor
+            total += score(word, a, b)
+            if total + unscored > best_key[0]:
+                break
+        else:
+            key = (total, candidate.repaired, order)
+            if key < best_key:
+                best, best_key = candidate, key
     return best, best_key[0]
 
 
@@ -461,7 +500,7 @@ def align_word_boundaries(
 
     score = _span_scorer(cols, ref_variants)
     if cfg.mode == GLOBAL_SHIFT:
-        best, total = _best_global_shift(amap, ref_seg, cfg, score)
+        best, total = _best_global_shift(amap, ref_seg, cfg, ref_variants, score)
     else:
         best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, score)
 

@@ -5,6 +5,7 @@ names the file and line), 3 constraint violation.
 """
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -46,6 +47,17 @@ class UsageError(PronvarError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _integer(value: str) -> int:
+    """Read an integer flag: ASCII ``-?[0-9]+``, without the ``+`` sign, spaces,
+    ``_`` separators and non-ASCII digits that ``int()`` also takes."""
+    try:
+        if re.fullmatch("-?[0-9]+", value):
+            return int(value)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise UsageError(f"bad integer {value!r}")
 
 
 def _read(path: str) -> str:
@@ -172,10 +184,7 @@ def _parse_attn_flag(value: str) -> tuple[str, int]:
     if value == "identity":
         return "identity", 0
     if value.startswith("jitter:"):
-        try:
-            radius = int(value.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"bad --attn value {value!r}") from None
+        radius = _integer(value.split(":", 1)[1])
         if radius < 0:
             raise UsageError("jitter radius must be >= 0")
         return "jitter", radius
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attn", required=True, help="attention map file")
     p.add_argument("--ref", required=True, help="segmented native reference file")
     p.add_argument("--dict", required=True, help="reference pronunciation dictionary")
-    p.add_argument("--radius", type=int, default=3, help="boundary shift radius")
+    p.add_argument("--radius", type=_integer, default=3, help="boundary shift radius")
     p.add_argument("--mode", choices=("global", "per-boundary"), default="global")
     p.add_argument("--threshold", type=float, default=0.5, help="max normalized edit distance")
     p.add_argument("--rejects", help="sidecar file for rejected utterances")
@@ -269,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="accumulate pairs into a counted, pruned lexicon")
     p.add_argument("--pairs", required=True, nargs="+", help="one or more pairs files")
-    p.add_argument("--min-count", type=int, default=0, help="drop variants seen fewer times")
-    p.add_argument("--max-variants", type=int, default=None, help="cap variants per word")
+    p.add_argument("--min-count", type=_integer, default=0, help="drop variants seen fewer times")
+    p.add_argument("--max-variants", type=_integer, default=None, help="cap variants per word")
     p.add_argument("--dict", help="seed and protect canonical pronunciations from this dictionary")
     p.add_argument("--inventory", help="validate phones against this inventory")
     p.add_argument("--out", required=True)
@@ -290,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
     p.add_argument("--dict", required=True)
     p.add_argument("--rules", required=True, help="confusion rules file (SRC<TAB>DST<TAB>p)")
-    p.add_argument("--words", type=int, required=True, help="vocabulary size to sample")
-    p.add_argument("--utts", type=int, required=True, help="number of utterances")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--words", type=_integer, required=True, help="vocabulary size to sample")
+    p.add_argument("--utts", type=_integer, required=True, help="number of utterances")
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--attn", default="identity", help="attention maps: identity or jitter:K")
     p.add_argument("--indel-prob", type=float, default=0.0, help="per-phone insert/delete probability")
     p.add_argument("--inventory", help="validate phones against this inventory")

@@ -333,6 +333,14 @@ def _natural(token: str, lineno: int, what: str, least: int) -> int:
     raise MalformedLine(lineno, f"bad {what} {token!r}")
 
 
+def _plain_decimals(text: str, lineno: int, what: str) -> str:
+    """Return float fields that hold neither ``_`` separators nor non-ASCII
+    characters, both of which ``float()`` also takes (``1_0`` as 10, ``１`` as 1)."""
+    if not text.isascii() or "_" in text:
+        raise MalformedLine(lineno, f"bad {what} {text!r}")
+    return text
+
+
 def parse_phone_file(text: str, inventory: PhoneInventory) -> list[PhoneSequence]:
     """Parse decoded phone sequences, one utterance per line, order preserved."""
     out: list[PhoneSequence] = []

@@ -21,6 +21,7 @@ from .phonecore import (
     ReferenceDictionary,
     SegmentedUtterance,
     WordSpan,
+    _plain_decimals,
     checked_symbols,
     derive_inventory,
 )
@@ -56,7 +57,7 @@ DEFAULT_RULES = (
 
 
 def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tuple[ConfusionRule, ...]:
-    """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules."""
+    """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules; ``p`` is ASCII without ``_``."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
@@ -66,7 +67,7 @@ def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tupl
             raise MalformedLine(lineno, f"expected SRC<TAB>DST<TAB>p, got {raw!r}")
         source, target = fields[0].strip(), fields[1].strip()
         try:
-            probability = float(fields[2])
+            probability = float(_plain_decimals(fields[2], lineno, "probability"))
         except ValueError:
             raise MalformedLine(lineno, f"bad probability {fields[2]!r}") from None
         if inventory is not None:

@@ -1,9 +1,9 @@
 import functools
 import random
-from itertools import product
+from itertools import pairwise, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pronvar import errors
 from pronvar.attnalign import (
@@ -11,6 +11,7 @@ from pronvar.attnalign import (
     AttnConfig,
     BoundaryOutcome,
     Segmentation,
+    _best_global_shift,
     _offset_order,
     _repair,
     _span_scorer,
@@ -118,6 +119,19 @@ def test_bounds_file_round_trip():
     text = emit_bounds_file(bounds)
     assert text == "u1\t2 4\nu2\t\n"
     assert parse_bounds_file(text) == [("u1", (2, 4)), ("u2", ())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+    st.sampled_from(["u", "u_1"]),
+)
+@example([1e16, 1e-05, 0.0, 5e-324], "u")
+@example([1e16, 1e-05, 0.0, 5e-324], "u_1")
+def test_every_weight_emit_writes_parses_back(inv, row, utt_id):
+    # an id holding "_" makes the parser check each weight row on its own
+    amap = AttentionMap(utt_id, ("K",) * len(row), ("K",), (tuple(row),))
+    assert parse_attention_file(emit_attention_file([amap]), inv) == [amap]
 
 
 def block_line_scan(text):
@@ -379,12 +393,12 @@ short_pron = st.lists(st.sampled_from("ABC"), min_size=1, max_size=3).map(tuple)
 
 
 @st.composite
-def search_cases(draw, max_words):
-    """An utterance, a dictionary with 1-3 pronunciations per listed word,
-    hypothesis columns and one attention peak per reference row."""
+def search_cases(draw, max_words, pron=short_pron):
+    """An utterance, a dictionary with 1-3 ``pron`` pronunciations per listed
+    word, hypothesis columns and one attention peak per reference row."""
     names = draw(st.lists(st.sampled_from(["w0", "w1", "w2"]), min_size=1, max_size=max_words))
     listed = {
-        name: draw(st.lists(short_pron, min_size=1, max_size=3, unique=True))
+        name: draw(st.lists(pron, min_size=1, max_size=3, unique=True))
         for name in set(names)
         if draw(st.booleans())
     }
@@ -529,3 +543,70 @@ def test_span_scorer_matches_edit_distance(cols, prons, data):
     score = _span_scorer(cols, prons)
     for word, start, end in requests:
         assert score(word, start, end) == min(edit_distance(cols[start:end], p) for p in prons[word])
+
+
+def best_global_shift_by_full_scan(amap, ref_seg, cfg, score):
+    """The global search before its branch-and-bound, verbatim: every candidate scored in full."""
+    best: Segmentation | None = None
+    best_key: tuple[float, int, int] | None = None
+    for order, candidate in enumerate(split_by_attention(amap, ref_seg, cfg)):
+        bounds = (0, *candidate.cuts, candidate.length)
+        total = sum(score(j, a, b) for j, (a, b) in enumerate(pairwise(bounds)))
+        key = (total, candidate.repaired, order)
+        if best_key is None or key < best_key:
+            best, best_key = candidate, key
+    return best, best_key[0]
+
+
+def cut_after_two(cols, first, second):
+    """Two unlisted words whose attention puts the cut after column 2."""
+    ref = SegmentedUtterance("u", (WordSpan("w0", first), WordSpan("w1", second)), ABC)
+    peaks = [1 if row == len(first) - 1 else 0 for row in range(len(ref.phones))]
+    return peak_map("u", cols, ref.phones, peaks), ref, ReferenceDictionary({})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    search_cases(max_words=8, pron=st.lists(st.sampled_from("ABC"), min_size=1, max_size=5).map(tuple)),
+    st.integers(0, 3),
+    st.booleans(),
+)
+# cut 1 (shift -2 clamped: floor 0, one repair) scores 2 and is visited first;
+# cut 2 (floor 2) ties it at 2 with no repair and wins
+@example(cut_after_two("CAB", ("A",), ("B", "B")), 2, False)
+# cut 2 (floor 0) scores 2 and is visited first; cut 1, generated first
+# (floor 2), ties it at 2 with the same repairs and wins
+@example(cut_after_two("ABC", ("A", "A"), ("B",)), 1, False)
+def test_bounded_global_shift_matches_the_full_scan(case, radius, use_dictionary):
+    amap, ref, dictionary = case
+    dictionary = dictionary if use_dictionary else None
+    prons = [
+        dictionary.pronunciations(w.word) if dictionary is not None and w.word in dictionary else (w.phones,)
+        for w in ref.words
+    ]
+    cfg = AttnConfig(radius)
+    best, total = best_global_shift_by_full_scan(amap, ref, cfg, _span_scorer(amap.col_phones, prons))
+    out = align_word_boundaries(amap, ref, cfg, dictionary)
+    assert out.segmentation.cuts == best.cuts
+    assert out.total_distance == total
+    assert out.segmentation.repaired == best.repaired
+    assert out.variants == tuple(zip((w.word for w in ref.words), best.spans(amap.col_phones)))
+
+
+def test_global_shift_scores_only_the_spans_of_an_exact_shift_zero(seg):
+    # one pronunciation per word and the hypothesis is the reference: the
+    # shift-0 cuts score 0, and every other shift moves the first span off
+    # its pronunciation's length, so every other candidate has a floor
+    ref = seg("u", [("a", ["K", "AE", "T"]), ("b", ["DH", "AH"]), ("c", ["S", "IH", "T", "S"]), ("d", ["Z"])])
+    amap = identity_attention("u", ref.phones, ref.phones)
+    prons = [(w.phones,) for w in ref.words]
+    scorer = _span_scorer(amap.col_phones, prons)
+    asked = []
+
+    def score(word, start, end):
+        asked.append((word, start, end))
+        return scorer(word, start, end)
+
+    best, total = _best_global_shift(amap, ref, AttnConfig(3), prons, score)
+    assert (best.cuts, total) == ((3, 5, 9), 0)
+    assert asked == [(0, 0, 3), (1, 3, 5), (2, 5, 9), (3, 9, 10)]

@@ -370,6 +370,28 @@ class TestDecimalFields:
         assert main(argv) == 2
         assert f"attn.txt: line 6: bad dimension {header.split()[1]!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row",
+        ["1_0 1", "１ 1", "1 0　1", "0.5 1e1_0"],
+        ids=["underscore", "fullwidth-digit", "ideographic-space", "underscore-in-exponent"],
+    )
+    def test_align_attn_rejects_a_bad_weight_row(self, tmp_path, capsys, row):
+        attn = write(tmp_path / "attn.txt", f"u0 1 2\nK\nK AE\n1 0\n\nu1 1 2\nK\nK AE\n{row}\n")
+        ref = write(tmp_path / "ref.txt", "u0\tK\tk\nu1\tK\tk\n")
+        d = write(tmp_path / "dict.txt", "k\tK\n")
+        argv = ["align-attn", "--attn", attn, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"attn.txt: line 9: bad weight row {row!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probability", ["1_0", "１", "0.５", "0_5"])
+    def test_synth_rejects_a_bad_rule_probability(self, tmp_path, capsys, probability):
+        d = write(tmp_path / "dict.txt", DICT)
+        r = write(tmp_path / "rules.txt", f"{RULES}V\tB\t{probability}\n")
+        argv = ["synth", "--dict", d, "--rules", r, "--words", "1", "--utts", "1", "--seed", "1",
+                "--out-dir", str(tmp_path / "x")]  # fmt: skip
+        assert main(argv) == 2
+        assert f"rules.txt: line 2: bad probability {probability!r}" in capsys.readouterr().err
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() converts any digit count")
     def test_eval_bounds_rejects_a_cut_too_long_for_int(self, tmp_path, capsys):
         pred = write(tmp_path / "pred.bounds", f"u1\t2\nu2\t{'1' * 5000}\n")
@@ -488,6 +510,33 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1_0", "３", "+1", " 1", "1 ", "1.0", "", "-"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("align-attn", "--radius"),
+            ("build", "--min-count"),
+            ("build", "--max-variants"),
+            ("synth", "--words"),
+            ("synth", "--utts"),
+            ("synth", "--seed"),
+            ("synth", "--attn=jitter:"),
+        ],
+    )
+    def test_an_integer_flag_takes_ascii_digits_only(self, tmp_path, capsys, command, flag, value):
+        d = write(tmp_path / "dict.txt", "cat\tK AE T\n")
+        inputs = {
+            "align-attn": ["--attn", write(tmp_path / "attn.txt", "u1 1 1\nK\nK\n1\n"),
+                           "--ref", write(tmp_path / "ref.txt", "u1\tK\tcat\n"), "--dict", d,
+                           "--out", str(tmp_path / "o")],
+            "build": ["--pairs", write(tmp_path / "p.pairs", "cat\t1\tK AE T\n"), "--out", str(tmp_path / "o")],
+            "synth": ["--dict", d, "--rules", write(tmp_path / "rules.txt", "AE\tAH\t0.5\n"), "--words", "1",
+                      "--utts", "1", "--seed", "1", "--out-dir", str(tmp_path / "x")],
+        }[command]  # fmt: skip
+        flag = flag if flag.endswith(":") else f"{flag}="
+        assert main([command, *inputs, f"{flag}{value}"]) == 1
+        assert capsys.readouterr().err == f"usage error: bad integer {value!r}\n"
 
 
 class TestReportBytes:
