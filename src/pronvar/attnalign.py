@@ -207,8 +207,6 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
     """
     maps: list[AttentionMap] = []
     seen: set[str] = set()
-    # one scan of the whole text clears every weight row of the usual file
-    plain = text.isascii() and "_" not in text
     for record in _records(text):
         lineno, header = record[0]
         fields = header.split()
@@ -234,9 +232,7 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
 
         weights: list[tuple[float, ...]] = []
         for r, (wlineno, wline) in enumerate(record[3:]):
-            if not plain:
-                _plain_decimals(wline, wlineno, "weight row")
-            tokens = wline.split()
+            tokens = _plain_decimals(wline, wlineno, "weight row").split()
             if len(tokens) != n_cols:
                 raise DimensionMismatch(utt_id, f"row {r} has {len(tokens)} weights, declared {n_cols}", wlineno)
             row: list[float] = []
