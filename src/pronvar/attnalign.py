@@ -31,6 +31,7 @@ from .errors import (
     DuplicateUtteranceId,
     MalformedLine,
     NegativeWeight,
+    PronvarError,
     RowMismatch,
 )
 from .dpalign import AlignConfig, _cost_rows, edit_distance, pair_by_id  # edit_distance stays importable here
@@ -38,8 +39,8 @@ from .phonecore import (
     PhoneInventory,
     ReferenceDictionary,
     SegmentedUtterance,
+    _decimals,
     _natural,
-    _plain_decimals,
     _split_id_line,
     checked_symbols,
 )
@@ -91,12 +92,10 @@ class AttentionMap:
                 self.utterance_id,
                 f"{len(self.weights)} weight rows for {len(self.row_phones)} row phones",
             )
+        columns = len(self.col_phones)
         for r, row in enumerate(self.weights):
-            if len(row) != len(self.col_phones):
-                raise DimensionMismatch(
-                    self.utterance_id,
-                    f"row {r} has {len(row)} weights for {len(self.col_phones)} columns",
-                )
+            if len(row) != columns:
+                raise DimensionMismatch(self.utterance_id, f"row {r} has {len(row)} weights for {columns} columns")
             for c, w in enumerate(row):
                 if not math.isfinite(w):
                     raise DimensionMismatch(self.utterance_id, f"non-finite weight at ({r}, {c})")
@@ -202,8 +201,10 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
 
     Each record is ``utt_id R C`` on the first line, R row phones on the
     second, C column phones on the third, then R lines of C weights. R and
-    C are ASCII digits with a value of at least 1; a weight row is ASCII
-    without ``_``.
+    C are ASCII digits with a value of at least 1; a weight row is float
+    fields (:func:`pronvar.phonecore._decimals`). :class:`AttentionMap`
+    checks the weights against the axes, and an error it raises names the
+    record's first line.
     """
     maps: list[AttentionMap] = []
     seen: set[str] = set()
@@ -224,28 +225,16 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
 
         row_phones = record[1][1].split()
         col_phones = record[2][1].split()
-        if len(row_phones) != n_rows:
-            raise DimensionMismatch(utt_id, f"{len(row_phones)} row phones declared {n_rows}", record[1][0])
         if len(col_phones) != n_cols:
             raise DimensionMismatch(utt_id, f"{len(col_phones)} col phones declared {n_cols}", record[2][0])
         inventory.require((*row_phones, *col_phones), f"attention map {utt_id!r}")
 
-        weights: list[tuple[float, ...]] = []
-        for r, (wlineno, wline) in enumerate(record[3:]):
-            tokens = _plain_decimals(wline, wlineno, "weight row").split()
-            if len(tokens) != n_cols:
-                raise DimensionMismatch(utt_id, f"row {r} has {len(tokens)} weights, declared {n_cols}", wlineno)
-            row: list[float] = []
-            for token in tokens:
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise MalformedLine(wlineno, f"bad weight {token!r}") from None
-                if not math.isfinite(value):
-                    raise MalformedLine(wlineno, f"non-finite weight {token!r}")
-                row.append(value)
-            weights.append(tuple(row))
-        maps.append(AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), tuple(weights)))
+        weights = tuple(_decimals(wline, wlineno, "weight row") for wlineno, wline in record[3:])
+        try:
+            maps.append(AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights))
+        except PronvarError as err:  # the map checks the weights; name the record's line
+            err.args, err.line = (f"line {lineno}: {err}",), lineno
+            raise
     return maps
 
 

@@ -5,7 +5,6 @@ names the file and line), 3 constraint violation.
 """
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
@@ -22,6 +21,9 @@ from .attnalign import (
 from .dpalign import AlignConfig, extract_variants_dp
 from .errors import ConstraintError, InputFormatError, PronvarError
 from .phonecore import (
+    _check_word,
+    _decimals,
+    _natural,
     derive_inventory,
     emit_inventory,
     emit_lexicon,
@@ -50,14 +52,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(value: str) -> int:
-    """Read an integer flag: ASCII ``-?[0-9]+``, without the ``+`` sign, spaces,
-    ``_`` separators and non-ASCII digits that ``int()`` also takes."""
+    """Read an integer flag: an optional ``-``, then ASCII digits (:func:`phonecore._natural`)."""
     try:
-        if re.fullmatch("-?[0-9]+", value):
-            return int(value)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise UsageError(f"bad integer {value!r}")
+        magnitude = _natural(value.removeprefix("-"), None, "integer", 0)
+        return -magnitude if value[:1] == "-" else magnitude
+    except ValueError:
+        raise UsageError(f"bad integer {value!r}") from None
+
+
+def _decimal(value: str) -> float:
+    """Read a float flag: one float field (:func:`phonecore._decimals`) as one token, with no blanks."""
+    try:
+        _check_word(value, what="number")
+        return _decimals(value, None, "number")[0]
+    except ValueError:
+        raise UsageError(f"bad number {value!r}") from None
 
 
 def _read(path: str) -> str:
@@ -256,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True, help="decoded phone file (no boundaries)")
     p.add_argument("--ref", required=True, help="segmented native reference file")
     p.add_argument("--dict", required=True, help="reference pronunciation dictionary")
-    p.add_argument("--match", type=float, default=0.0, help="cost of a match")
-    p.add_argument("--mismatch", type=float, default=1.0, help="cost of a substitution")
-    p.add_argument("--gap", type=float, default=1.0, help="cost of a gap")
+    p.add_argument("--match", type=_decimal, default=0.0, help="cost of a match")
+    p.add_argument("--mismatch", type=_decimal, default=1.0, help="cost of a substitution")
+    p.add_argument("--gap", type=_decimal, default=1.0, help="cost of a gap")
     p.add_argument("--inventory", help="phone inventory file (derived from inputs if omitted)")
     p.add_argument("--out", required=True, help="output pairs file")
     p.set_defaults(func=_cmd_align_dp)
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", required=True, help="reference pronunciation dictionary")
     p.add_argument("--radius", type=_integer, default=3, help="boundary shift radius")
     p.add_argument("--mode", choices=("global", "per-boundary"), default="global")
-    p.add_argument("--threshold", type=float, default=0.5, help="max normalized edit distance")
+    p.add_argument("--threshold", type=_decimal, default=0.5, help="max normalized edit distance")
     p.add_argument("--rejects", help="sidecar file for rejected utterances")
     p.add_argument("--bounds", help="sidecar file for the selected segmentations")
     p.add_argument("--inventory", help="phone inventory file (derived from inputs if omitted)")
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utts", type=_integer, required=True, help="number of utterances")
     p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--attn", default="identity", help="attention maps: identity or jitter:K")
-    p.add_argument("--indel-prob", type=float, default=0.0, help="per-phone insert/delete probability")
+    p.add_argument("--indel-prob", type=_decimal, default=0.0, help="per-phone insert/delete probability")
     p.add_argument("--inventory", help="validate phones against this inventory")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)

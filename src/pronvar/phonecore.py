@@ -41,24 +41,23 @@ RESERVED_CHARS = frozenset({"#", "|"})
 ORIGINS = ("EN", "L1")
 
 
-def _valid_symbol(symbol: str) -> bool:
-    return bool(symbol) and symbol.isascii() and not any(c.isspace() for c in symbol)
+def _bad(what: str, text: str, line: int | None) -> Exception:
+    """The error for a field that breaks its rule: a format error when read from a line."""
+    detail = f"bad {what} {text!r}"
+    return ValueError(detail) if line is None else MalformedLine(line, detail)
+
+
+def _check_word(word: str, line: int | None = None, what: str = "word", ascii_only: bool = False) -> None:
+    """Accept one token: non-empty, with no whitespace (``str.split`` splits at exactly
+    the characters ``isspace`` names) and, if ``ascii_only``, no non-ASCII character."""
+    if word.split() != [word] or (ascii_only and not word.isascii()):
+        raise _bad(what, word, line)
 
 
 def _check_symbol(symbol: str, line: int | None = None) -> None:
-    if not _valid_symbol(symbol):
-        if line is not None:
-            raise MalformedLine(line, f"bad phone symbol {symbol!r}")
-        raise ValueError(f"bad phone symbol {symbol!r}")
-    if any(c in RESERVED_CHARS for c in symbol):
+    _check_word(symbol, line, "phone symbol", ascii_only=True)
+    if not RESERVED_CHARS.isdisjoint(symbol):
         raise ReservedSymbol(symbol, line)
-
-
-def _check_word(word: str, line: int | None = None) -> None:
-    if not word or any(c.isspace() for c in word):
-        if line is not None:
-            raise MalformedLine(line, f"bad word {word!r}")
-        raise ValueError(f"bad word {word!r}")
 
 
 @dataclass(frozen=True)
@@ -317,12 +316,11 @@ def _split_id_line(raw: str, lineno: int) -> tuple[str, str]:
         raise MalformedLine(lineno, f"missing tab separator in {raw!r}")
     utt_id, rest = raw.split("\t", 1)
     utt_id = utt_id.strip()
-    if not utt_id or any(c.isspace() for c in utt_id):
-        raise MalformedLine(lineno, f"bad utterance id {utt_id!r}")
+    _check_word(utt_id, lineno, "utterance id")
     return utt_id, rest
 
 
-def _natural(token: str, lineno: int, what: str, least: int) -> int:
+def _natural(token: str, lineno: int | None, what: str, least: int) -> int:
     """Read a decimal field: ASCII digits worth at least ``least``, without the signs,
     ``_`` separators, spaces and non-ASCII digits that ``int()`` also takes."""
     try:
@@ -330,15 +328,19 @@ def _natural(token: str, lineno: int, what: str, least: int) -> int:
             return value
     except ValueError:  # more digits than int() converts
         pass
-    raise MalformedLine(lineno, f"bad {what} {token!r}")
+    raise _bad(what, token, lineno)
 
 
-def _plain_decimals(text: str, lineno: int, what: str) -> str:
-    """Return float fields that hold neither ``_`` separators nor non-ASCII
-    characters, both of which ``float()`` also takes (``1_0`` as 10, ``１`` as 1)."""
-    if not text.isascii() or "_" in text:
-        raise MalformedLine(lineno, f"bad {what} {text!r}")
-    return text
+def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
+    """Read whitespace-separated float fields: ASCII with no ``_`` and no letter but
+    ``e``/``E``; ``1e999`` reads as inf, for the caller to reject. Besides ``e``,
+    ``float()`` reads letters only in ``nan``, ``inf`` and ``infinity``, and each holds an ``n``."""
+    if text.isascii() and "_" not in text and "n" not in text.lower():
+        try:
+            return tuple(map(float, text.split()))
+        except ValueError:
+            pass
+    raise _bad(what, text, line)
 
 
 def parse_phone_file(text: str, inventory: PhoneInventory) -> list[PhoneSequence]:

@@ -21,7 +21,7 @@ from .phonecore import (
     ReferenceDictionary,
     SegmentedUtterance,
     WordSpan,
-    _plain_decimals,
+    _decimals,
     checked_symbols,
     derive_inventory,
 )
@@ -57,7 +57,7 @@ DEFAULT_RULES = (
 
 
 def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tuple[ConfusionRule, ...]:
-    """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules; ``p`` is ASCII without ``_``."""
+    """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules; ``p`` is one float field."""
     rules = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
@@ -66,14 +66,13 @@ def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tupl
         if len(fields) != 3:
             raise MalformedLine(lineno, f"expected SRC<TAB>DST<TAB>p, got {raw!r}")
         source, target = fields[0].strip(), fields[1].strip()
-        try:
-            probability = float(_plain_decimals(fields[2], lineno, "probability"))
-        except ValueError:
-            raise MalformedLine(lineno, f"bad probability {fields[2]!r}") from None
+        probabilities = _decimals(fields[2], lineno, "probability")
+        if len(probabilities) != 1:
+            raise MalformedLine(lineno, f"bad probability {fields[2]!r}")
         if inventory is not None:
             inventory.require((source, target), f"rule on line {lineno}")
         try:
-            rules.append(ConfusionRule(source, target, probability))
+            rules.append(ConfusionRule(source, target, probabilities[0]))
         except BadRule as err:
             raise BadRule(str(err), lineno) from None
     return tuple(rules)

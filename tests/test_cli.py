@@ -1,8 +1,11 @@
+import re
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pronvar import cli
 from pronvar.cli import main
 
 DICT = "doesn't\tD AH Z N T\ncat\tK AE T\n"
@@ -372,8 +375,9 @@ class TestDecimalFields:
 
     @pytest.mark.parametrize(
         "row",
-        ["1_0 1", "１ 1", "1 0　1", "0.5 1e1_0"],
-        ids=["underscore", "fullwidth-digit", "ideographic-space", "underscore-in-exponent"],
+        ["1_0 1", "１ 1", "1 0　1", "0.5 1e1_0", "nan 1", "1 inf", "-Infinity 0"],
+        ids=["underscore", "fullwidth-digit", "ideographic-space", "underscore-in-exponent", "nan", "inf",
+             "negative-infinity"],
     )
     def test_align_attn_rejects_a_bad_weight_row(self, tmp_path, capsys, row):
         attn = write(tmp_path / "attn.txt", f"u0 1 2\nK\nK AE\n1 0\n\nu1 1 2\nK\nK AE\n{row}\n")
@@ -383,7 +387,7 @@ class TestDecimalFields:
         assert main(argv) == 2
         assert f"attn.txt: line 9: bad weight row {row!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("probability", ["1_0", "１", "0.５", "0_5"])
+    @pytest.mark.parametrize("probability", ["1_0", "１", "0.５", "0_5", "nan", "inf"])
     def test_synth_rejects_a_bad_rule_probability(self, tmp_path, capsys, probability):
         d = write(tmp_path / "dict.txt", DICT)
         r = write(tmp_path / "rules.txt", f"{RULES}V\tB\t{probability}\n")
@@ -391,6 +395,24 @@ class TestDecimalFields:
                 "--out-dir", str(tmp_path / "x")]  # fmt: skip
         assert main(argv) == 2
         assert f"rules.txt: line 2: bad probability {probability!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, code, message",
+        [
+            ("1e999 0", 2, "attention map 'u1': non-finite weight at (0, 0)"),
+            ("1 -0.5", 3, "attention map 'u1': negative weight at (0, 1)"),
+            ("1", 2, "attention map 'u1': row 0 has 1 weights for 2 columns"),
+        ],
+        ids=["overflow", "negative", "short-row"],
+    )
+    def test_a_weight_the_map_rejects_names_the_record_line(self, tmp_path, capsys, row, code, message):
+        attn = write(tmp_path / "attn.txt", f"u0 1 2\nK\nK AE\n1 0\n\nu1 1 2\nK\nK AE\n{row}\n")
+        ref = write(tmp_path / "ref.txt", "u0\tK\tk\nu1\tK\tk\n")
+        d = write(tmp_path / "dict.txt", "k\tK\n")
+        argv = ["align-attn", "--attn", attn, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")]
+        assert main(argv) == code
+        assert f"attn.txt: line 6: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() converts any digit count")
     def test_eval_bounds_rejects_a_cut_too_long_for_int(self, tmp_path, capsys):
@@ -537,6 +559,60 @@ class TestFlagValues:
         flag = flag if flag.endswith(":") else f"{flag}="
         assert main([command, *inputs, f"{flag}{value}"]) == 1
         assert capsys.readouterr().err == f"usage error: bad integer {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["1_0", "０.５", " 1", "1 ", "nan", "inf", ""])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("align-dp", "--match"),
+            ("align-dp", "--mismatch"),
+            ("align-dp", "--gap"),
+            ("align-attn", "--threshold"),
+            ("synth", "--indel-prob"),
+        ],
+    )
+    def test_a_float_flag_takes_one_float_field(self, tmp_path, capsys, command, flag, value):
+        d = write(tmp_path / "dict.txt", "cat\tK AE T\n")
+        ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\n")
+        inputs = {
+            "align-dp": ["--hyp", write(tmp_path / "hyp.txt", "u1\tK AH T\n"), "--ref", ref, "--dict", d,
+                         "--out", str(tmp_path / "o")],
+            "align-attn": ["--attn", write(tmp_path / "attn.txt", "u1 3 3\nK AE T\nK AH T\n1 0 0\n0 1 0\n0 0 1\n"),
+                           "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")],
+            "synth": ["--dict", d, "--rules", write(tmp_path / "rules.txt", "AE\tAH\t0.5\n"), "--words", "1",
+                      "--utts", "1", "--seed", "1", "--out-dir", str(tmp_path / "x")],
+        }[command]  # fmt: skip
+        assert main([command, *inputs, f"{flag}={value}"]) == 1
+        assert capsys.readouterr().err == f"usage error: bad number {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["2", "0.25", "-0", "1e-3", "1E1", "+.5"])
+    def test_a_float_flag_reads_what_it_read_before(self, value):
+        assert cli._decimal(value) == float(value)
+
+
+def regex_integer(value):
+    """The integer flag reader before it went through ``phonecore._natural``, kept as the oracle."""
+    try:
+        if re.fullmatch("-?[0-9]+", value):
+            return int(value)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise cli.UsageError(f"bad integer {value!r}")
+
+
+def flag_outcome(read, value):
+    try:
+        return read(value)
+    except cli.UsageError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from("-+0123456789 _３"), st.characters()), max_size=6))
+@example("1" * 5000)
+@example("-" + "1" * 5000)
+def test_an_integer_flag_reads_as_before(value):
+    assert flag_outcome(cli._integer, value) == flag_outcome(regex_integer, value)
 
 
 class TestReportBytes:

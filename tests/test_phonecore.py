@@ -1,14 +1,23 @@
+import math
+import re
+import sys
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pronvar import errors
+from pronvar.attnalign import AttentionMap
 from pronvar.phonecore import (
+    RESERVED_CHARS,
     Lexicon,
     PhoneInventory,
     ReferenceDictionary,
     WordSpan,
+    _check_symbol,
+    _check_word,
+    _decimals,
+    _split_id_line,
     derive_inventory,
     emit_dictionary,
     emit_inventory,
@@ -304,3 +313,130 @@ def test_parsed_phones_are_inventory_resident(data):
     phones[corrupt_at] = "QX"
     with pytest.raises(errors.UnknownPhone):
         parse_phone_file(f"u1\t{' '.join(phones)}", inventory)
+
+
+# --- the token and decimal rules against the checks they replaced --------------
+
+
+def test_split_splits_at_exactly_the_characters_isspace_names():
+    characters = map(chr, range(sys.maxunicode + 1))
+    assert [hex(ord(c)) for c in characters if (c.split() == [c]) == c.isspace()] == []
+
+
+# the token checks as written with a per-character ``isspace`` test, kept as the oracle
+def per_char_valid_symbol(symbol):
+    return bool(symbol) and symbol.isascii() and not any(c.isspace() for c in symbol)
+
+
+def per_char_check_symbol(symbol, line=None):
+    if not per_char_valid_symbol(symbol):
+        if line is not None:
+            raise errors.MalformedLine(line, f"bad phone symbol {symbol!r}")
+        raise ValueError(f"bad phone symbol {symbol!r}")
+    if any(c in RESERVED_CHARS for c in symbol):
+        raise errors.ReservedSymbol(symbol, line)
+
+
+def per_char_check_word(word, line=None):
+    if not word or any(c.isspace() for c in word):
+        if line is not None:
+            raise errors.MalformedLine(line, f"bad word {word!r}")
+        raise ValueError(f"bad word {word!r}")
+
+
+def per_char_split_id_line(raw, lineno):
+    if "\t" not in raw:
+        raise errors.MalformedLine(lineno, f"missing tab separator in {raw!r}")
+    utt_id, rest = raw.split("\t", 1)
+    utt_id = utt_id.strip()
+    if not utt_id or any(c.isspace() for c in utt_id):
+        raise errors.MalformedLine(lineno, f"bad utterance id {utt_id!r}")
+    return utt_id, rest
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except (errors.PronvarError, ValueError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+
+
+#: Whitespace of every kind ``isspace`` names, reserved and non-ASCII characters, and plain ones.
+token_text = st.text(st.one_of(st.sampled_from(" \t\x0b\x1c\x1f\x85\xa0\u2028\u3000#|ÉKa1"), st.characters()), max_size=5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(token_text, st.one_of(st.none(), st.integers(1, 9)))
+@example("", None)
+@example("K\x1fT", 3)
+@example("K|T", 3)
+def test_token_checks_match_the_per_character_checks(text, line):
+    assert outcome(_check_symbol, text, line) == outcome(per_char_check_symbol, text, line)
+    assert outcome(_check_word, text, line) == outcome(per_char_check_word, text, line)
+    raw = f"{text}\tK AE"
+    assert outcome(_split_id_line, raw, line or 1) == outcome(per_char_split_id_line, raw, line or 1)
+    assert outcome(_split_id_line, text, line or 1) == outcome(per_char_split_id_line, text, line or 1)
+
+
+def per_token_weight_row(text, lineno):
+    """A weight row as the attention parser read it before ``_decimals``: ``_plain_decimals``,
+    then ``float`` and ``math.isfinite`` per token."""
+    if not text.isascii() or "_" in text:
+        raise errors.MalformedLine(lineno, f"bad weight row {text!r}")
+    row = []
+    for token in text.split():
+        try:
+            value = float(token)
+        except ValueError:
+            raise errors.MalformedLine(lineno, f"bad weight {token!r}") from None
+        if not math.isfinite(value):
+            raise errors.MalformedLine(lineno, f"non-finite weight {token!r}")
+        row.append(value)
+    return tuple(row)
+
+
+decimal_tokens = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1e999", "-1E999", "nan", "-inf", "Infinity", "NaN", "1_0", "１", "0x1", "1e", ".", "+.5", "-0"]),
+    st.text("0123456789.eE+-_nNaiIfty x", max_size=5),
+)
+weight_rows = st.one_of(
+    st.tuples(st.sampled_from([" ", "\t", "\x1f", "  "]), st.lists(decimal_tokens, max_size=4)).map(
+        lambda sep_tokens: sep_tokens[0].join(sep_tokens[1])
+    ),
+    st.text(max_size=6),
+)
+
+
+def reads_as_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(weight_rows)
+@example("1e999 0")
+@example("1e999 0x1")
+@example("1 -1e999")
+@example("-1.0 1e999")
+@example("nan 1")
+@example("0.5 1e1_0")
+def test_decimals_read_every_row_the_per_token_path_read(text):
+    try:
+        expected = per_token_weight_row(text, 4)
+    except errors.MalformedLine:
+        tokens = text.split()
+        if text.isascii() and all(set(t) <= set("0123456789.eE+-") and reads_as_float(t) for t in tokens):
+            # refused only for an overflow such as 1e999: it reads as inf, which the map rejects
+            row = _decimals(text, 4, "weight row")
+            assert row == tuple(map(float, tokens))
+            with pytest.raises((errors.DimensionMismatch, errors.NegativeWeight)):
+                AttentionMap("u1", ("K",) * len(row), ("K",), (row,))
+        else:
+            with pytest.raises(errors.MalformedLine, match=f"^line 4: bad weight row {re.escape(repr(text))}$"):
+                _decimals(text, 4, "weight row")
+    else:
+        assert [value.hex() for value in _decimals(text, 4, "weight row")] == [value.hex() for value in expected]
