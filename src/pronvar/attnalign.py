@@ -10,8 +10,11 @@ the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
 * ``global_shift`` moves all cuts together, 2n+1 candidates. They are
   visited by a lower bound from span and pronunciation lengths, and one
   is dropped as soon as it cannot beat the best so far (branch-and-bound);
-* ``per_boundary`` moves each cut on its own and searches all (2n+1)^k
-  offset tuples exactly, by dynamic programming over the cut positions.
+* ``per_boundary`` moves each cut on its own and finds the best of all
+  (2n+1)^k offset tuples exactly. A best-first search over the cut
+  positions, bounded by the same floors, scores only the spans that can
+  still reach the best total; a backward pass over what it reached then
+  breaks ties.
 
 Spans are scored from one lazy row pass per (word, start, pronunciation):
 the pass's row i is the distance of the span that ends i columns after the
@@ -23,8 +26,9 @@ still too far from the reference is rejected.
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import pairwise
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -163,7 +167,8 @@ def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
 
 def _clamp(cut: int, prev: int, length: int) -> int:
     """Move a cut just past the previous one and no further than the end."""
-    return min(max(cut, prev + 1), length)
+    cut = cut if cut > prev else prev + 1  # conditionals: several times faster than min() and max()
+    return cut if cut < length else length
 
 
 def _repair(cuts: Sequence[int], length: int) -> tuple[tuple[int, ...], int]:
@@ -361,41 +366,54 @@ def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[s
     return score
 
 
+def _span_floors(ref_variants: Sequence[Sequence[Sequence[str]]], length: int) -> list[list[int]]:
+    """``floors[word][n]``: the least score of an ``n``-column span of ``word``.
+
+    That is ``max(lo - n, n - hi, 0)``, where ``lo`` and ``hi`` are the
+    lengths of the word's shortest and longest pronunciations: unit-cost
+    edit distance is at least the length difference. Both searches bound
+    their work by these floors.
+    """
+    floors = []
+    for prons in ref_variants:
+        lo, hi = min(map(len, prons)), max(map(len, prons))
+        # lo - n below lo, 0 up to hi, n - hi above; entries past length are not read
+        floors.append([*range(lo, 0, -1), *[0] * (hi - lo + 1), *range(1, length - hi + 1)])
+    return floors
+
+
 def _best_global_shift(
     amap: AttentionMap,
     ref_seg: SegmentedUtterance,
     cfg: AttnConfig,
-    ref_variants: Sequence[Sequence[Sequence[str]]],
+    floors: Sequence[Sequence[int]],
     score: SpanScore,
 ) -> tuple[Segmentation, float]:
     """Best of the global shifts: least total, then fewest repairs, then first.
 
     A branch-and-bound over the :func:`split_by_attention` candidates. A
-    span of ``len`` columns scores at least its floor ``max(lo - len, len - hi,
-    0)``, where ``lo`` and ``hi`` are the lengths of the word's shortest and
-    longest pronunciations: unit-cost edit distance is at least the length
-    difference. Candidates are visited by ascending floor sum, ties in
-    generation order. The search stops at the first floor sum strictly
+    span of ``len`` columns scores at least its floor ``floors[word][len]``
+    (:func:`_span_floors`). Candidates are visited by ascending floor sum,
+    ties in generation order. The search stops at the first floor sum strictly
     greater than the best total, and a candidate is dropped part-way once its
     partial sum plus the floors of its unscored words is strictly greater.
     A candidate that equals the best is scored in full, so the winner and its
     exact total are those of scoring every candidate.
     """
-    extents = [(min(map(len, prons)), max(map(len, prons))) for prons in ref_variants]
     visits = []
     for order, candidate in enumerate(split_by_attention(amap, ref_seg, cfg)):
         spans = list(pairwise((0, *candidate.cuts, candidate.length)))
-        floors = [max(lo - (b - a), b - a - hi, 0) for (lo, hi), (a, b) in zip(extents, spans)]
-        visits.append((sum(floors), order, candidate, spans, floors))
+        span_floors = [fl[b - a] for fl, (a, b) in zip(floors, spans)]
+        visits.append((sum(span_floors), order, candidate, spans, span_floors))
     visits.sort(key=itemgetter(0))
 
     best = None
     best_key: tuple[float, int, int] = (math.inf, 0, 0)
-    for unscored, order, candidate, spans, floors in visits:
+    for unscored, order, candidate, spans, span_floors in visits:
         if unscored > best_key[0]:
             break
         total = 0
-        for word, ((a, b), floor) in enumerate(zip(spans, floors)):
+        for word, ((a, b), floor) in enumerate(zip(spans, span_floors)):
             unscored -= floor
             total += score(word, a, b)
             if total + unscored > best_key[0]:
@@ -407,40 +425,108 @@ def _best_global_shift(
     return best, best_key[0]
 
 
-def _best_per_boundary(base: Segmentation, radius: int, score: SpanScore) -> tuple[Segmentation, float]:
-    """Exact best independent per-cut shift of ``base``, by dynamic programming.
+def _cuts_after(prev: int, target: int, n: int, length: int) -> range:
+    """The positions that offsets -n..n of ``target`` clamp to after a cut at
+    ``prev`` (:func:`_clamp`): one run, since clamping is monotone."""
+    return range(_clamp(target - n, prev, length), _clamp(target + n, prev, length) + 1)
+
+
+def _best_per_boundary(
+    base: Segmentation, radius: int, floors: Sequence[Sequence[int]], score: SpanScore
+) -> tuple[Segmentation, float]:
+    """Exact best independent per-cut shift of ``base``, by a bounded best-first search.
 
     Over every tuple of offsets from :func:`_offset_order`, one per cut,
     applied left to right with the :func:`_repair` clamp, the winner has
     the least total distance, then the fewest clamped cuts, then the
-    earliest position in zero-first lexicographic order. Both sums are
-    additive over cuts, so the best completion from (cut i, previous
-    clamped cut) is independent of how that state was reached. Offsets
-    past the column count clamp to the cut of a shorter offset, which
-    comes first and repairs no more, so the radius is capped there.
+    earliest position in zero-first lexicographic order. Offsets past the
+    column count clamp to the cut of a shorter offset, which comes first
+    and repairs no more, so the radius is capped there.
+
+    A state is (cut i, previous clamped cut), and a step places cut i. ``h``
+    of a state is the least sum of span floors (:func:`_span_floors`) from it
+    to the end: it scores nothing and never exceeds the distance still to
+    come. Steps are taken best-first (A*) by exact prefix distance ``g``
+    plus floor plus ``h`` of the state they reach, and a step is scored only
+    when it comes off the heap. The search stops at the first estimate
+    strictly greater than the best total, so every state and step on a
+    tuple of that total is reached, and no step that cannot reach it is
+    scored. The zero-first tie-break then runs backward over the settled
+    states and the steps within the bound, which hold every tuple of the
+    best total: the winner, its total and its clamp count are those of the
+    search over every tuple.
     """
     length = base.length
-    offsets = _offset_order(min(radius, length))
-    k = len(base.cuts)
-    reach = [{0}]
-    for target in base.cuts:
-        reach.append({_clamp(target + o, prev, length) for prev in reach[-1] for o in offsets})
+    n = min(radius, length)
+    targets = base.cuts
+    k = len(targets)
+    if n == 0:  # one tuple, and the placed cuts need no clamp
+        bounds = (0, *targets, length)
+        return Segmentation(targets, length), sum(score(j, a, b) for j, (a, b) in enumerate(pairwise(bounds)))
 
-    # best[i][prev]: (distance, clamps, cut i) of the best completion from
-    # cut i on, with cut i-1 at prev; best[k] scores the last word alone.
-    best: list[dict[int, tuple[float, int, int]]] = [{} for _ in range(k)]
-    best.append({prev: (score(k, prev, length), 0, length) for prev in reach[k]})
+    # h[i][prev] over the positions cut i-1 can reach: one run per cut, as the
+    # ends of a successor run move by at most one as prev does
+    reach = [range(1)]
+    for t in targets:
+        first, last = _cuts_after(reach[-1][0], t, n, length), _cuts_after(reach[-1][-1], t, n, length)
+        reach.append(range(first[0], last[-1] + 1))
+    h: list[Sequence[int]] = [[]] * k + [floors[k][length::-1]]  # the last span runs from prev to the end
     for i in reversed(range(k)):
-        target = base.cuts[i]
+        fl, later = floors[i], h[i + 1]
+        row = [0] * (length + 1)
         for prev in reach[i]:
+            cuts = _cuts_after(prev, targets[i], n, length)
+            row[prev] = min(map(add, fl[cuts.start - prev : cuts.stop - prev], later[cuts.start : cuts.stop]))
+        h[i] = row
+
+    bound = math.inf  # the least total found so far
+    settled: list[dict[int, float]] = [{} for _ in range(k + 1)]
+    # (estimate, -i, prev, g, source): state (i, prev) at prefix distance g
+    # when source is -1, else the unscored step to it from (i - 1, source),
+    # with g that source's. Deeper entries come first among equal estimates,
+    # so a total is found early.
+    heap = [(h[0][0], 0, 0, 0, -1)]
+    while heap:
+        estimate, i, prev, g, source = heappop(heap)
+        if estimate > bound:
+            break
+        i = -i
+        if prev in settled[i]:
+            continue
+        if source >= 0:
+            g += score(i - 1, source, prev)
+            if g + h[i][prev] <= bound:
+                heappush(heap, (g + h[i][prev], -i, prev, g, -1))
+            continue
+        settled[i][prev] = g
+        if i == k:
+            bound = min(bound, g + score(k, prev, length))
+            continue
+        fl, later = floors[i], h[i + 1]
+        for cut in _cuts_after(prev, targets[i], n, length):
+            estimate = g + fl[cut - prev] + later[cut]
+            if estimate <= bound:
+                heappush(heap, (estimate, -i - 1, cut, g, prev))
+
+    # best[i][prev]: (distance, clamps, cut i) of the best completion from a
+    # settled state; best[k] scores the last word alone
+    offsets = _offset_order(n)
+    best: list[dict[int, tuple[float, int, int]]] = [{} for _ in range(k)]
+    best.append({prev: (score(k, prev, length), 0, length) for prev in settled[k]})
+    for i in reversed(range(k)):
+        target, fl, later, after = targets[i], floors[i], h[i + 1], best[i + 1]
+        for prev, g in settled[i].items():
             choice = None
             for o in offsets:
                 cut = _clamp(target + o, prev, length)
-                distance, clamps, _ = best[i + 1][cut]
+                if cut not in after or g + fl[cut - prev] + later[cut] > bound:
+                    continue
+                distance, clamps, _ = after[cut]
                 option = (score(i, prev, cut) + distance, clamps + (cut != target + o), cut)
                 if choice is None or option[:2] < choice[:2]:
                     choice = option
-            best[i][prev] = choice
+            if choice is not None:
+                best[i][prev] = choice
 
     total, clamps, _ = best[0][0]
     cuts = []
@@ -484,10 +570,11 @@ def align_word_boundaries(
             ref_variants.append((span.phones,))
 
     score = _span_scorer(cols, ref_variants)
+    floors = _span_floors(ref_variants, len(cols))
     if cfg.mode == GLOBAL_SHIFT:
-        best, total = _best_global_shift(amap, ref_seg, cfg, ref_variants, score)
+        best, total = _best_global_shift(amap, ref_seg, cfg, floors, score)
     else:
-        best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, score)
+        best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, floors, score)
 
     normalized = total / len(ref_seg.phones)
     variants = tuple((span.word, hyp) for span, hyp in zip(ref_seg.words, best.spans(cols)))

@@ -60,6 +60,15 @@ def _check_symbol(symbol: str, line: int | None = None) -> None:
         raise ReservedSymbol(symbol, line)
 
 
+def _check_new_symbols(symbols: Iterable[str], line: int, seen: dict[str, None]) -> None:
+    """Apply the phone-symbol rule to each symbol not in ``seen``, then add it,
+    so a scan or parse checks each distinct phone once, in first-seen order."""
+    for symbol in symbols:
+        if symbol not in seen:
+            _check_symbol(symbol, line)
+            seen[symbol] = None
+
+
 @dataclass(frozen=True)
 class PhoneInventory:
     """The closed set of legal phone symbols, each tagged with an origin.
@@ -405,9 +414,11 @@ def parse_dictionary_file(text: str, inventory: PhoneInventory | None = None) ->
     """Parse a reference pronunciation dictionary.
 
     Repeated word lines accumulate alternative pronunciations in file
-    order; listing the same pronunciation twice is an error.
+    order; listing the same pronunciation twice is an error. With no
+    ``inventory``, every phone must still follow the phone-symbol rule.
     """
     entries: dict[str, list[tuple[str, ...]]] = {}
+    phones: dict[str, None] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
             continue
@@ -415,6 +426,8 @@ def parse_dictionary_file(text: str, inventory: PhoneInventory | None = None) ->
         pron = tuple(rest.split())
         if inventory is not None:
             inventory.require(pron, f"dictionary word {word!r}")
+        else:
+            _check_new_symbols(pron, lineno, phones)
         prons = entries.setdefault(word, [])
         if pron in prons:
             raise DuplicateVariant(word, lineno)
@@ -431,9 +444,13 @@ def emit_dictionary(dictionary: ReferenceDictionary) -> str:
 
 
 def _parse_lexicon_line(
-    raw: str, lineno: int, inventory: PhoneInventory | None, context: str
+    raw: str, lineno: int, inventory: PhoneInventory | None, context: str, phones: dict[str, None]
 ) -> tuple[str, int, tuple[str, ...]]:
-    """Split one lexicon-format line; ``context`` names the word's role in errors."""
+    """Split one lexicon-format line; ``context`` names the word's role in errors.
+
+    Phones are checked against ``inventory`` when one is given, else by
+    :func:`_check_new_symbols` with the parse's ``phones`` seen so far.
+    """
     fields = raw.split("\t")
     if len(fields) != 3:
         raise MalformedLine(lineno, f"expected word<TAB>count<TAB>phones, got {len(fields)} fields")
@@ -445,16 +462,22 @@ def _parse_lexicon_line(
         raise EmptyPronunciation(word)
     if inventory is not None:
         inventory.require(pron, f"{context} {word!r}")
+    else:
+        _check_new_symbols(pron, lineno, phones)
     return word, count, pron
 
 
 def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexicon":
-    """Parse a counted lexicon; duplicate (word, pronunciation) lines are an error."""
+    """Parse a counted lexicon; duplicate (word, pronunciation) lines are an error.
+
+    With no ``inventory``, every phone must still follow the phone-symbol rule.
+    """
     entries: dict[str, dict[tuple[str, ...], int]] = {}
+    phones: dict[str, None] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        word, count, pron = _parse_lexicon_line(raw, lineno, inventory, "lexicon word")
+        word, count, pron = _parse_lexicon_line(raw, lineno, inventory, "lexicon word", phones)
         variants = entries.setdefault(word, {})
         if pron in variants:
             raise DuplicateVariant(word, lineno)
@@ -463,12 +486,16 @@ def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexico
 
 
 def parse_pairs_file(text: str, inventory: PhoneInventory | None = None) -> list[tuple[str, tuple[str, ...], int]]:
-    """Read aligner output pairs: lexicon-format lines, duplicates allowed."""
+    """Read aligner output pairs: lexicon-format lines, duplicates allowed.
+
+    With no ``inventory``, every phone must still follow the phone-symbol rule.
+    """
     out: list[tuple[str, tuple[str, ...], int]] = []
+    phones: dict[str, None] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        word, count, pron = _parse_lexicon_line(raw, lineno, inventory, "pair for word")
+        word, count, pron = _parse_lexicon_line(raw, lineno, inventory, "pair for word", phones)
         out.append((word, pron, count))
     return out
 
@@ -507,10 +534,7 @@ def checked_symbols(lines: Iterable[tuple[int, Iterable[str]]]) -> list[str]:
     """
     seen: dict[str, None] = {}
     for lineno, tokens in lines:
-        for token in tokens:
-            if token not in seen:
-                _check_symbol(token, lineno)
-                seen[token] = None
+        _check_new_symbols(tokens, lineno, seen)
     return list(seen)
 
 

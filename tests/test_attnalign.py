@@ -12,8 +12,11 @@ from pronvar.attnalign import (
     BoundaryOutcome,
     Segmentation,
     _best_global_shift,
+    _best_per_boundary,
+    _clamp,
     _offset_order,
     _repair,
+    _span_floors,
     _span_scorer,
     align_word_boundaries,
     edit_distance,
@@ -558,25 +561,27 @@ def best_global_shift_by_full_scan(amap, ref_seg, cfg, score):
     return best, best_key[0]
 
 
-def cut_after_two(cols, first, second):
-    """Two unlisted words whose attention puts the cut after column 2."""
-    ref = SegmentedUtterance("u", (WordSpan("w0", first), WordSpan("w1", second)), ABC)
-    peaks = [1 if row == len(first) - 1 else 0 for row in range(len(ref.phones))]
+# alternatives of 1-5 phones, so a word's pronunciation lengths differ and
+# its floors are loose
+loose_cases = search_cases(max_words=8, pron=st.lists(st.sampled_from("ABC"), min_size=1, max_size=5).map(tuple))
+
+
+def placed_cuts(cols, prons, cuts):
+    """Unlisted words whose attention places the cuts given."""
+    ref = SegmentedUtterance("u", tuple(WordSpan(f"w{j}", pron) for j, pron in enumerate(prons)), ABC)
+    finals = {sum(map(len, prons[: j + 1])) - 1: cut - 1 for j, cut in enumerate(cuts)}
+    peaks = [finals.get(row, 0) for row in range(len(ref.phones))]
     return peak_map("u", cols, ref.phones, peaks), ref, ReferenceDictionary({})
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    search_cases(max_words=8, pron=st.lists(st.sampled_from("ABC"), min_size=1, max_size=5).map(tuple)),
-    st.integers(0, 3),
-    st.booleans(),
-)
+@given(loose_cases, st.integers(0, 3), st.booleans())
 # cut 1 (shift -2 clamped: floor 0, one repair) scores 2 and is visited first;
 # cut 2 (floor 2) ties it at 2 with no repair and wins
-@example(cut_after_two("CAB", ("A",), ("B", "B")), 2, False)
+@example(placed_cuts("CAB", [("A",), ("B", "B")], [2]), 2, False)
 # cut 2 (floor 0) scores 2 and is visited first; cut 1, generated first
 # (floor 2), ties it at 2 with the same repairs and wins
-@example(cut_after_two("ABC", ("A", "A"), ("B",)), 1, False)
+@example(placed_cuts("ABC", [("A", "A"), ("B",)], [2]), 1, False)
 def test_bounded_global_shift_matches_the_full_scan(case, radius, use_dictionary):
     amap, ref, dictionary = case
     dictionary = dictionary if use_dictionary else None
@@ -607,6 +612,86 @@ def test_global_shift_scores_only_the_spans_of_an_exact_shift_zero(seg):
         asked.append((word, start, end))
         return scorer(word, start, end)
 
-    best, total = _best_global_shift(amap, ref, AttnConfig(3), prons, score)
+    best, total = _best_global_shift(amap, ref, AttnConfig(3), _span_floors(prons, len(amap.col_phones)), score)
     assert (best.cuts, total) == ((3, 5, 9), 0)
     assert asked == [(0, 0, 3), (1, 3, 5), (2, 5, 9), (3, 9, 10)]
+
+
+def best_per_boundary_by_full_dp(base, radius, score):
+    """The per-boundary search before its bound, verbatim: the backward DP over every transition."""
+    length = base.length
+    offsets = _offset_order(min(radius, length))
+    k = len(base.cuts)
+    reach = [{0}]
+    for target in base.cuts:
+        reach.append({_clamp(target + o, prev, length) for prev in reach[-1] for o in offsets})
+
+    # best[i][prev]: (distance, clamps, cut i) of the best completion from
+    # cut i on, with cut i-1 at prev; best[k] scores the last word alone.
+    best: list[dict[int, tuple[float, int, int]]] = [{} for _ in range(k)]
+    best.append({prev: (score(k, prev, length), 0, length) for prev in reach[k]})
+    for i in reversed(range(k)):
+        target = base.cuts[i]
+        for prev in reach[i]:
+            choice = None
+            for o in offsets:
+                cut = _clamp(target + o, prev, length)
+                distance, clamps, _ = best[i + 1][cut]
+                option = (score(i, prev, cut) + distance, clamps + (cut != target + o), cut)
+                if choice is None or option[:2] < choice[:2]:
+                    choice = option
+            best[i][prev] = choice
+
+    total, clamps, _ = best[0][0]
+    cuts = []
+    prev = 0
+    for row in best[:k]:
+        prev = row[prev][2]
+        cuts.append(prev)
+    return Segmentation(cuts, length, repaired=clamps), total
+
+
+def per_boundary_both_ways(case, radius):
+    """Run the bounded and the full search on one case; return each result and
+    the (word, start) row passes each asked for."""
+    amap, ref, dictionary = case
+    prons = [dictionary.pronunciations(w.word) if w.word in dictionary else (w.phones,) for w in ref.words]
+    base = place_boundaries(amap, ref)
+    searches = (
+        (_best_per_boundary, (_span_floors(prons, base.length),)),
+        (best_per_boundary_by_full_dp, ()),
+    )
+    found = []
+    for search, extra in searches:
+        scorer = _span_scorer(amap.col_phones, prons)
+        passes = set()
+
+        def score(word, start, end, scorer=scorer, passes=passes):
+            passes.add((word, start))
+            return scorer(word, start, end)
+
+        best, total = search(base, radius, *extra, score)
+        found.append(((total, best.cuts, best.repaired), passes))
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(loose_cases, st.integers(0, 6))
+# equal total and equal clamps: cuts 2 and 1 (offsets -1 and -2) both total 3
+@example(placed_cuts("BBB", [("A",), ("A",)], [3]), 2)
+# equal total, different clamps: tuples before the winner (2, 3) tie it at 2
+# with a clamp
+@example(placed_cuts("ABA", [("B",), ("A",), ("B",)], [1, 2]), 1)
+# clamped at the sequence end: offset +1 reaches the winner's cut 2 = length
+# with a clamp, offset 0 without one, and offset -1 ties the total at cut 1
+@example(placed_cuts("BA", [("A",), ("C",)], [2]), 2)
+def test_bounded_per_boundary_matches_the_full_dp(case, radius):
+    (bounded, _), (full, _) = per_boundary_both_ways(case, radius)
+    assert bounded == full
+
+
+@settings(max_examples=150, deadline=None)
+@given(loose_cases, st.integers(0, 6))
+def test_bounded_per_boundary_opens_no_more_passes(case, radius):
+    (_, bounded), (_, full) = per_boundary_both_ways(case, radius)
+    assert bounded <= full  # every pass opened is one the full search opens

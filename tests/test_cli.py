@@ -502,6 +502,28 @@ class TestBadPhoneSymbol:
         assert code == 3
         assert "hyp.txt: reserved symbol in phone '|' (line 1)" in err
 
+    @pytest.mark.parametrize(
+        "pairs, dictionary, message",
+        [
+            ("cat\t1\tK AE T\ncat\t1\tK É T\n", "cat\tK AE T\n", "p.pairs: line 2: bad phone symbol 'É'"),
+            ("cat\t1\tK AE T\n", "cat\tK AE T\ndog\tD É G\n", "d.dict: line 2: bad phone symbol 'É'"),
+        ],
+    )
+    def test_build_without_an_inventory_checks_every_phone(self, tmp_path, capsys, pairs, dictionary, message):
+        files = ["--pairs", write(tmp_path / "p.pairs", pairs), "--dict", write(tmp_path / "d.dict", dictionary)]
+        code, err = self.run(["build", *files, "--out", str(tmp_path / "o.lex")], capsys)
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "o.lex").exists()
+
+    @pytest.mark.parametrize("command", [["stats", "--lex"], ["merge", "--out", "o.lex", "--in"]])
+    def test_a_lexicon_without_an_inventory_checks_its_phones(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "x.lex", "cat\t1\tK AE T\ndog\t2\tD | G\n")
+        code, err = self.run([*command, "x.lex"], capsys)
+        assert code == 3
+        assert "x.lex: reserved symbol in phone '|' (line 2)" in err
+
 
 class TestFlagValues:
     @pytest.mark.parametrize(
