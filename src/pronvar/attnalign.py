@@ -209,9 +209,13 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
     C are ASCII digits with a value of at least 1; a weight row is float
     fields (:func:`pronvar.phonecore._decimals`). :class:`AttentionMap`
     checks the weights against the axes, and an error it raises names the
-    record's first line.
+    record's first line, as a repeated id does.
     """
-    maps: list[AttentionMap] = []
+    return list(_attention_maps(text, inventory))
+
+
+def _attention_maps(text: str, inventory: PhoneInventory) -> Iterator[AttentionMap]:
+    """Yield the checked maps of :func:`parse_attention_file` one record at a time."""
     seen: set[str] = set()
     for record in _records(text):
         lineno, header = record[0]
@@ -221,7 +225,7 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
         utt_id = fields[0]
         n_rows, n_cols = (_natural(token, lineno, "dimension", 1) for token in fields[1:])
         if utt_id in seen:
-            raise DuplicateUtteranceId(utt_id)
+            raise DuplicateUtteranceId(utt_id, lineno)
         seen.add(utt_id)
         if len(record) != 3 + n_rows:
             raise DimensionMismatch(
@@ -236,11 +240,11 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
 
         weights = tuple(_decimals(wline, wlineno, "weight row") for wlineno, wline in record[3:])
         try:
-            maps.append(AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights))
+            amap = AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)
         except PronvarError as err:  # the map checks the weights; name the record's line
             err.args, err.line = (f"line {lineno}: {err}",), lineno
             raise
-    return maps
+        yield amap
 
 
 def emit_attention_file(maps: Iterable[AttentionMap]) -> str:
@@ -604,7 +608,11 @@ def extract_variants_attn(
     dictionary: ReferenceDictionary | None = None,
     cfg: AttnConfig = AttnConfig(),
 ) -> AttnExtraction:
-    """Run the boundary search over a corpus, keeping accepted utterances only."""
+    """Run the boundary search over a corpus, keeping accepted utterances only.
+
+    ``maps`` is read one map per utterance searched (:func:`pronvar.dpalign.pair_by_id`),
+    so a generator of maps is never held whole.
+    """
     pairs: list[tuple[str, tuple[str, ...]]] = []
     rejects: list[tuple[str, float]] = []
     segmentations: list[tuple[str, Segmentation]] = []

@@ -6,15 +6,17 @@ names the file and line), 3 constraint violation.
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import lexbuild, synthbench
 from .attnalign import (
     AttnConfig,
+    _attention_maps,
     emit_attention_file,
     emit_bounds_file,
     extract_variants_attn,
-    parse_attention_file,
+    parse_attention_file,  # not called here: bench/spans.py wraps this name on its traced passes
     parse_bounds_file,
     scan_attention_tokens,
 )
@@ -85,13 +87,29 @@ def _write(path: "str | Path", content: str) -> None:
         raise UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
-def _parsed(path: str, text: str, parse, *args):
-    """Run a parser over a file's text, prefixing any error with the path."""
+@contextmanager
+def _naming(path: str):
+    """Prefix a format or constraint error raised inside with the path."""
     try:
-        return parse(text, *args)
+        yield
     except (InputFormatError, ConstraintError) as err:
         err.args = (f"{path}: {err}",)
         raise
+
+
+def _parsed(path: str, text: str, parse, *args):
+    """Run a parser over a file's text, prefixing any error with the path."""
+    with _naming(path):
+        return parse(text, *args)
+
+
+def _streamed(path: str, records):
+    """Yield a lazy parser's records, prefixing an error it raises with the path.
+
+    An error raised by whoever takes the records does not pass through here.
+    """
+    with _naming(path):
+        yield from records
 
 
 def _catching(path: str, parse, *args):
@@ -100,6 +118,9 @@ def _catching(path: str, parse, *args):
 
 def _load(args, *inputs) -> list:
     """Read and parse each ``(path, scan, parse)`` input once, against one inventory.
+
+    A generator parser returns before it reads a record, so its errors come
+    as its records are taken (:func:`_streamed`).
 
     The inventory is --inventory when given, else an all-EN one derived
     from the symbols the inputs' scans find.
@@ -138,11 +159,12 @@ def _cmd_align_attn(args) -> int:
         args,
         (args.dict, scan_dictionary_tokens, parse_dictionary_file),
         (args.ref, scan_segmented_tokens, parse_segmented_file),
-        (args.attn, scan_attention_tokens, parse_attention_file),
+        (args.attn, scan_attention_tokens, _attention_maps),
     )
     mode = {"global": "global_shift", "per-boundary": "per_boundary"}[args.mode]
     cfg = _checked(AttnConfig, args.radius, mode, args.threshold)
-    result = extract_variants_attn(maps, refs, dictionary, cfg)
+    # one map is held at a time; the outputs are written only once every map is read
+    result = extract_variants_attn(_streamed(args.attn, maps), refs, dictionary, cfg)
     _write(args.out, emit_pairs(result.pairs))
     if args.rejects:
         _write(

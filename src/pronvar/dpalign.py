@@ -219,30 +219,30 @@ class DpExtraction:
     empty_spans: int
 
 
-def pair_by_id(left: Iterable, right: Iterable) -> list[tuple]:
-    """Pair two utterance collections by id, preserving left order.
+def pair_by_id(left: Iterable, right: Iterable) -> Iterator[tuple]:
+    """Pair two utterance collections by id, yielding the pairs in left order.
 
-    Any id present on one side only raises :class:`MissingUtterance`.
+    ``right`` is indexed first; ``left`` is read one item per pair taken, so
+    a lazy ``left`` is never held whole. A left id with no counterpart raises
+    :class:`MissingUtterance` when it is read, a right one once ``left`` is
+    used up.
     """
-    left = list(left)
     right_map: dict[str, object] = {}
     for item in right:
         if item.utterance_id in right_map:
             raise DuplicateUtteranceId(item.utterance_id)
         right_map[item.utterance_id] = item
     seen: set[str] = set()
-    pairs = []
     for item in left:
         if item.utterance_id in seen:
             raise DuplicateUtteranceId(item.utterance_id)
         seen.add(item.utterance_id)
         if item.utterance_id not in right_map:
             raise MissingUtterance(item.utterance_id)
-        pairs.append((item, right_map[item.utterance_id]))
+        yield item, right_map[item.utterance_id]
     for utt_id in right_map:
         if utt_id not in seen:
             raise MissingUtterance(utt_id)
-    return pairs
 
 
 def _resolve_reference(

@@ -68,9 +68,11 @@ class UnknownPhone(ConstraintError):
 
 
 class DuplicateUtteranceId(ConstraintError):
-    def __init__(self, utterance_id: str):
-        super().__init__(f"duplicate utterance id {utterance_id!r}")
+    def __init__(self, utterance_id: str, line: int | None = None):
+        where = f" (line {line})" if line is not None else ""
+        super().__init__(f"duplicate utterance id {utterance_id!r}{where}")
         self.utterance_id = utterance_id
+        self.line = line
 
 
 class SpanWordMismatch(ConstraintError):

@@ -363,7 +363,7 @@ def parse_phone_file(text: str, inventory: PhoneInventory) -> list[PhoneSequence
         if "\t" in rest:
             raise MalformedLine(lineno, "extra tab in phone field")
         if utt_id in seen:
-            raise DuplicateUtteranceId(utt_id)
+            raise DuplicateUtteranceId(utt_id, lineno)
         seen.add(utt_id)
         out.append(PhoneSequence(utt_id, tuple(rest.split()), inventory))
     return out
@@ -385,7 +385,7 @@ def parse_segmented_file(text: str, inventory: PhoneInventory) -> list[Segmented
         if len(fields) != 2:
             raise MalformedLine(lineno, f"expected 3 tab-separated fields, got {len(fields) + 1}")
         if utt_id in seen:
-            raise DuplicateUtteranceId(utt_id)
+            raise DuplicateUtteranceId(utt_id, lineno)
         seen.add(utt_id)
 
         spans: list[list[str]] = [[]]

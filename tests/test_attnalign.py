@@ -1,5 +1,6 @@
 import functools
 import random
+import weakref
 from itertools import pairwise, product
 
 import pytest
@@ -389,6 +390,25 @@ class TestExtractVariantsAttn:
         amap = identity_attention("u2", ("K",), ("K",))
         with pytest.raises(errors.MissingUtterance):
             extract_variants_attn([amap], [ref])
+
+    def test_holds_one_map_of_a_stream_at_a_time(self, seg):
+        words = [("cat", ("K", "AE", "T")), ("dog", ("D", "AO", "G"))]
+        phones = tuple(p for _, pron in words for p in pron)
+        refs = [seg(f"u{i}", words) for i in range(6)]
+        yielded = []
+        most_alive = 0
+
+        def stream():
+            nonlocal most_alive
+            for ref in refs:
+                most_alive = max(most_alive, sum(map_ref() is not None for map_ref in yielded))
+                amap = identity_attention(ref.utterance_id, phones, phones)
+                yielded.append(weakref.ref(amap))
+                yield amap
+
+        result = extract_variants_attn(stream(), refs)
+        assert [u for u, _ in result.segmentations] == [ref.utterance_id for ref in refs]
+        assert most_alive <= 1
 
 
 ABC = PhoneInventory.from_phones(["A", "B", "C"])

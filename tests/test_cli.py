@@ -1,12 +1,19 @@
+import io
 import re
 import sys
+import tempfile
 import time
+from contextlib import contextmanager, nullcontext, redirect_stderr
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pronvar import cli
+from pronvar import attnalign, cli
+from pronvar.attnalign import parse_attention_file
 from pronvar.cli import main
+from pronvar.errors import DuplicateUtteranceId, MissingUtterance
 
 DICT = "doesn't\tD AH Z N T\ncat\tK AE T\n"
 RULES = "Z\tS\t1.0\n"
@@ -190,6 +197,183 @@ class TestAlignAttn:
         start = time.perf_counter()
         assert run(1_000_000_000) == expected
         assert time.perf_counter() - start < 10
+
+
+WORDS = {"cat": ("K", "AE", "T"), "doesn't": ("D", "AH", "Z", "N", "T")}
+
+
+def eager_pair_by_id(left, right):
+    """``dpalign.pair_by_id`` as it was before it streamed, kept as the oracle: ``left`` is listed first."""
+    left = list(left)
+    right_map: dict[str, object] = {}
+    for item in right:
+        if item.utterance_id in right_map:
+            raise DuplicateUtteranceId(item.utterance_id)
+        right_map[item.utterance_id] = item
+    seen: set[str] = set()
+    pairs = []
+    for item in left:
+        if item.utterance_id in seen:
+            raise DuplicateUtteranceId(item.utterance_id)
+        seen.add(item.utterance_id)
+        if item.utterance_id not in right_map:
+            raise MissingUtterance(item.utterance_id)
+        pairs.append((item, right_map[item.utterance_id]))
+    for utt_id in right_map:
+        if utt_id not in seen:
+            raise MissingUtterance(utt_id)
+    return pairs
+
+
+@contextmanager
+def eager_order():
+    """``main()`` as it ran before it streamed: attn.txt parsed whole, then paired whole, then searched."""
+    with mock.patch.object(cli, "_attention_maps", parse_attention_file):
+        with mock.patch.object(attnalign, "pair_by_id", eager_pair_by_id):
+            yield
+
+
+def attention_corpus(utterances):
+    """ref.txt lines and attention records (lists of lines, identity weights) for ``(id, words)`` pairs."""
+    refs, records = [], []
+    for utt_id, words in utterances:
+        phones = " ".join(p for word in words for p in WORDS[word])
+        n = len(phones.split())
+        refs.append(f"{utt_id}\t{' # '.join(' '.join(WORDS[w]) for w in words)}\t{' '.join(words)}\n")
+        weights = [" ".join("1" if r == c else "0" for c in range(n)) for r in range(n)]
+        records.append([f"{utt_id} {n} {n}", phones, phones, *weights])
+    return refs, records
+
+
+def put_defect(kind, refs, records, i):
+    """Put one defect of ``kind`` into record ``i``."""
+    record = records[i]
+    if kind in ("bad weight token", "infinite weight", "negative weight"):
+        token = {"bad weight token": "x", "infinite weight": "1e999", "negative weight": "-1"}[kind]
+        record[3] = " ".join([token, *record[3].split()[1:]])
+    elif kind == "duplicate map id":
+        records.insert(i + 1, list(record))
+    elif kind == "map id not in ref.txt":
+        records.insert(i, ["x" + record[0], *record[1:]])
+    elif kind == "ref.txt id with no map":
+        del records[i]
+    elif kind == "row phones disagree":
+        record[1] = " ".join(["S", *record[1].split()[1:]])
+    elif kind in ("row count", "column count"):
+        utt_id, n_rows, n_cols = record[0].split()
+        bump = (1, 0) if kind == "row count" else (0, 1)
+        record[0] = f"{utt_id} {int(n_rows) + bump[0]} {int(n_cols) + bump[1]}"
+    else:
+        raise AssertionError(kind)
+
+
+DEFECTS = (
+    "bad weight token",
+    "infinite weight",
+    "negative weight",
+    "duplicate map id",
+    "map id not in ref.txt",
+    "ref.txt id with no map",
+    "row phones disagree",
+    "row count",
+    "column count",
+)
+
+
+def run_align_attn(utterances, defects, flags=()):
+    """Exit code, stderr and written outputs of ``align-attn`` over the corpus with
+    ``defects`` (kind, record) put in, once as it runs now and once in the eager order."""
+    outcomes = []
+    for order in (nullcontext(), eager_order()):
+        refs, records = attention_corpus(utterances)
+        for kind, i in sorted(defects, key=lambda defect: -defect[1]):
+            put_defect(kind, refs, records, i)
+        with tempfile.TemporaryDirectory() as tmp:
+            d = write(Path(tmp) / "dict.txt", "".join(f"{w}\t{' '.join(p)}\n" for w, p in WORDS.items()))
+            ref = write(Path(tmp) / "ref.txt", "".join(refs))
+            attn = write(Path(tmp) / "attn.txt", "\n".join("\n".join(record) + "\n" for record in records))
+            outputs = [Path(tmp) / name for name in ("o.pairs", "o.rejects", "o.bounds")]
+            argv = ["align-attn", "--attn", attn, "--ref", ref, "--dict", d, *flags]
+            argv += ["--out", str(outputs[0]), "--rejects", str(outputs[1]), "--bounds", str(outputs[2])]
+            err = io.StringIO()
+            with order, redirect_stderr(err):
+                code = main(argv)
+            written = [path.name for path in outputs if path.exists()]
+            outcomes.append((code, err.getvalue().replace(tmp, "TMP"), written))
+    return outcomes
+
+
+@st.composite
+def one_defect_corpora(draw):
+    n = draw(st.integers(1, 4))
+    words = st.lists(st.sampled_from(sorted(WORDS)), min_size=1, max_size=3)
+    utterances = [(f"u{k}", draw(words)) for k in range(n)]
+    return utterances, [(draw(st.sampled_from(DEFECTS)), draw(st.integers(0, n - 1)))]
+
+
+class TestAttentionStream:
+    """align-attn reads attn.txt one record at a time. With one defect it fails
+    as the whole-file order did; with several, the first record's fails first."""
+
+    def test_a_clean_corpus_runs_as_in_the_eager_order(self):
+        now, eager = run_align_attn([("u0", ["cat", "doesn't"]), ("u1", ["doesn't"])], [])
+        assert now == eager == (0, "", ["o.pairs", "o.rejects", "o.bounds"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_defect_corpora())
+    def test_one_defect_gives_the_eager_verdict(self, case):
+        now, eager = run_align_attn(*case)
+        assert now == eager
+        assert now[0] in (2, 3) and now[2] == []
+
+    @pytest.mark.parametrize(
+        "defects, flags, now, eager",
+        [
+            # an error of the search or of the pairing now comes before a parse error in a later record
+            ([("row phones disagree", 1), ("bad weight token", 3)], (),
+             (3, "error: attention map 'u1': row phones disagree with the reference phones\n"),
+             (2, "format error: TMP/attn.txt: line 25: bad weight row 'x 0 0'\n")),
+            ([("row phones disagree", 1), ("duplicate map id", 3)], (),
+             (3, "error: attention map 'u1': row phones disagree with the reference phones\n"),
+             (3, "error: TMP/attn.txt: duplicate utterance id 'u3' (line 29)\n")),
+            ([("map id not in ref.txt", 1), ("negative weight", 3)], (),
+             (3, "error: utterance 'xu1' has no counterpart\n"),
+             (3, "error: TMP/attn.txt: line 29: attention map 'u3': negative weight at (0, 0)\n")),
+            # and before a reference with no map, which shows only once every map is read
+            ([("row phones disagree", 1), ("ref.txt id with no map", 3)], (),
+             (3, "error: attention map 'u1': row phones disagree with the reference phones\n"),
+             (3, "error: utterance 'u3' has no counterpart\n")),
+            # a flag value the search rejects now comes before any defect in attn.txt
+            ([("bad weight token", 0)], ("--radius", "-1"),
+             (1, "usage error: shift_radius must be >= 0\n"),
+             (2, "format error: TMP/attn.txt: line 4: bad weight row 'x 0 0'\n")),
+        ],
+    )
+    def test_the_first_defect_read_now_fails_first(self, defects, flags, now, eager):
+        utterances = [(f"u{k}", ["cat"]) for k in range(4)]
+        got_now, got_eager = run_align_attn(utterances, defects, flags)
+        assert got_now == (*now, [])
+        assert got_eager == (*eager, [])
+
+
+@pytest.mark.parametrize(
+    "name, command, line",
+    [("attn.txt", "align-attn", 8), ("ref.txt", "align-attn", 2), ("hyp.txt", "align-dp", 2)],
+)
+def test_a_repeated_utterance_id_names_its_line(tmp_path, capsys, name, command, line):
+    files = {
+        "attn.txt": "u1 3 3\nK AE T\nK AE T\n1 0 0\n0 1 0\n0 0 1\n",
+        "ref.txt": "u1\tK AE T\tcat\n",
+        "hyp.txt": "u1\tK AE T\n",
+        "dict.txt": "cat\tK AE T\n",
+    }
+    files[name] += ("\n" if name == "attn.txt" else "") + files[name]
+    paths = {key: write(tmp_path / key, text) for key, text in files.items()}
+    first = ["--attn", paths["attn.txt"]] if command == "align-attn" else ["--hyp", paths["hyp.txt"]]
+    argv = [command, *first, "--ref", paths["ref.txt"], "--dict", paths["dict.txt"], "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {paths[name]}: duplicate utterance id 'u1' (line {line})\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestBuildMergeStats:

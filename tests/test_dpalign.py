@@ -426,7 +426,7 @@ def test_resolved_reference_matches_the_full_alignment_oracle(hyp_phones, words,
 
 def test_pair_by_id_duplicate_detection(seq):
     with pytest.raises(errors.DuplicateUtteranceId):
-        pair_by_id([seq("u1", []), seq("u1", [])], [seq("u1", [])])
+        list(pair_by_id([seq("u1", []), seq("u1", [])], [seq("u1", [])]))
 
 
 def test_thousand_seeded_pairs_match_oracle():
