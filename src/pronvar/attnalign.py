@@ -30,14 +30,7 @@ from heapq import heappop, heappush
 from itertools import pairwise
 from operator import add, itemgetter
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateUtteranceId,
-    MalformedLine,
-    NegativeWeight,
-    PronvarError,
-    RowMismatch,
-)
+from .errors import DimensionMismatch, DuplicateUtteranceId, NegativeWeight, PronvarError, RowMismatch
 from .dpalign import AlignConfig, _cost_rows, edit_distance, pair_by_id  # edit_distance stays importable here
 from .phonecore import (
     PhoneInventory,
@@ -45,6 +38,7 @@ from .phonecore import (
     SegmentedUtterance,
     _decimals,
     _natural,
+    _on_line,
     _split_id_line,
     checked_symbols,
 )
@@ -154,14 +148,17 @@ def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
     """
     out: list[tuple[str, tuple[int, ...]]] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        utt_id, rest = _split_id_line(raw, lineno)
-        if utt_id in seen:
-            raise MalformedLine(lineno, f"repeated utterance id {utt_id!r}")
-        seen.add(utt_id)
-        out.append((utt_id, tuple(_natural(tok, lineno, "cut", 1) for tok in rest.split())))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if not raw.strip():
+                continue
+            utt_id, rest = _split_id_line(raw, lineno)
+            if utt_id in seen:
+                raise ValueError(f"repeated utterance id {utt_id!r}")
+            seen.add(utt_id)
+            out.append((utt_id, tuple(_natural(tok, None, "cut", 1) for tok in rest.split())))
+    except (PronvarError, ValueError) as err:
+        raise _on_line(err, lineno) from None
     return out
 
 
@@ -202,49 +199,40 @@ def _records(text: str) -> Iterator[list[tuple[int, str]]]:
 
 
 def parse_attention_file(text: str, inventory: PhoneInventory) -> list[AttentionMap]:
-    """Parse blank-line-separated attention records.
-
-    Each record is ``utt_id R C`` on the first line, R row phones on the
-    second, C column phones on the third, then R lines of C weights. R and
-    C are ASCII digits with a value of at least 1; a weight row is float
-    fields (:func:`pronvar.phonecore._decimals`). :class:`AttentionMap`
-    checks the weights against the axes, and an error it raises names the
-    record's first line, as a repeated id does.
-    """
+    """Parse blank-line-separated attention records: ``utt_id R C`` (R and C ASCII digits
+    worth at least 1), R row phones, C column phones, then R rows of C float fields
+    (:func:`pronvar.phonecore._decimals`). An error names the record's header line, unless
+    it is met on a bad weight row or on a column-phone line of the wrong length."""
     return list(_attention_maps(text, inventory))
 
 
 def _attention_maps(text: str, inventory: PhoneInventory) -> Iterator[AttentionMap]:
     """Yield the checked maps of :func:`parse_attention_file` one record at a time."""
     seen: set[str] = set()
-    for record in _records(text):
-        lineno, header = record[0]
-        fields = header.split()
-        if len(fields) != 3:
-            raise MalformedLine(lineno, f"expected 'utt_id R C', got {header!r}")
-        utt_id = fields[0]
-        n_rows, n_cols = (_natural(token, lineno, "dimension", 1) for token in fields[1:])
-        if utt_id in seen:
-            raise DuplicateUtteranceId(utt_id, lineno)
-        seen.add(utt_id)
-        if len(record) != 3 + n_rows:
-            raise DimensionMismatch(
-                utt_id, f"expected {n_rows} weight rows, found {len(record) - 3}", lineno
-            )
+    try:
+        for record in _records(text):
+            lineno, header = record[0]
+            fields = header.split()
+            if len(fields) != 3:
+                raise ValueError(f"expected 'utt_id R C', got {header!r}")
+            utt_id = fields[0]
+            n_rows, n_cols = (_natural(token, None, "dimension", 1) for token in fields[1:])
+            if utt_id in seen:
+                raise DuplicateUtteranceId(utt_id)
+            seen.add(utt_id)
+            if len(record) != 3 + n_rows:
+                raise DimensionMismatch(utt_id, f"expected {n_rows} weight rows, found {len(record) - 3}")
 
-        row_phones = record[1][1].split()
-        col_phones = record[2][1].split()
-        if len(col_phones) != n_cols:
-            raise DimensionMismatch(utt_id, f"{len(col_phones)} col phones declared {n_cols}", record[2][0])
-        inventory.require((*row_phones, *col_phones), f"attention map {utt_id!r}")
+            row_phones = record[1][1].split()
+            col_phones = record[2][1].split()
+            if len(col_phones) != n_cols:
+                raise DimensionMismatch(utt_id, f"{len(col_phones)} col phones declared {n_cols}", record[2][0])
+            inventory.require((*row_phones, *col_phones), f"attention map {utt_id!r}")
 
-        weights = tuple(_decimals(wline, wlineno, "weight row") for wlineno, wline in record[3:])
-        try:
-            amap = AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)
-        except PronvarError as err:  # the map checks the weights; name the record's line
-            err.args, err.line = (f"line {lineno}: {err}",), lineno
-            raise
-        yield amap
+            weights = tuple(_decimals(wline, wlineno, "weight row") for wlineno, wline in record[3:])
+            yield AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)
+    except (PronvarError, ValueError) as err:
+        raise _on_line(err, lineno) from None
 
 
 def emit_attention_file(maps: Iterable[AttentionMap]) -> str:

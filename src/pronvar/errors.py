@@ -8,9 +8,21 @@ data-model invariant (exit code 3).
 
 
 class PronvarError(Exception):
-    """Base class for every toolkit error."""
+    """Base class for every toolkit error. ``line`` is the input line it was met on, or
+    ``None``; the message names it as a ``line N: `` prefix, or a `` (line N)`` suffix."""
 
-    line: int | None = None
+    line_suffix = False
+
+    def __init__(self, detail: str = "", line: int | None = None):
+        super().__init__(detail)
+        self.detail = detail
+        self.at_line(line)
+
+    def at_line(self, line: int | None) -> None:
+        """Name ``line`` in the message; ``None`` names none."""
+        self.line = line
+        if line is not None:
+            self.args = (f"{self.detail} (line {line})" if self.line_suffix else f"line {line}: {self.detail}",)
 
 
 class InputFormatError(PronvarError):
@@ -23,41 +35,35 @@ class ConstraintError(PronvarError):
 
 class MalformedLine(InputFormatError):
     def __init__(self, line: int, detail: str):
-        super().__init__(f"line {line}: {detail}")
-        self.line = line
-        self.detail = detail
+        super().__init__(detail, line)
 
 
 class BadOrigin(InputFormatError):
     def __init__(self, token: str, line: int | None = None):
-        at = f"line {line}: " if line is not None else ""
-        super().__init__(f"{at}bad origin {token!r} (expected EN or L1)")
+        super().__init__(f"bad origin {token!r} (expected EN or L1)", line)
         self.token = token
-        self.line = line
 
 
 class DimensionMismatch(InputFormatError):
     def __init__(self, utterance_id: str, detail: str, line: int | None = None):
-        at = f"line {line}: " if line is not None else ""
-        super().__init__(f"{at}attention map {utterance_id!r}: {detail}")
+        super().__init__(f"attention map {utterance_id!r}: {detail}", line)
         self.utterance_id = utterance_id
-        self.line = line
 
 
 class DuplicatePhone(ConstraintError):
+    line_suffix = True
+
     def __init__(self, symbol: str, line: int | None = None):
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"duplicate phone {symbol!r}{where}")
+        super().__init__(f"duplicate phone {symbol!r}", line)
         self.symbol = symbol
-        self.line = line
 
 
 class ReservedSymbol(ConstraintError):
+    line_suffix = True
+
     def __init__(self, symbol: str, line: int | None = None):
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"reserved symbol in phone {symbol!r}{where}")
+        super().__init__(f"reserved symbol in phone {symbol!r}", line)
         self.symbol = symbol
-        self.line = line
 
 
 class UnknownPhone(ConstraintError):
@@ -68,18 +74,16 @@ class UnknownPhone(ConstraintError):
 
 
 class DuplicateUtteranceId(ConstraintError):
+    line_suffix = True
+
     def __init__(self, utterance_id: str, line: int | None = None):
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"duplicate utterance id {utterance_id!r}{where}")
+        super().__init__(f"duplicate utterance id {utterance_id!r}", line)
         self.utterance_id = utterance_id
-        self.line = line
 
 
 class SpanWordMismatch(ConstraintError):
     def __init__(self, utterance_id: str, n_spans: int, n_words: int):
-        super().__init__(
-            f"utterance {utterance_id!r}: {n_spans} phone spans for {n_words} words"
-        )
+        super().__init__(f"utterance {utterance_id!r}: {n_spans} phone spans for {n_words} words")
         self.utterance_id = utterance_id
         self.n_spans = n_spans
         self.n_words = n_words
@@ -99,11 +103,11 @@ class OutOfVocabulary(ConstraintError):
 
 
 class DuplicateVariant(ConstraintError):
+    line_suffix = True
+
     def __init__(self, word: str, line: int | None = None):
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"duplicate pronunciation for {word!r}{where}")
+        super().__init__(f"duplicate pronunciation for {word!r}", line)
         self.word = word
-        self.line = line
 
 
 class EmptyPronunciation(ConstraintError):
@@ -128,9 +132,7 @@ class MissingUtterance(ConstraintError):
 
 class NegativeWeight(ConstraintError):
     def __init__(self, utterance_id: str, row: int, col: int):
-        super().__init__(
-            f"attention map {utterance_id!r}: negative weight at ({row}, {col})"
-        )
+        super().__init__(f"attention map {utterance_id!r}: negative weight at ({row}, {col})")
         self.utterance_id = utterance_id
         self.row = row
         self.col = col
@@ -143,10 +145,7 @@ class RowMismatch(ConstraintError):
 
 
 class BadRule(ConstraintError):
-    def __init__(self, detail: str, line: int | None = None):
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(f"{where}{detail}")
-        self.line = line
+    """A confusion rule maps a phone to itself or has a probability out of [0, 1]."""
 
 
 class SizeBound(ConstraintError):

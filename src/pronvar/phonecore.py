@@ -29,6 +29,7 @@ from .errors import (
     EmptySpan,
     MalformedLine,
     OutOfVocabulary,
+    PronvarError,
     ReservedSymbol,
     SpanWordMismatch,
     UnknownPhone,
@@ -41,17 +42,27 @@ RESERVED_CHARS = frozenset({"#", "|"})
 ORIGINS = ("EN", "L1")
 
 
-def _bad(what: str, text: str, line: int | None) -> Exception:
+def _bad(detail: str, line: int | None) -> Exception:
     """The error for a field that breaks its rule: a format error when read from a line."""
-    detail = f"bad {what} {text!r}"
     return ValueError(detail) if line is None else MalformedLine(line, detail)
+
+
+def _on_line(err: Exception, lineno: int) -> Exception:
+    """``err``, met on line ``lineno``, naming one line: each parser's loop raises this. A field
+    rule's or a constructor's ``ValueError`` becomes a format error, and a toolkit error naming
+    no line gets this one; one naming a line keeps it."""
+    if not isinstance(err, PronvarError):
+        return MalformedLine(lineno, str(err))
+    if err.line is None:
+        err.at_line(lineno)
+    return err
 
 
 def _check_word(word: str, line: int | None = None, what: str = "word", ascii_only: bool = False) -> None:
     """Accept one token: non-empty, with no whitespace (``str.split`` splits at exactly
     the characters ``isspace`` names) and, if ``ascii_only``, no non-ASCII character."""
     if word.split() != [word] or (ascii_only and not word.isascii()):
-        raise _bad(what, word, line)
+        raise _bad(f"bad {what} {word!r}", line)
 
 
 def _check_symbol(symbol: str, line: int | None = None) -> None:
@@ -60,13 +71,23 @@ def _check_symbol(symbol: str, line: int | None = None) -> None:
         raise ReservedSymbol(symbol, line)
 
 
-def _check_new_symbols(symbols: Iterable[str], line: int, seen: dict[str, None]) -> None:
+def _check_new_symbols(symbols: Iterable[str], line: int | None, seen: dict[str, None]) -> None:
     """Apply the phone-symbol rule to each symbol not in ``seen``, then add it,
     so a scan or parse checks each distinct phone once, in first-seen order."""
     for symbol in symbols:
         if symbol not in seen:
             _check_symbol(symbol, line)
             seen[symbol] = None
+
+
+def _check_entry(word: str, pron: tuple[str, ...], count: int = 0) -> None:
+    """The rules of a dictionary or lexicon entry: a one-token word, a non-empty pronunciation,
+    and a count that is an ``int`` of at least 0 (not a ``bool``, which is written ``True``)."""
+    _check_word(word)
+    if not pron:
+        raise EmptyPronunciation(word)
+    if type(count) is not int or count < 0:
+        raise ValueError(f"bad count {count!r} for {word!r}")
 
 
 @dataclass(frozen=True)
@@ -87,15 +108,20 @@ class PhoneInventory:
         object.__setattr__(self, "origins", tuple(self.origins))
         if len(self.phones) != len(self.origins):
             raise ValueError("phones and origins must be parallel")
-        index: set[str] = set()
+        index: dict[str, str] = {}
         for symbol, origin in zip(self.phones, self.origins):
-            _check_symbol(symbol)
-            if origin not in ORIGINS:
-                raise BadOrigin(origin)
-            if symbol in index:
-                raise DuplicatePhone(symbol)
-            index.add(symbol)
+            self._check_entry(symbol, origin, index)
         object.__setattr__(self, "_index", frozenset(index))
+
+    @staticmethod
+    def _check_entry(symbol: str, origin: str, seen: dict[str, str]) -> None:
+        """Check one entry against the entries ``seen`` before it, then add it to them."""
+        _check_symbol(symbol)
+        if origin not in ORIGINS:
+            raise BadOrigin(origin)
+        if symbol in seen:
+            raise DuplicatePhone(symbol)
+        seen[symbol] = origin
 
     @classmethod
     def from_phones(cls, phones: Iterable[str]) -> "PhoneInventory":
@@ -129,7 +155,7 @@ class PhoneSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "phones", tuple(self.phones))
-        _check_word(self.utterance_id)
+        _check_word(self.utterance_id, what="utterance id")
         self.inventory.require(self.phones, f"utterance {self.utterance_id!r}")
 
     def __len__(self) -> int:
@@ -154,7 +180,7 @@ class SegmentedUtterance:
     inventory: PhoneInventory
 
     def __post_init__(self):
-        _check_word(self.utterance_id)
+        _check_word(self.utterance_id, what="utterance id")
         spans = tuple(WordSpan(w, tuple(p)) for w, p in self.words)
         object.__setattr__(self, "words", spans)
         if not spans:
@@ -175,21 +201,20 @@ class ReferenceDictionary:
     """Canonical pronunciations per word, in file order, at least one each."""
 
     def __init__(self, entries: Mapping[str, Sequence[Sequence[str]]]):
-        store: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self._entries: dict[str, tuple[tuple[str, ...], ...]] = {}
         for word, prons in entries.items():
-            _check_word(word)
-            seen: list[tuple[str, ...]] = []
             for pron in prons:
-                pron = tuple(pron)
-                if not pron:
-                    raise EmptyPronunciation(word)
-                if pron in seen:
-                    raise DuplicateVariant(word)
-                seen.append(pron)
-            if not seen:
+                self._add(word, tuple(pron))
+            if word not in self._entries:
                 raise EmptyPronunciation(word)
-            store[word] = tuple(seen)
-        self._entries = store
+
+    def _add(self, word: str, pron: tuple[str, ...]) -> None:
+        """Check one entry and list it after the word's others."""
+        _check_entry(word, pron)
+        prons = self._entries.get(word, ())
+        if pron in prons:
+            raise DuplicateVariant(word)
+        self._entries[word] = (*prons, pron)
 
     def __contains__(self, word: object) -> bool:
         return word in self._entries
@@ -227,27 +252,25 @@ class Lexicon:
     """Map from word to pronunciation variants, each with an occurrence count.
 
     Variants are unique within a word, non-empty, and counts are
-    non-negative. The structure is read-only; builders live in
+    non-negative ints. The structure is read-only; builders live in
     :mod:`pronvar.lexbuild`.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, Mapping[tuple[str, ...], int]] | None = None):
-        store: dict[str, dict[tuple[str, ...], int]] = {}
+        self._entries: dict[str, dict[tuple[str, ...], int]] = {}
         for word, variants in (entries or {}).items():
-            _check_word(word)
-            inner: dict[tuple[str, ...], int] = {}
             for pron, count in variants.items():
-                pron = tuple(pron)
-                if not pron:
-                    raise EmptyPronunciation(word)
-                if not isinstance(count, int) or count < 0:
-                    raise ValueError(f"bad count {count!r} for {word!r}")
-                inner[pron] = count
-            if inner:
-                store[word] = inner
-        self._entries = store
+                self._add(word, tuple(pron), count)
+
+    def _add(self, word: str, pron: tuple[str, ...], count: int) -> None:
+        """Check one entry and store it; a pronunciation the word has already is an error."""
+        _check_entry(word, pron, count)
+        variants = self._entries.setdefault(word, {})
+        if pron in variants:
+            raise DuplicateVariant(word)
+        variants[pron] = count
 
     @property
     def word_count(self) -> int:
@@ -292,39 +315,39 @@ class Lexicon:
 
 
 def parse_inventory(text: str) -> PhoneInventory:
-    """Parse an inventory file; see the module docstring for the format."""
-    phones: list[str] = []
-    origins: list[str] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) > 2:
-            raise MalformedLine(lineno, f"expected SYMBOL or SYMBOL<TAB>ORIGIN, got {line!r}")
-        symbol = fields[0].strip()
-        _check_symbol(symbol, lineno)
-        origin = fields[1].strip() if len(fields) == 2 else "EN"
-        if origin not in ORIGINS:
-            raise BadOrigin(origin, lineno)
-        if symbol in seen:
-            raise DuplicatePhone(symbol, lineno)
-        seen.add(symbol)
-        phones.append(symbol)
-        origins.append(origin)
-    return PhoneInventory(tuple(phones), tuple(origins))
+    """Parse an inventory file (see the module docstring); each entry is checked on its
+    line, to name it in an error, and once more by the constructor."""
+    entries: dict[str, str] = {}
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            symbol, _, origin = line.partition("\t")
+            if "\t" in origin:
+                raise ValueError(f"expected SYMBOL or SYMBOL<TAB>ORIGIN, got {line!r}")
+            # the line is stripped, so a field after a tab holds more than blanks
+            PhoneInventory._check_entry(symbol.strip(), origin.strip() or "EN", entries)
+    except (PronvarError, ValueError) as err:
+        raise _on_line(err, lineno) from None
+    return PhoneInventory(tuple(entries), tuple(entries.values()))
 
 
 def emit_inventory(inventory: PhoneInventory) -> str:
     return "".join(f"{p}\t{o}\n" for p, o in zip(inventory.phones, inventory.origins))
 
 
-def _split_id_line(raw: str, lineno: int) -> tuple[str, str]:
+def _split_tab(raw: str, line: int | None = None) -> tuple[str, str]:
+    """Split a line at its first tab: the stripped field before it, and the rest."""
     if "\t" not in raw:
-        raise MalformedLine(lineno, f"missing tab separator in {raw!r}")
-    utt_id, rest = raw.split("\t", 1)
-    utt_id = utt_id.strip()
+        raise _bad(f"missing tab separator in {raw!r}", line)
+    first, rest = raw.split("\t", 1)
+    return first.strip(), rest
+
+
+def _split_id_line(raw: str, lineno: int) -> tuple[str, str]:
+    """Split off and check a line's utterance id, for the bounds format (no record type checks it)."""
+    utt_id, rest = _split_tab(raw, lineno)
     _check_word(utt_id, lineno, "utterance id")
     return utt_id, rest
 
@@ -337,7 +360,7 @@ def _natural(token: str, lineno: int | None, what: str, least: int) -> int:
             return value
     except ValueError:  # more digits than int() converts
         pass
-    raise _bad(what, token, lineno)
+    raise _bad(f"bad {what} {token!r}", lineno)
 
 
 def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
@@ -349,23 +372,26 @@ def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
             return tuple(map(float, text.split()))
         except ValueError:
             pass
-    raise _bad(what, text, line)
+    raise _bad(f"bad {what} {text!r}", line)
 
 
 def parse_phone_file(text: str, inventory: PhoneInventory) -> list[PhoneSequence]:
     """Parse decoded phone sequences, one utterance per line, order preserved."""
     out: list[PhoneSequence] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        utt_id, rest = _split_id_line(raw, lineno)
-        if "\t" in rest:
-            raise MalformedLine(lineno, "extra tab in phone field")
-        if utt_id in seen:
-            raise DuplicateUtteranceId(utt_id, lineno)
-        seen.add(utt_id)
-        out.append(PhoneSequence(utt_id, tuple(rest.split()), inventory))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if not raw.strip():
+                continue
+            utt_id, rest = _split_tab(raw)
+            if "\t" in rest:
+                raise ValueError("extra tab in phone field")
+            if utt_id in seen:
+                raise DuplicateUtteranceId(utt_id)
+            seen.add(utt_id)
+            out.append(PhoneSequence(utt_id, rest.split(), inventory))
+    except (PronvarError, ValueError) as err:
+        raise _on_line(err, lineno) from None
     return out
 
 
@@ -377,27 +403,30 @@ def parse_segmented_file(text: str, inventory: PhoneInventory) -> list[Segmented
     """Parse word-segmented references, one utterance per line."""
     out: list[SegmentedUtterance] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        utt_id, rest = _split_id_line(raw, lineno)
-        fields = rest.split("\t")
-        if len(fields) != 2:
-            raise MalformedLine(lineno, f"expected 3 tab-separated fields, got {len(fields) + 1}")
-        if utt_id in seen:
-            raise DuplicateUtteranceId(utt_id, lineno)
-        seen.add(utt_id)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if not raw.strip():
+                continue
+            utt_id, rest = _split_tab(raw)
+            fields = rest.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"expected 3 tab-separated fields, got {len(fields) + 1}")
+            if utt_id in seen:
+                raise DuplicateUtteranceId(utt_id)
+            seen.add(utt_id)
 
-        spans: list[list[str]] = [[]]
-        for token in fields[0].split():
-            if token == "#":
-                spans.append([])
-            else:
-                spans[-1].append(token)
-        words = fields[1].split()
-        if len(spans) != len(words):
-            raise SpanWordMismatch(utt_id, len(spans), len(words))
-        out.append(SegmentedUtterance(utt_id, zip(words, spans), inventory))
+            spans: list[list[str]] = [[]]
+            for token in fields[0].split():
+                if token == "#":
+                    spans.append([])
+                else:
+                    spans[-1].append(token)
+            words = fields[1].split()
+            if len(spans) != len(words):
+                raise SpanWordMismatch(utt_id, len(spans), len(words))
+            out.append(SegmentedUtterance(utt_id, zip(words, spans), inventory))
+    except (PronvarError, ValueError) as err:
+        raise _on_line(err, lineno) from None
     return out
 
 
@@ -417,22 +446,22 @@ def parse_dictionary_file(text: str, inventory: PhoneInventory | None = None) ->
     order; listing the same pronunciation twice is an error. With no
     ``inventory``, every phone must still follow the phone-symbol rule.
     """
-    entries: dict[str, list[tuple[str, ...]]] = {}
+    dictionary = ReferenceDictionary({})
     phones: dict[str, None] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        word, rest = _split_id_line(raw, lineno)
-        pron = tuple(rest.split())
-        if inventory is not None:
-            inventory.require(pron, f"dictionary word {word!r}")
-        else:
-            _check_new_symbols(pron, lineno, phones)
-        prons = entries.setdefault(word, [])
-        if pron in prons:
-            raise DuplicateVariant(word, lineno)
-        prons.append(pron)
-    return ReferenceDictionary(entries)
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if not raw.strip() or raw.startswith("#"):
+                continue
+            word, rest = _split_tab(raw)
+            pron = tuple(rest.split())
+            dictionary._add(word, pron)
+            if inventory is not None:
+                inventory.require(pron, f"dictionary word {word!r}")
+            else:
+                _check_new_symbols(pron, None, phones)
+    except (PronvarError, ValueError) as err:
+        raise _on_line(err, lineno) from None
+    return dictionary
 
 
 def emit_dictionary(dictionary: ReferenceDictionary) -> str:
@@ -443,28 +472,26 @@ def emit_dictionary(dictionary: ReferenceDictionary) -> str:
     return "".join(lines)
 
 
-def _parse_lexicon_line(
-    raw: str, lineno: int, inventory: PhoneInventory | None, context: str, phones: dict[str, None]
-) -> tuple[str, int, tuple[str, ...]]:
-    """Split one lexicon-format line; ``context`` names the word's role in errors.
-
-    Phones are checked against ``inventory`` when one is given, else by
-    :func:`_check_new_symbols` with the parse's ``phones`` seen so far.
-    """
-    fields = raw.split("\t")
-    if len(fields) != 3:
-        raise MalformedLine(lineno, f"expected word<TAB>count<TAB>phones, got {len(fields)} fields")
-    word = fields[0].strip()
-    _check_word(word, lineno)
-    count = _natural(fields[1], lineno, "count", 0)
-    pron = tuple(fields[2].split())
-    if not pron:
-        raise EmptyPronunciation(word)
-    if inventory is not None:
-        inventory.require(pron, f"{context} {word!r}")
-    else:
-        _check_new_symbols(pron, lineno, phones)
-    return word, count, pron
+def _lexicon_lines(text: str, inventory: PhoneInventory | None, role: str, check) -> Iterator[tuple]:
+    """Yield each lexicon-format line's ``(word, pron, count)`` once ``check`` takes it; check the phones
+    against ``inventory``, naming the word's ``role`` in an error, or with none by the symbol rule."""
+    phones: dict[str, None] = {}
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if not raw.strip():
+                continue
+            fields = raw.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"expected word<TAB>count<TAB>phones, got {len(fields)} fields")
+            word, count, pron = fields[0].strip(), _natural(fields[1], None, "count", 0), tuple(fields[2].split())
+            check(word, pron, count)
+            if inventory is not None:
+                inventory.require(pron, f"{role} {word!r}")
+            else:
+                _check_new_symbols(pron, None, phones)
+            yield word, pron, count
+    except (PronvarError, ValueError) as err:
+        raise _on_line(err, lineno) from None
 
 
 def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexicon":
@@ -472,32 +499,16 @@ def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexico
 
     With no ``inventory``, every phone must still follow the phone-symbol rule.
     """
-    entries: dict[str, dict[tuple[str, ...], int]] = {}
-    phones: dict[str, None] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        word, count, pron = _parse_lexicon_line(raw, lineno, inventory, "lexicon word", phones)
-        variants = entries.setdefault(word, {})
-        if pron in variants:
-            raise DuplicateVariant(word, lineno)
-        variants[pron] = count
-    return Lexicon(entries)
+    lexicon = Lexicon()
+    for _ in _lexicon_lines(text, inventory, "lexicon word", lexicon._add):
+        pass  # the check stores each entry
+    return lexicon
 
 
 def parse_pairs_file(text: str, inventory: PhoneInventory | None = None) -> list[tuple[str, tuple[str, ...], int]]:
-    """Read aligner output pairs: lexicon-format lines, duplicates allowed.
-
-    With no ``inventory``, every phone must still follow the phone-symbol rule.
-    """
-    out: list[tuple[str, tuple[str, ...], int]] = []
-    phones: dict[str, None] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        word, count, pron = _parse_lexicon_line(raw, lineno, inventory, "pair for word", phones)
-        out.append((word, pron, count))
-    return out
+    """Read aligner output pairs: lexicon-format lines, each checked as a lexicon entry, repeats
+    allowed. With no ``inventory``, every phone must still follow the phone-symbol rule."""
+    return list(_lexicon_lines(text, inventory, "pair for word", _check_entry))
 
 
 def emit_pairs(pairs: Iterable[tuple[str, Sequence[str]]]) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 # the bounds I/O stays importable here: bench/ reads it as synthbench.*
 from .attnalign import AttentionMap, Segmentation, emit_bounds_file, parse_bounds_file
 from .dpalign import AlignConfig
-from .errors import BadRule, MalformedLine, MissingUtterance, SizeBound
+from .errors import BadRule, MissingUtterance, PronvarError, SizeBound
 from .phonecore import (
     Lexicon,
     PhoneInventory,
@@ -22,6 +22,7 @@ from .phonecore import (
     SegmentedUtterance,
     WordSpan,
     _decimals,
+    _on_line,
     checked_symbols,
     derive_inventory,
 )
@@ -59,22 +60,22 @@ DEFAULT_RULES = (
 def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tuple[ConfusionRule, ...]:
     """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules; ``p`` is one float field."""
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(lineno, f"expected SRC<TAB>DST<TAB>p, got {raw!r}")
-        source, target = fields[0].strip(), fields[1].strip()
-        probabilities = _decimals(fields[2], lineno, "probability")
-        if len(probabilities) != 1:
-            raise MalformedLine(lineno, f"bad probability {fields[2]!r}")
-        if inventory is not None:
-            inventory.require((source, target), f"rule on line {lineno}")
-        try:
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if not raw.strip() or raw.startswith("#"):
+                continue
+            fields = raw.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"expected SRC<TAB>DST<TAB>p, got {raw!r}")
+            source, target = fields[0].strip(), fields[1].strip()
+            probabilities = _decimals(fields[2], None, "probability")
+            if len(probabilities) != 1:
+                raise ValueError(f"bad probability {fields[2]!r}")
+            if inventory is not None:
+                inventory.require((source, target), "rule")
             rules.append(ConfusionRule(source, target, probabilities[0]))
-        except BadRule as err:
-            raise BadRule(str(err), lineno) from None
+    except (PronvarError, ValueError) as err:
+        raise _on_line(err, lineno) from None
     return tuple(rules)
 
 

@@ -376,6 +376,49 @@ def test_a_repeated_utterance_id_names_its_line(tmp_path, capsys, name, command,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "name, text, strict, message",
+    [
+        ("ref.txt", "u0\tK AE T\tcat\nu1\tK # # AE T\tc a t\n", False, "utterance 'u1': word span 1 is empty"),
+        ("ref.txt", "u0\tK AE T\tcat\nu1\tK AE T\tcat dog\n", False, "utterance 'u1': 1 phone spans for 2 words"),
+        ("hyp.txt", "u0\tK AE T\nu1\tK ZZ T\n", True, "unknown phone 'ZZ' in utterance 'u1'"),
+        ("ref.txt", "u0\tK AE T\tcat\nu1\tK ZZ T\tcat\n", True, "unknown phone 'ZZ' in utterance 'u1'"),
+        ("dict.txt", "cat\tK AE T\ndog\tD ZZ G\n", True, "unknown phone 'ZZ' in dictionary word 'dog'"),
+        ("p.pairs", "cat\t1\tK AE T\ndog\t1\tD ZZ G\n", True, "unknown phone 'ZZ' in pair for word 'dog'"),
+        ("dict.txt", "cat\tK AE T\ndog\t\n", False, "empty pronunciation for word 'dog'"),
+        ("p.pairs", "cat\t1\tK AE T\ndog\t1\t \n", False, "empty pronunciation for word 'dog'"),
+    ],
+    ids=["empty-span", "span-word-mismatch", "hyp-unknown-phone", "ref-unknown-phone", "dict-unknown-phone",
+         "pairs-unknown-phone", "dict-empty-pronunciation", "pairs-empty-pronunciation"],  # fmt: skip
+)
+def test_a_constraint_error_read_from_a_file_names_its_line(tmp_path, capsys, name, text, strict, message):
+    files = {
+        "hyp.txt": "u0\tK AE T\nu1\tK AE T\n",
+        "ref.txt": "u0\tK AE T\tcat\nu1\tK AE T\tcat\n",
+        "dict.txt": "cat\tK AE T\ndog\tD AO G\n",
+        "p.pairs": "cat\t1\tK AE T\n",
+        "inv.txt": "K\nAE\nT\nD\nAO\nG\n",
+    }
+    files[name] = text
+    paths = {key: write(tmp_path / key, content) for key, content in files.items()}
+    flags = ["--inventory", paths["inv.txt"]] if strict else []
+    if name == "p.pairs":
+        argv = ["build", "--pairs", paths["p.pairs"], *flags]
+    else:
+        argv = ["align-dp", "--hyp", paths["hyp.txt"], "--ref", paths["ref.txt"], "--dict", paths["dict.txt"], *flags]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"error: {paths[name]}: line 2: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_bad_dictionary_word_is_called_a_word(tmp_path, capsys):
+    d = write(tmp_path / "dict.txt", "ca t\tK AE T\n")
+    hyp = write(tmp_path / "hyp.txt", "u1\tK AE T\n")
+    ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\n")
+    assert main(["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"format error: {d}: line 1: bad word 'ca t'\n"
+
+
 class TestBuildMergeStats:
     def test_build_counts_and_prunes(self, tmp_path):
         pairs = write(

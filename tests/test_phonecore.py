@@ -217,6 +217,11 @@ class TestLexiconType:
         with pytest.raises(ValueError):
             Lexicon({"cat": {("K",): -1}})
 
+    def test_rejects_a_bool_count(self):
+        # emit_lexicon would write it as True, which parse_lexicon cannot read back
+        with pytest.raises(ValueError, match=r"^bad count True for 'cat'$"):
+            Lexicon({"cat": {("K", "AE", "T"): True}})
+
 
 class TestEmitLexicon:
     def test_counts_descend_within_word(self):
