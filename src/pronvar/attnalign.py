@@ -30,7 +30,13 @@ from heapq import heappop, heappush
 from itertools import pairwise
 from operator import add, itemgetter
 
-from .errors import DimensionMismatch, DuplicateUtteranceId, NegativeWeight, PronvarError, RowMismatch
+from .errors import (
+    DimensionMismatch,
+    DuplicateUtteranceId,
+    NegativeWeight,
+    PronvarError,
+    RowMismatch,
+)
 from .dpalign import AlignConfig, _cost_rows, edit_distance, pair_by_id  # edit_distance stays importable here
 from .phonecore import (
     PhoneInventory,
@@ -199,10 +205,16 @@ def _records(text: str) -> Iterator[list[tuple[int, str]]]:
 
 
 def parse_attention_file(text: str, inventory: PhoneInventory) -> list[AttentionMap]:
-    """Parse blank-line-separated attention records: ``utt_id R C`` (R and C ASCII digits
-    worth at least 1), R row phones, C column phones, then R rows of C float fields
-    (:func:`pronvar.phonecore._decimals`). An error names the record's header line, unless
-    it is met on a bad weight row or on a column-phone line of the wrong length."""
+    """Parse blank-line-separated attention records.
+
+    Each record is ``utt_id R C`` on the first line, R row phones on the
+    second, C column phones on the third, then R lines of C weights. R and
+    C are ASCII digits with a value of at least 1; a weight row is float
+    fields (:func:`pronvar.phonecore._decimals`). :class:`AttentionMap`
+    checks the weights against the axes. An error names the record's first
+    line, unless it is met on a weight row that is not float fields or on
+    a column-phone line of the wrong length.
+    """
     return list(_attention_maps(text, inventory))
 
 

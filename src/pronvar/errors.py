@@ -34,7 +34,7 @@ class ConstraintError(PronvarError):
 
 
 class MalformedLine(InputFormatError):
-    def __init__(self, line: int, detail: str):
+    def __init__(self, line: int | None, detail: str):
         super().__init__(detail, line)
 
 
@@ -83,7 +83,9 @@ class DuplicateUtteranceId(ConstraintError):
 
 class SpanWordMismatch(ConstraintError):
     def __init__(self, utterance_id: str, n_spans: int, n_words: int):
-        super().__init__(f"utterance {utterance_id!r}: {n_spans} phone spans for {n_words} words")
+        super().__init__(
+            f"utterance {utterance_id!r}: {n_spans} phone spans for {n_words} words"
+        )
         self.utterance_id = utterance_id
         self.n_spans = n_spans
         self.n_words = n_words
@@ -132,7 +134,9 @@ class MissingUtterance(ConstraintError):
 
 class NegativeWeight(ConstraintError):
     def __init__(self, utterance_id: str, row: int, col: int):
-        super().__init__(f"attention map {utterance_id!r}: negative weight at ({row}, {col})")
+        super().__init__(
+            f"attention map {utterance_id!r}: negative weight at ({row}, {col})"
+        )
         self.utterance_id = utterance_id
         self.row = row
         self.col = col

@@ -15,7 +15,7 @@ endings:
   count is ASCII digits.
 """
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -42,8 +42,9 @@ RESERVED_CHARS = frozenset({"#", "|"})
 ORIGINS = ("EN", "L1")
 
 
-def _bad(detail: str, line: int | None) -> Exception:
+def _bad(what: str, text: str, line: int | None) -> Exception:
     """The error for a field that breaks its rule: a format error when read from a line."""
+    detail = f"bad {what} {text!r}"
     return ValueError(detail) if line is None else MalformedLine(line, detail)
 
 
@@ -62,7 +63,7 @@ def _check_word(word: str, line: int | None = None, what: str = "word", ascii_on
     """Accept one token: non-empty, with no whitespace (``str.split`` splits at exactly
     the characters ``isspace`` names) and, if ``ascii_only``, no non-ASCII character."""
     if word.split() != [word] or (ascii_only and not word.isascii()):
-        raise _bad(f"bad {what} {word!r}", line)
+        raise _bad(what, word, line)
 
 
 def _check_symbol(symbol: str, line: int | None = None) -> None:
@@ -80,10 +81,12 @@ def _check_new_symbols(symbols: Iterable[str], line: int | None, seen: dict[str,
             seen[symbol] = None
 
 
-def _check_entry(word: str, pron: tuple[str, ...], count: int = 0) -> None:
+def _check_entry(word: str, pron: tuple[str, ...], count: int = 0, known: Container[str] = ()) -> None:
     """The rules of a dictionary or lexicon entry: a one-token word, a non-empty pronunciation,
-    and a count that is an ``int`` of at least 0 (not a ``bool``, which is written ``True``)."""
-    _check_word(word)
+    and a count that is an ``int`` of at least 0 (not a ``bool``, which is written ``True``).
+    A word in ``known`` has passed already, so a record checks each word once."""
+    if word not in known:
+        _check_word(word)
     if not pron:
         raise EmptyPronunciation(word)
     if type(count) is not int or count < 0:
@@ -210,7 +213,7 @@ class ReferenceDictionary:
 
     def _add(self, word: str, pron: tuple[str, ...]) -> None:
         """Check one entry and list it after the word's others."""
-        _check_entry(word, pron)
+        _check_entry(word, pron, 0, self._entries)
         prons = self._entries.get(word, ())
         if pron in prons:
             raise DuplicateVariant(word)
@@ -266,7 +269,7 @@ class Lexicon:
 
     def _add(self, word: str, pron: tuple[str, ...], count: int) -> None:
         """Check one entry and store it; a pronunciation the word has already is an error."""
-        _check_entry(word, pron, count)
+        _check_entry(word, pron, count, self._entries)
         variants = self._entries.setdefault(word, {})
         if pron in variants:
             raise DuplicateVariant(word)
@@ -340,7 +343,7 @@ def emit_inventory(inventory: PhoneInventory) -> str:
 def _split_tab(raw: str, line: int | None = None) -> tuple[str, str]:
     """Split a line at its first tab: the stripped field before it, and the rest."""
     if "\t" not in raw:
-        raise _bad(f"missing tab separator in {raw!r}", line)
+        raise MalformedLine(line, f"missing tab separator in {raw!r}")
     first, rest = raw.split("\t", 1)
     return first.strip(), rest
 
@@ -360,7 +363,7 @@ def _natural(token: str, lineno: int | None, what: str, least: int) -> int:
             return value
     except ValueError:  # more digits than int() converts
         pass
-    raise _bad(f"bad {what} {token!r}", lineno)
+    raise _bad(what, token, lineno)
 
 
 def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
@@ -372,7 +375,7 @@ def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
             return tuple(map(float, text.split()))
         except ValueError:
             pass
-    raise _bad(f"bad {what} {text!r}", line)
+    raise _bad(what, text, line)
 
 
 def parse_phone_file(text: str, inventory: PhoneInventory) -> list[PhoneSequence]:
@@ -472,9 +475,12 @@ def emit_dictionary(dictionary: ReferenceDictionary) -> str:
     return "".join(lines)
 
 
-def _lexicon_lines(text: str, inventory: PhoneInventory | None, role: str, check) -> Iterator[tuple]:
-    """Yield each lexicon-format line's ``(word, pron, count)`` once ``check`` takes it; check the phones
-    against ``inventory``, naming the word's ``role`` in an error, or with none by the symbol rule."""
+def _read_lexicon_lines(
+    text: str, inventory: PhoneInventory | None, role: str, add: Callable[[str, tuple[str, ...], int], None]
+) -> None:
+    """Pass each lexicon-format line's word, pronunciation and count to ``add``, which checks
+    them as an entry, then check its phones against ``inventory``, naming the word's ``role``
+    in an error, or with no ``inventory`` by the phone-symbol rule."""
     phones: dict[str, None] = {}
     try:
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -483,13 +489,13 @@ def _lexicon_lines(text: str, inventory: PhoneInventory | None, role: str, check
             fields = raw.split("\t")
             if len(fields) != 3:
                 raise ValueError(f"expected word<TAB>count<TAB>phones, got {len(fields)} fields")
-            word, count, pron = fields[0].strip(), _natural(fields[1], None, "count", 0), tuple(fields[2].split())
-            check(word, pron, count)
+            word = fields[0].strip()
+            pron = tuple(fields[2].split())
+            add(word, pron, _natural(fields[1], None, "count", 0))
             if inventory is not None:
                 inventory.require(pron, f"{role} {word!r}")
             else:
                 _check_new_symbols(pron, None, phones)
-            yield word, pron, count
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
 
@@ -500,15 +506,24 @@ def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexico
     With no ``inventory``, every phone must still follow the phone-symbol rule.
     """
     lexicon = Lexicon()
-    for _ in _lexicon_lines(text, inventory, "lexicon word", lexicon._add):
-        pass  # the check stores each entry
+    _read_lexicon_lines(text, inventory, "lexicon word", lexicon._add)
     return lexicon
 
 
 def parse_pairs_file(text: str, inventory: PhoneInventory | None = None) -> list[tuple[str, tuple[str, ...], int]]:
-    """Read aligner output pairs: lexicon-format lines, each checked as a lexicon entry, repeats
-    allowed. With no ``inventory``, every phone must still follow the phone-symbol rule."""
-    return list(_lexicon_lines(text, inventory, "pair for word", _check_entry))
+    """Read aligner output pairs: lexicon-format lines, each checked as a lexicon entry,
+    duplicates allowed.
+
+    With no ``inventory``, every phone must still follow the phone-symbol rule.
+    """
+    out: list[tuple[str, tuple[str, ...], int]] = []
+
+    def add(word: str, pron: tuple[str, ...], count: int) -> None:
+        _check_entry(word, pron, count)
+        out.append((word, pron, count))
+
+    _read_lexicon_lines(text, inventory, "pair for word", add)
+    return out
 
 
 def emit_pairs(pairs: Iterable[tuple[str, Sequence[str]]]) -> str:
