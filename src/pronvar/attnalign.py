@@ -12,9 +12,9 @@ the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
   is dropped as soon as it cannot beat the best so far (branch-and-bound);
 * ``per_boundary`` moves each cut on its own and finds the best of all
   (2n+1)^k offset tuples exactly. A best-first search over the cut
-  positions, bounded by the same floors, scores only the spans that can
-  still reach the best total; a backward pass over what it reached then
-  breaks ties.
+  positions, bounded by the same floors and ordered as the tie-break
+  orders the tuples, scores only the spans that can still reach the best
+  total, and the first tuple it completes wins.
 
 Spans are scored from one lazy row pass per (word, start, pronunciation):
 the pass's row i is the distance of the span that ends i columns after the
@@ -162,7 +162,7 @@ def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
             if utt_id in seen:
                 raise ValueError(f"repeated utterance id {utt_id!r}")
             seen.add(utt_id)
-            out.append((utt_id, tuple(_natural(tok, None, "cut", 1) for tok in rest.split())))
+            out.append((utt_id, tuple(_natural(tok, "cut", 1) for tok in rest.split())))
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
     return out
@@ -228,7 +228,7 @@ def _attention_maps(text: str, inventory: PhoneInventory) -> Iterator[AttentionM
             if len(fields) != 3:
                 raise ValueError(f"expected 'utt_id R C', got {header!r}")
             utt_id = fields[0]
-            n_rows, n_cols = (_natural(token, None, "dimension", 1) for token in fields[1:])
+            n_rows, n_cols = (_natural(token, "dimension", 1) for token in fields[1:])
             if utt_id in seen:
                 raise DuplicateUtteranceId(utt_id)
             seen.add(utt_id)
@@ -447,26 +447,34 @@ def _best_per_boundary(
     column count clamp to the cut of a shorter offset, which comes first
     and repairs no more, so the radius is capped there.
 
-    A state is (cut i, previous clamped cut), and a step places cut i. ``h``
-    of a state is the least sum of span floors (:func:`_span_floors`) from it
+    A state is (cut i, previous clamped cut). A step from it places cut i,
+    or, after the last cut, ends the last word at the sequence end. ``h`` of
+    a state is the least sum of span floors (:func:`_span_floors`) from it
     to the end: it scores nothing and never exceeds the distance still to
-    come. Steps are taken best-first (A*) by exact prefix distance ``g``
-    plus floor plus ``h`` of the state they reach, and a step is scored only
-    when it comes off the heap. The search stops at the first estimate
-    strictly greater than the best total, so every state and step on a
-    tuple of that total is reached, and no step that cannot reach it is
-    scored. The zero-first tie-break then runs backward over the settled
-    states and the steps within the bound, which hold every tuple of the
-    best total: the winner, its total and its clamp count are those of the
-    search over every tuple.
+    come. The heap orders entries by (estimate, clamps so far, ranks), where
+    the estimate is the exact prefix distance ``g`` plus ``h`` and the ranks
+    are the offsets' positions in :func:`_offset_order`: the winner's order,
+    with ``g + h`` for the total. A step enters the heap with its span's
+    floor in place of its score, and is scored when it comes off the heap,
+    unless the state it reaches is settled by then. From each state, each
+    cut is pushed once, with the best (clamp, rank) of the offsets that land
+    on it: no clamp, then the lowest rank.
+
+    Why the first completion popped is the winner. ``h`` is consistent: a
+    floor is at most its score, and ``h`` is at most a step's floor plus
+    ``h`` of the state it reaches. So along a path the estimate and the
+    clamps never fall, and a prefix's ranks sort before any longer tuple
+    they begin: an entry sorts no later than its path's entries further on.
+    A best path to a state runs through best paths to the states before it,
+    so until the state is settled that path has an entry in the heap, and
+    the entry sorts before the state's entry from any path with a worse
+    (``g``, clamps, ranks). The first pop of each state thus carries its
+    best prefix, and a completion's key is the winner's order itself.
     """
     length = base.length
     n = min(radius, length)
     targets = base.cuts
     k = len(targets)
-    if n == 0:  # one tuple, and the placed cuts need no clamp
-        bounds = (0, *targets, length)
-        return Segmentation(targets, length), sum(score(j, a, b) for j, (a, b) in enumerate(pairwise(bounds)))
 
     # h[i][prev] over the positions cut i-1 can reach: one run per cut, as the
     # ends of a successor run move by at most one as prev does
@@ -474,7 +482,8 @@ def _best_per_boundary(
     for t in targets:
         first, last = _cuts_after(reach[-1][0], t, n, length), _cuts_after(reach[-1][-1], t, n, length)
         reach.append(range(first[0], last[-1] + 1))
-    h: list[Sequence[int]] = [[]] * k + [floors[k][length::-1]]  # the last span runs from prev to the end
+    # the last span runs from prev to the end, after which nothing is left
+    h: list[Sequence[int]] = [[]] * k + [floors[k][length::-1], [0] * (length + 1)]
     for i in reversed(range(k)):
         fl, later = floors[i], h[i + 1]
         row = [0] * (length + 1)
@@ -483,62 +492,39 @@ def _best_per_boundary(
             row[prev] = min(map(add, fl[cuts.start - prev : cuts.stop - prev], later[cuts.start : cuts.stop]))
         h[i] = row
 
-    bound = math.inf  # the least total found so far
-    settled: list[dict[int, float]] = [{} for _ in range(k + 1)]
-    # (estimate, -i, prev, g, source): state (i, prev) at prefix distance g
-    # when source is -1, else the unscored step to it from (i - 1, source),
-    # with g that source's. Deeper entries come first among equal estimates,
-    # so a total is found early.
-    heap = [(h[0][0], 0, 0, 0, -1)]
-    while heap:
-        estimate, i, prev, g, source = heappop(heap)
-        if estimate > bound:
-            break
-        i = -i
+    offsets = _offset_order(n)
+    settled: list[set[int]] = [set() for _ in range(k + 2)]
+    # (estimate, clamps, ranks, prev, g, source): state (len(ranks), prev) at
+    # prefix distance g when source is -1, else the unscored step to it from
+    # the state (len(ranks) - 1, source), with g that source's
+    heap = [(h[0][0], 0, (), 0, 0, -1)]
+    while True:
+        _, clamps, ranks, prev, g, source = heappop(heap)
+        i = len(ranks)
         if prev in settled[i]:
             continue
         if source >= 0:
             g += score(i - 1, source, prev)
-            if g + h[i][prev] <= bound:
-                heappush(heap, (g + h[i][prev], -i, prev, g, -1))
+            heappush(heap, (g + h[i][prev], clamps, ranks, prev, g, -1))
             continue
-        settled[i][prev] = g
-        if i == k:
-            bound = min(bound, g + score(k, prev, length))
-            continue
+        if i > k:
+            break
+        settled[i].add(prev)
+        if i == k:  # the last word's span runs to the end
+            steps = {length: (False, 0)}
+        else:
+            steps = {}
+            for rank, wanted in enumerate(targets[i] + o for o in offsets):
+                cut = _clamp(wanted, prev, length)
+                if cut == wanted or cut not in steps:
+                    steps[cut] = (cut != wanted, rank)
         fl, later = floors[i], h[i + 1]
-        for cut in _cuts_after(prev, targets[i], n, length):
-            estimate = g + fl[cut - prev] + later[cut]
-            if estimate <= bound:
-                heappush(heap, (estimate, -i - 1, cut, g, prev))
+        for cut, (clamped, rank) in steps.items():
+            heappush(heap, (g + fl[cut - prev] + later[cut], clamps + clamped, (*ranks, rank), cut, g, prev))
 
-    # best[i][prev]: (distance, clamps, cut i) of the best completion from a
-    # settled state; best[k] scores the last word alone
-    offsets = _offset_order(n)
-    best: list[dict[int, tuple[float, int, int]]] = [{} for _ in range(k)]
-    best.append({prev: (score(k, prev, length), 0, length) for prev in settled[k]})
-    for i in reversed(range(k)):
-        target, fl, later, after = targets[i], floors[i], h[i + 1], best[i + 1]
-        for prev, g in settled[i].items():
-            choice = None
-            for o in offsets:
-                cut = _clamp(target + o, prev, length)
-                if cut not in after or g + fl[cut - prev] + later[cut] > bound:
-                    continue
-                distance, clamps, _ = after[cut]
-                option = (score(i, prev, cut) + distance, clamps + (cut != target + o), cut)
-                if choice is None or option[:2] < choice[:2]:
-                    choice = option
-            if choice is not None:
-                best[i][prev] = choice
-
-    total, clamps, _ = best[0][0]
-    cuts = []
-    prev = 0
-    for row in best[:k]:
-        prev = row[prev][2]
-        cuts.append(prev)
-    return Segmentation(cuts, length, repaired=clamps), total
+    # replay the winner's offsets; zip leaves out the rank of the step to the end
+    cuts, repaired = _repair([t + offsets[r] for t, r in zip(targets, ranks)], length)
+    return Segmentation(cuts, length, repaired=repaired), g
 
 
 def align_word_boundaries(

@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 def _integer(value: str) -> int:
     """Read an integer flag: an optional ``-``, then ASCII digits (:func:`phonecore._natural`)."""
     try:
-        magnitude = _natural(value.removeprefix("-"), None, "integer", 0)
+        magnitude = _natural(value.removeprefix("-"), "integer", 0)
         return -magnitude if value[:1] == "-" else magnitude
     except ValueError:
         raise UsageError(f"bad integer {value!r}") from None

@@ -355,7 +355,7 @@ def _split_id_line(raw: str, lineno: int) -> tuple[str, str]:
     return utt_id, rest
 
 
-def _natural(token: str, lineno: int | None, what: str, least: int) -> int:
+def _natural(token: str, what: str, least: int) -> int:
     """Read a decimal field: ASCII digits worth at least ``least``, without the signs,
     ``_`` separators, spaces and non-ASCII digits that ``int()`` also takes."""
     try:
@@ -363,7 +363,7 @@ def _natural(token: str, lineno: int | None, what: str, least: int) -> int:
             return value
     except ValueError:  # more digits than int() converts
         pass
-    raise _bad(what, token, lineno)
+    raise _bad(what, token, None)
 
 
 def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
@@ -491,7 +491,7 @@ def _read_lexicon_lines(
                 raise ValueError(f"expected word<TAB>count<TAB>phones, got {len(fields)} fields")
             word = fields[0].strip()
             pron = tuple(fields[2].split())
-            add(word, pron, _natural(fields[1], None, "count", 0))
+            add(word, pron, _natural(fields[1], "count", 0))
             if inventory is not None:
                 inventory.require(pron, f"{role} {word!r}")
             else:

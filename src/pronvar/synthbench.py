@@ -80,8 +80,10 @@ def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tupl
 
 
 def scan_rules_tokens(text: str) -> list[str]:
-    """Lenient phone-symbol scan of a rules file; see :func:`checked_symbols`."""
-    rows = ((n, raw.split("\t")) for n, raw in enumerate(text.splitlines(), 1) if not raw.startswith("#"))
+    """Lenient phone-symbol scan of a rules file, skipping the lines the parser skips;
+    see :func:`checked_symbols`."""
+    lines = enumerate(text.splitlines(), 1)
+    rows = ((n, raw.split("\t")) for n, raw in lines if raw.strip() and not raw.startswith("#"))
     return checked_symbols((n, (f[0].strip(), f[1].strip())) for n, f in rows if len(f) == 3)
 
 

@@ -670,6 +670,20 @@ class TestInventoryFlag:
         assert code == 0
         assert "QX" in out.read_text()
 
+    def test_a_blank_rules_line_is_skipped_with_and_without_an_inventory(self, tmp_path, capsys):
+        d = write(tmp_path / "dict.txt", DICT)
+        r = write(tmp_path / "rules.txt", "Z\tS\t1.0\n \t \t \n")
+        inv = write(tmp_path / "inv.txt", "D\nAH\nZ\nN\nT\nK\nAE\nS\n")
+        runs = []
+        for flags in ([], ["--inventory", inv]):
+            out = tmp_path / f"out{len(flags)}"
+            code = main(["synth", "--dict", d, "--rules", r, "--words", "2", "--utts", "3", "--seed", "1",
+                         "--out-dir", str(out), *flags])  # fmt: skip
+            files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
 
 class TestBadPhoneSymbol:
     """Without --inventory, a symbol that breaks the phone-symbol rule is a format error."""

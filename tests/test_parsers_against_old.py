@@ -12,6 +12,9 @@ the old error class, message and ``.line``, with two listed differences:
 Where a line, or a file, holds several defects, the one reported first can
 differ; each such case is in ``ORDER_CHANGES`` with both verdicts, and is an
 ``@example`` of its parser's test.
+
+Each scanner that derives an inventory for a parser is also checked against
+that parser: on a text the parser accepts, the scan finds the phones it read.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -430,3 +433,66 @@ def test_rules_parser_against_its_old_self(case):
 def test_attention_parser_against_its_old_self(case):
     check("attention", *case)
 
+
+
+# --- each scanner against its parser --------------------------------------------------------
+
+
+def dictionary_phones(text, dictionary):
+    # the record groups a word's lines, so the phones in file order come line by line
+    lines = (phonecore.parse_dictionary_file(line, FULL_INVENTORY) for line in text.splitlines())
+    return [p for d in lines for word in d.words() for pron in d.pronunciations(word) for p in pron]
+
+
+#: the (scan, parse) pairs of ``cli._load``: (scan, parse, file strategy, the phones read in file order)
+SCANS = {
+    "phone": (
+        phonecore.scan_phone_tokens,
+        phonecore.parse_phone_file,
+        phone_files,
+        lambda text, seqs: [p for s in seqs for p in s.phones],
+    ),
+    "segmented": (
+        phonecore.scan_segmented_tokens,
+        phonecore.parse_segmented_file,
+        segmented_files,
+        lambda text, utts: [p for u in utts for p in u.phones],
+    ),
+    "dictionary": (phonecore.scan_dictionary_tokens, phonecore.parse_dictionary_file, dictionary_files, dictionary_phones),
+    "rules": (
+        synthbench.scan_rules_tokens,
+        synthbench.parse_rules_file,
+        rules_files,
+        lambda text, rules: [p for r in rules for p in (r.source, r.target)],
+    ),
+    "attention": (
+        attnalign.scan_attention_tokens,
+        lambda text, inventory: list(attnalign._attention_maps(text, inventory)),
+        attention_files,
+        lambda text, maps: [p for m in maps for p in (*m.row_phones, *m.col_phones)],
+    ),
+}
+#: every symbol a file of these strategies can name that an inventory can hold
+FULL_INVENTORY = phonecore.PhoneInventory.from_phones((*PHONES, "ZZ"))
+
+
+@st.composite
+def scan_cases(draw):
+    """A parser's name and one of its files, with whitespace-only lines, some holding tabs, put in."""
+    name = draw(st.sampled_from(sorted(SCANS)))
+    lines = draw(SCANS[name][2]())[0].split("\n")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " \t \t ", "\t"))))
+    return name, "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_cases())
+def test_a_scan_finds_the_phones_its_parser_reads(case):
+    name, text = case
+    scan, parse, _, phones = SCANS[name]
+    try:
+        records = parse(text, FULL_INVENTORY)
+    except (errors.PronvarError, ValueError):
+        return
+    assert scan(text) == list(dict.fromkeys(phones(text, records)))
