@@ -6,13 +6,17 @@ scores word spans from the rows themselves, many span ends per pass.
 Dictionary alternatives are costed here from forward and backward rows of
 the same recurrence. :func:`nw_align` keeps the whole matrix to backtrack
 the ops, and native word boundaries are projected through them to carve
-the hypothesis into per-word variants.
+the hypothesis into per-word variants. Where the resolver's forward rows
+already form that matrix and float sums of the costs are exact, the ops are
+traced back through those rows instead.
 """
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from .errors import (
     AlignmentReferenceMismatch,
@@ -51,6 +55,15 @@ class AlignConfig:
             raise ValueError("gap_penalty must be positive")
 
 
+class _ExactCosts(NamedTuple):
+    """:class:`AlignConfig`'s costs as integers, and the denominator that scaled them."""
+
+    match_score: int
+    mismatch_score: int
+    gap_penalty: int
+    scale: int
+
+
 @dataclass(frozen=True)
 class EditOp:
     """One alignment step. ``hyp_index`` is None for inserts, ``ref_index``
@@ -72,7 +85,7 @@ class Alignment:
 
 
 def _cost_rows(
-    a: Sequence[str], b: Sequence[str], cfg: AlignConfig, row: list[float] | None = None
+    a: Sequence[str], b: Sequence[str], cfg: AlignConfig | _ExactCosts, row: list[float] | None = None
 ) -> Iterator[list[float]]:
     """Cost-matrix rows 0..len(a) of ``a`` (rows) against ``b`` (columns).
 
@@ -116,7 +129,7 @@ def edit_distance(a: Sequence[str], b: Sequence[str], cfg: AlignConfig = AlignCo
 
 
 def _last_row(
-    a: Sequence[str], b: Sequence[str], cfg: AlignConfig, row: list[float] | None = None
+    a: Sequence[str], b: Sequence[str], cfg: AlignConfig | _ExactCosts, row: list[float] | None = None
 ) -> list[float]:
     """The last of :func:`_cost_rows`, keeping one row at a time."""
     for row in _cost_rows(a, b, cfg, row):
@@ -124,16 +137,19 @@ def _last_row(
     return row
 
 
-def _exact(cfg: AlignConfig) -> AlignConfig:
-    """``cfg`` with its costs scaled to integers by one common denominator.
+def _exact(cfg: AlignConfig) -> _ExactCosts:
+    """``cfg``'s costs scaled to integers by one common denominator, and the denominator.
 
     Sums of the scaled costs are exact, so alignment costs compare as they
     would in real arithmetic, where float sums can round a tie apart. Unit
-    costs come out as the integers 0 and 1.
+    costs come out as the integers 0 and 1. The denominator is a power of
+    two; for tiny costs such as ``1e-300`` it is so large that the scaled
+    integers have no float value, which is why they are not an
+    :class:`AlignConfig`.
     """
     ratios = [c.as_integer_ratio() for c in (cfg.match_score, cfg.mismatch_score, cfg.gap_penalty)]
     scale = math.lcm(*(d for _, d in ratios))
-    return AlignConfig(*(n * (scale // d) for n, d in ratios))
+    return _ExactCosts(*(n * (scale // d) for n, d in ratios), scale)
 
 
 def _checked_reference(hyp: PhoneSequence, ref: Sequence[str]) -> tuple[str, ...]:
@@ -152,25 +168,38 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
     """
     a = hyp.phones
     b = _checked_reference(hyp, ref)
-    score = list(_cost_rows(a, b, cfg))
+    score = list(_cost_rows(b, a, cfg))
+    return Alignment(a, b, _trace(a, b, score, cfg), score[-1][-1])
 
+
+def _trace(
+    hyp: Sequence[str], ref: Sequence[str], score: list[list[float]], cfg: AlignConfig | _ExactCosts
+) -> tuple[EditOp, ...]:
+    """The ops of :func:`nw_align`, traced back through ``score``.
+
+    ``score`` holds the rows of :func:`_cost_rows` of ``ref`` against ``hyp``
+    under ``cfg``'s costs. From the last cell back, the diagonal (match or
+    substitute) is taken when it gives the cell's cost, else the delete of a
+    hypothesis phone, else the insert of a reference phone.
+    """
+    match, mismatch, gap = cfg.match_score, cfg.mismatch_score, cfg.gap_penalty
     ops: list[EditOp] = []
-    i, j = len(a), len(b)
+    i, j = len(ref), len(hyp)
     while i > 0 or j > 0:
         if i > 0 and j > 0:
-            same = a[i - 1] == b[j - 1]
-            if score[i][j] == score[i - 1][j - 1] + (cfg.match_score if same else cfg.mismatch_score):
-                ops.append(EditOp(MATCH if same else SUBSTITUTE, i - 1, j - 1))
+            same = ref[i - 1] == hyp[j - 1]
+            if score[i][j] == score[i - 1][j - 1] + (match if same else mismatch):
+                ops.append(EditOp(MATCH if same else SUBSTITUTE, j - 1, i - 1))
                 i, j = i - 1, j - 1
                 continue
-        if i > 0 and score[i][j] == score[i - 1][j] + cfg.gap_penalty:
-            ops.append(EditOp(DELETE, i - 1))
-            i -= 1
+        if j > 0 and score[i][j] == score[i][j - 1] + gap:
+            ops.append(EditOp(DELETE, j - 1))
+            j -= 1
             continue
-        ops.append(EditOp(INSERT, None, j - 1))
-        j -= 1
+        ops.append(EditOp(INSERT, None, i - 1))
+        i -= 1
     ops.reverse()
-    return Alignment(a, b, tuple(ops), score[-1][-1])
+    return tuple(ops)
 
 
 def project_boundaries(
@@ -249,29 +278,33 @@ def _resolve_reference(
     hyp: PhoneSequence,
     ref_seg: SegmentedUtterance,
     dictionary: ReferenceDictionary,
-    cfg: AlignConfig,
-) -> SegmentedUtterance:
+    exact: _ExactCosts,
+) -> tuple[SegmentedUtterance, list[list[int]] | None]:
     """Swap in the dictionary variant that aligns cheapest, word by word.
 
     Words are resolved left to right. Words with a single listed
     pronunciation (or none) keep the span they came with. For a word with
     alternatives, each is tried in place, with the words before it as
     resolved and the words after it at their given spans, and the cost of
-    aligning the whole utterance decides. Costs are compared exactly (see
-    :func:`_exact`); ties keep the dictionary's file order.
+    aligning the whole utterance decides. Costs are compared in the
+    integers of :func:`_exact`; ties keep the dictionary's file order.
 
     The whole-utterance cost is split at the word's end (Hirschberg, 1975):
     it is ``min_i F[i] + B[i]``, where ``F`` continues the resolved prefix's
-    last row through the alternative and ``B[i]``, from one backward pass,
+    rows through the alternative and ``B[i]``, from one backward pass,
     is the cost of ``hyp[i:]`` against the given spans after the word. The
     work is O(n·m·(1 + alternatives)) for n hypothesis and m reference
     phones, not one full alignment per alternative.
+
+    Returns the resolved utterance and the resolved prefix's rows, which by
+    the end are every row of :func:`_cost_rows` of its phones against the
+    hypothesis in the exact costs. When no word has alternatives the
+    utterance comes back as given, with no rows.
     """
     spans = list(ref_seg.words)
     choices = [dictionary.pronunciations(s.word) if s.word in dictionary else () for s in spans]
     if all(len(variants) < 2 for variants in choices):
-        return ref_seg
-    exact = _exact(cfg)
+        return ref_seg, None
     hyp_phones = hyp.phones
     reversed_hyp = hyp_phones[::-1]
     edge = _last_row((), hyp_phones, exact)
@@ -284,12 +317,12 @@ def _resolve_reference(
 
     given = ref_seg.phones
     given_end = 0
-    forward = edge
+    rows = [edge]
     changed = checked = False
     for wi, (span, variants) in enumerate(zip(spans, choices)):
         given_start, given_end = given_end, given_end + len(span.phones)
         if len(variants) < 2:
-            forward = _last_row(span.phones, hyp_phones, exact, forward)
+            rows.extend(islice(_cost_rows(span.phones, hyp_phones, exact, rows[-1]), 1, None))
             continue
         after = given[given_end:]
         suffix_cost = backward[wi][::-1]
@@ -300,15 +333,16 @@ def _resolve_reference(
             # the alternative's own has been checked.
             _checked_reference(hyp, pron if checked else given[:given_start] + pron + after)
             checked = True
-            row = _last_row(pron, hyp_phones, exact, forward)
-            scored.append((min(map(add, row, suffix_cost)), pron, row))
-        _, best, forward = min(scored, key=itemgetter(0))
+            tried = list(islice(_cost_rows(pron, hyp_phones, exact, rows[-1]), 1, None))
+            scored.append((min(map(add, tried[-1], suffix_cost)), pron, tried))
+        _, best, best_rows = min(scored, key=itemgetter(0))
+        rows.extend(best_rows)
         if best != span.phones:
             spans[wi] = WordSpan(span.word, best)
             changed = True
     if not changed:
-        return ref_seg
-    return SegmentedUtterance(ref_seg.utterance_id, tuple(spans), ref_seg.inventory)
+        return ref_seg, rows
+    return SegmentedUtterance(ref_seg.utterance_id, tuple(spans), ref_seg.inventory), rows
 
 
 def extract_variants_dp(
@@ -321,12 +355,27 @@ def extract_variants_dp(
 
     Hypotheses and references are paired by utterance id; output order
     follows the hypothesis order.
+
+    Where the resolver returns its rows, the ops are traced back through
+    them instead of :func:`nw_align` filling the matrix again in floats.
+    That gives :func:`nw_align`'s alignment when no float sum rounds: a cell
+    sums at most ``len(hyp) + len(ref)`` costs, so while that many of the
+    largest scaled cost stay within 2**53, every float the DP adds is the
+    exact integer over a power of two, and its comparisons are the
+    integers' comparisons.
     """
+    exact = _exact(cfg)
+    longest_exact = 2**53 // max(abs(exact.match_score), abs(exact.mismatch_score), exact.gap_penalty)
     pairs: list[tuple[str, tuple[str, ...]]] = []
     empty = 0
     for hyp, ref_seg in pair_by_id(hyps, refs):
-        resolved = _resolve_reference(hyp, ref_seg, dictionary, cfg)
-        alignment = nw_align(hyp, resolved.phones, cfg)
+        resolved, rows = _resolve_reference(hyp, ref_seg, dictionary, exact)
+        ref = resolved.phones
+        if rows is not None and len(hyp.phones) + len(ref) <= longest_exact:
+            ops = _trace(hyp.phones, ref, rows, exact)
+            alignment = Alignment(hyp.phones, ref, ops, rows[-1][-1] / exact.scale)
+        else:
+            alignment = nw_align(hyp, ref, cfg)
         for word, span in project_boundaries(alignment, resolved):
             if span:
                 pairs.append((word, span))

@@ -348,7 +348,7 @@ class TestExtractVariantsDp:
         d = ReferenceDictionary({"w": [("A",), ("B", "B")], "v": [("Z",)]})
         message = "^reference phone 'Z' not in the hypothesis inventory$"
         with pytest.raises(errors.InventoryMismatch, match=message):
-            _resolve_reference(hyp, ref, d, AlignConfig())
+            _resolve_reference(hyp, ref, d, _exact(AlignConfig()))
 
 
 def resolve_reference_by_full_alignment(hyp, ref_seg, dictionary, cfg):
@@ -421,7 +421,7 @@ def test_resolved_reference_matches_the_full_alignment_oracle(hyp_phones, words,
     ref = SegmentedUtterance("u", tuple(WordSpan(f"w{i}", p) for i, (p, _) in enumerate(words)), ABC)
     d = ReferenceDictionary({f"w{i}": prons for i, (_, prons) in enumerate(words) if prons is not None})
     hyp = abc_seq(hyp_phones)
-    assert _resolve_reference(hyp, ref, d, cfg) == resolve_reference_by_full_alignment(hyp, ref, d, oracle_cfg)
+    assert _resolve_reference(hyp, ref, d, _exact(cfg))[0] == resolve_reference_by_full_alignment(hyp, ref, d, oracle_cfg)
 
 
 def test_pair_by_id_duplicate_detection(seq):
