@@ -35,10 +35,12 @@ from .errors import (
     DuplicateUtteranceId,
     NegativeWeight,
     PronvarError,
+    ReservedSymbol,
     RowMismatch,
 )
-from .dpalign import AlignConfig, _cost_rows, edit_distance, pair_by_id  # edit_distance stays importable here
+from .dpalign import AlignConfig, _cost_rows, _harvest, edit_distance, pair_by_id  # edit_distance stays importable here
 from .phonecore import (
+    AnySymbol,
     PhoneInventory,
     ReferenceDictionary,
     SegmentedUtterance,
@@ -46,7 +48,6 @@ from .phonecore import (
     _natural,
     _on_line,
     _split_id_line,
-    checked_symbols,
 )
 
 GLOBAL_SHIFT = "global_shift"
@@ -155,7 +156,7 @@ def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
     out: list[tuple[str, tuple[int, ...]]] = []
     seen: set[str] = set()
     try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             if not raw.strip():
                 continue
             utt_id, rest = _split_id_line(raw, lineno)
@@ -194,7 +195,7 @@ def _records(text: str) -> Iterator[list[tuple[int, str]]]:
     A whitespace-only line separates records, as an empty one does.
     """
     record: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         if raw.strip():
             record.append((lineno, raw))
         elif record:
@@ -204,7 +205,7 @@ def _records(text: str) -> Iterator[list[tuple[int, str]]]:
         yield record
 
 
-def parse_attention_file(text: str, inventory: PhoneInventory) -> list[AttentionMap]:
+def parse_attention_file(text: str, inventory: PhoneInventory | AnySymbol) -> list[AttentionMap]:
     """Parse blank-line-separated attention records.
 
     Each record is ``utt_id R C`` on the first line, R row phones on the
@@ -212,13 +213,14 @@ def parse_attention_file(text: str, inventory: PhoneInventory) -> list[Attention
     C are ASCII digits with a value of at least 1; a weight row is float
     fields (:func:`pronvar.phonecore._decimals`). :class:`AttentionMap`
     checks the weights against the axes. An error names the record's first
-    line, unless it is met on a weight row that is not float fields or on
-    a column-phone line of the wrong length.
+    line, unless it is met on a weight row that is not float fields, on a
+    column-phone line of the wrong length, or on an axis line holding a
+    symbol that breaks the phone-symbol rule (:class:`pronvar.phonecore.AnySymbol`).
     """
     return list(_attention_maps(text, inventory))
 
 
-def _attention_maps(text: str, inventory: PhoneInventory) -> Iterator[AttentionMap]:
+def _attention_maps(text: str, inventory: PhoneInventory | AnySymbol) -> Iterator[AttentionMap]:
     """Yield the checked maps of :func:`parse_attention_file` one record at a time."""
     seen: set[str] = set()
     try:
@@ -239,7 +241,11 @@ def _attention_maps(text: str, inventory: PhoneInventory) -> Iterator[AttentionM
             col_phones = record[2][1].split()
             if len(col_phones) != n_cols:
                 raise DimensionMismatch(utt_id, f"{len(col_phones)} col phones declared {n_cols}", record[2][0])
-            inventory.require((*row_phones, *col_phones), f"attention map {utt_id!r}")
+            for (axis_lineno, _), phones in zip(record[1:3], (row_phones, col_phones)):
+                try:
+                    inventory.require(phones, f"attention map {utt_id!r}")
+                except (ReservedSymbol, ValueError) as err:  # a symbol that breaks the rule names its line
+                    raise _on_line(err, axis_lineno) from None
 
             weights = tuple(_decimals(wline, wlineno, "weight row") for wlineno, wline in record[3:])
             yield AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)
@@ -257,12 +263,6 @@ def emit_attention_file(maps: Iterable[AttentionMap]) -> str:
             lines.append(" ".join(repr(w) for w in row))
         blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)
-
-
-def scan_attention_tokens(text: str) -> list[str]:
-    """Lenient phone-symbol scan of an attention file (axis lines only)."""
-    axis_lines = ((lineno, raw.split()) for record in _records(text) for lineno, raw in record[1:3])
-    return checked_symbols(axis_lines)
 
 
 def place_boundaries(amap: AttentionMap, ref_seg: SegmentedUtterance) -> Segmentation:
@@ -609,9 +609,5 @@ def extract_variants_attn(
             rejects.append((outcome.utterance_id, outcome.normalized_distance))
             continue
         segmentations.append((outcome.utterance_id, outcome.segmentation))
-        for word, span in outcome.variants:
-            if span:
-                pairs.append((word, span))
-            else:
-                empty += 1
+        empty += _harvest(outcome.variants, pairs)
     return AttnExtraction(tuple(pairs), tuple(rejects), tuple(segmentations), empty)

@@ -18,15 +18,15 @@ from .attnalign import (
     extract_variants_attn,
     parse_attention_file,  # not called here: bench/spans.py wraps this name on its traced passes
     parse_bounds_file,
-    scan_attention_tokens,
 )
 from .dpalign import AlignConfig, extract_variants_dp
 from .errors import ConstraintError, InputFormatError, PronvarError
 from .phonecore import (
+    AnySymbol,
     _check_word,
     _decimals,
     _natural,
-    derive_inventory,
+    derive_inventory,  # not called here: bench/spans.py wraps this name on its traced passes
     emit_inventory,
     emit_lexicon,
     emit_pairs,
@@ -38,9 +38,6 @@ from .phonecore import (
     parse_pairs_file,
     parse_phone_file,
     parse_segmented_file,
-    scan_dictionary_tokens,
-    scan_phone_tokens,
-    scan_segmented_tokens,
 )
 
 
@@ -117,20 +114,15 @@ def _catching(path: str, parse, *args):
 
 
 def _load(args, *inputs) -> list:
-    """Read and parse each ``(path, scan, parse)`` input once, against one inventory.
+    """Read every ``(path, parse)`` input, then parse each once, in turn, against one
+    inventory: --inventory when given, else :class:`AnySymbol`, the phone-symbol rule.
 
     A generator parser returns before it reads a record, so its errors come
     as its records are taken (:func:`_streamed`).
-
-    The inventory is --inventory when given, else an all-EN one derived
-    from the symbols the inputs' scans find.
     """
-    texts = [_read(path) for path, _, _ in inputs]
-    if args.inventory:
-        inv = _catching(args.inventory, parse_inventory)
-    else:
-        inv = derive_inventory(*(_parsed(path, text, scan) for (path, scan, _), text in zip(inputs, texts)))
-    return [_parsed(path, text, parse, inv) for (path, _, parse), text in zip(inputs, texts)]
+    texts = [_read(path) for path, _ in inputs]
+    inv = _catching(args.inventory, parse_inventory) if args.inventory else AnySymbol()
+    return [_parsed(path, text, parse, inv) for (path, parse), text in zip(inputs, texts)]
 
 
 def _checked(make, *args):
@@ -144,9 +136,9 @@ def _checked(make, *args):
 def _cmd_align_dp(args) -> int:
     dictionary, hyps, refs = _load(
         args,
-        (args.dict, scan_dictionary_tokens, parse_dictionary_file),
-        (args.hyp, scan_phone_tokens, parse_phone_file),
-        (args.ref, scan_segmented_tokens, parse_segmented_file),
+        (args.dict, parse_dictionary_file),
+        (args.hyp, parse_phone_file),
+        (args.ref, parse_segmented_file),
     )
     cfg = _checked(AlignConfig, args.match, args.mismatch, args.gap)
     result = extract_variants_dp(hyps, refs, dictionary, cfg)
@@ -157,9 +149,9 @@ def _cmd_align_dp(args) -> int:
 def _cmd_align_attn(args) -> int:
     dictionary, refs, maps = _load(
         args,
-        (args.dict, scan_dictionary_tokens, parse_dictionary_file),
-        (args.ref, scan_segmented_tokens, parse_segmented_file),
-        (args.attn, scan_attention_tokens, _attention_maps),
+        (args.dict, parse_dictionary_file),
+        (args.ref, parse_segmented_file),
+        (args.attn, _attention_maps),
     )
     mode = {"global": "global_shift", "per-boundary": "per_boundary"}[args.mode]
     cfg = _checked(AttnConfig, args.radius, mode, args.threshold)
@@ -225,8 +217,8 @@ def _parse_attn_flag(value: str) -> tuple[str, int]:
 def _cmd_synth(args) -> int:
     dictionary, rules = _load(
         args,
-        (args.dict, scan_dictionary_tokens, parse_dictionary_file),
-        (args.rules, synthbench.scan_rules_tokens, synthbench.parse_rules_file),
+        (args.dict, parse_dictionary_file),
+        (args.rules, synthbench.parse_rules_file),
     )
     if not dictionary:
         raise InputFormatError(f"{args.dict}: no words to sample")
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--match", type=_decimal, default=0.0, help="cost of a match")
     p.add_argument("--mismatch", type=_decimal, default=1.0, help="cost of a substitution")
     p.add_argument("--gap", type=_decimal, default=1.0, help="cost of a gap")
-    p.add_argument("--inventory", help="phone inventory file (derived from inputs if omitted)")
+    p.add_argument("--inventory", help="phone inventory file (if omitted, any phone that follows the symbol rule)")
     p.add_argument("--out", required=True, help="output pairs file")
     p.set_defaults(func=_cmd_align_dp)
 
@@ -303,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=_decimal, default=0.5, help="max normalized edit distance")
     p.add_argument("--rejects", help="sidecar file for rejected utterances")
     p.add_argument("--bounds", help="sidecar file for the selected segmentations")
-    p.add_argument("--inventory", help="phone inventory file (derived from inputs if omitted)")
+    p.add_argument("--inventory", help="phone inventory file (if omitted, any phone that follows the symbol rule)")
     p.add_argument("--out", required=True, help="output pairs file")
     p.set_defaults(func=_cmd_align_attn)
 

@@ -248,6 +248,14 @@ class DpExtraction:
     empty_spans: int
 
 
+def _harvest(variants: Sequence[tuple[str, tuple[str, ...]]], pairs: list[tuple[str, tuple[str, ...]]]) -> int:
+    """Append each (word, span) of ``variants`` whose span is non-empty to ``pairs``;
+    return the number of empty spans, which both aligners tally."""
+    kept = [(word, span) for word, span in variants if span]
+    pairs.extend(kept)
+    return len(variants) - len(kept)
+
+
 def pair_by_id(left: Iterable, right: Iterable) -> Iterator[tuple]:
     """Pair two utterance collections by id, yielding the pairs in left order.
 
@@ -376,9 +384,5 @@ def extract_variants_dp(
             alignment = Alignment(hyp.phones, ref, ops, rows[-1][-1] / exact.scale)
         else:
             alignment = nw_align(hyp, ref, cfg)
-        for word, span in project_boundaries(alignment, resolved):
-            if span:
-                pairs.append((word, span))
-            else:
-                empty += 1
+        empty += _harvest(project_boundaries(alignment, resolved), pairs)
     return DpExtraction(tuple(pairs), empty)

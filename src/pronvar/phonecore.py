@@ -72,13 +72,14 @@ def _check_symbol(symbol: str, line: int | None = None) -> None:
         raise ReservedSymbol(symbol, line)
 
 
-def _check_new_symbols(symbols: Iterable[str], line: int | None, seen: dict[str, None]) -> None:
+def _check_new_symbols(symbols: Iterable[str], seen: set[str]) -> None:
     """Apply the phone-symbol rule to each symbol not in ``seen``, then add it,
-    so a scan or parse checks each distinct phone once, in first-seen order."""
+    so the symbols of every record read against one :class:`AnySymbol` are
+    checked once each."""
     for symbol in symbols:
         if symbol not in seen:
-            _check_symbol(symbol, line)
-            seen[symbol] = None
+            _check_symbol(symbol)
+            seen.add(symbol)
 
 
 def _check_entry(word: str, pron: tuple[str, ...], count: int = 0, known: Container[str] = ()) -> None:
@@ -148,13 +149,41 @@ class PhoneInventory:
                 raise UnknownPhone(symbol, context)
 
 
+def derive_inventory(*token_streams: Iterable[str]) -> PhoneInventory:
+    """Build a permissive all-EN inventory from first-seen token order."""
+    return PhoneInventory.from_phones(dict.fromkeys(chain.from_iterable(token_streams)))
+
+
+@dataclass(frozen=True)
+class AnySymbol:
+    """Every symbol the phone-symbol rule admits: the inventory that records and parsers
+    check phones against when none is given. ``symbol in`` it answers whether ``symbol``
+    follows the rule. Each distinct symbol is checked once; all instances are equal.
+    It lists no phones, so code that draws from the list needs a :class:`PhoneInventory`."""
+
+    _seen: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __contains__(self, symbol: str) -> bool:
+        try:
+            self.require((symbol,), "")
+        except (PronvarError, ValueError):
+            return False
+        return True
+
+    def require(self, symbols: Iterable[str], context: str) -> None:
+        """Raise the phone-symbol rule's error for the first of ``symbols`` that breaks it:
+        a ``ValueError``, which a parser makes a format error naming its line, or
+        :class:`ReservedSymbol`. Unlike :meth:`PhoneInventory.require`'s, it names no ``context``."""
+        _check_new_symbols(symbols, self._seen)
+
+
 @dataclass(frozen=True)
 class PhoneSequence:
     """An ordered list of inventory phones with no word boundaries."""
 
     utterance_id: str
     phones: tuple[str, ...]
-    inventory: PhoneInventory
+    inventory: PhoneInventory | AnySymbol
 
     def __post_init__(self):
         object.__setattr__(self, "phones", tuple(self.phones))
@@ -180,7 +209,7 @@ class SegmentedUtterance:
 
     utterance_id: str
     words: tuple[WordSpan, ...]
-    inventory: PhoneInventory
+    inventory: PhoneInventory | AnySymbol
 
     def __post_init__(self):
         _check_word(self.utterance_id, what="utterance id")
@@ -322,7 +351,7 @@ def parse_inventory(text: str) -> PhoneInventory:
     line, to name it in an error, and once more by the constructor."""
     entries: dict[str, str] = {}
     try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -378,12 +407,12 @@ def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
     raise _bad(what, text, line)
 
 
-def parse_phone_file(text: str, inventory: PhoneInventory) -> list[PhoneSequence]:
+def parse_phone_file(text: str, inventory: PhoneInventory | AnySymbol) -> list[PhoneSequence]:
     """Parse decoded phone sequences, one utterance per line, order preserved."""
     out: list[PhoneSequence] = []
     seen: set[str] = set()
     try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             if not raw.strip():
                 continue
             utt_id, rest = _split_tab(raw)
@@ -402,12 +431,12 @@ def emit_phone_file(sequences: Iterable[PhoneSequence]) -> str:
     return "".join(f"{s.utterance_id}\t{' '.join(s.phones)}\n" for s in sequences)
 
 
-def parse_segmented_file(text: str, inventory: PhoneInventory) -> list[SegmentedUtterance]:
+def parse_segmented_file(text: str, inventory: PhoneInventory | AnySymbol) -> list[SegmentedUtterance]:
     """Parse word-segmented references, one utterance per line."""
     out: list[SegmentedUtterance] = []
     seen: set[str] = set()
     try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             if not raw.strip():
                 continue
             utt_id, rest = _split_tab(raw)
@@ -442,26 +471,23 @@ def emit_segmented_file(utterances: Iterable[SegmentedUtterance]) -> str:
     return "".join(lines)
 
 
-def parse_dictionary_file(text: str, inventory: PhoneInventory | None = None) -> ReferenceDictionary:
+def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol | None = None) -> ReferenceDictionary:
     """Parse a reference pronunciation dictionary.
 
     Repeated word lines accumulate alternative pronunciations in file
     order; listing the same pronunciation twice is an error. With no
     ``inventory``, every phone must still follow the phone-symbol rule.
     """
+    inventory = AnySymbol() if inventory is None else inventory
     dictionary = ReferenceDictionary({})
-    phones: dict[str, None] = {}
     try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             if not raw.strip() or raw.startswith("#"):
                 continue
             word, rest = _split_tab(raw)
             pron = tuple(rest.split())
             dictionary._add(word, pron)
-            if inventory is not None:
-                inventory.require(pron, f"dictionary word {word!r}")
-            else:
-                _check_new_symbols(pron, None, phones)
+            inventory.require(pron, f"dictionary word {word!r}")
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
     return dictionary
@@ -481,9 +507,9 @@ def _read_lexicon_lines(
     """Pass each lexicon-format line's word, pronunciation and count to ``add``, which checks
     them as an entry, then check its phones against ``inventory``, naming the word's ``role``
     in an error, or with no ``inventory`` by the phone-symbol rule."""
-    phones: dict[str, None] = {}
+    inventory = AnySymbol() if inventory is None else inventory
     try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             if not raw.strip():
                 continue
             fields = raw.split("\t")
@@ -492,10 +518,7 @@ def _read_lexicon_lines(
             word = fields[0].strip()
             pron = tuple(fields[2].split())
             add(word, pron, _natural(fields[1], "count", 0))
-            if inventory is not None:
-                inventory.require(pron, f"{role} {word!r}")
-            else:
-                _check_new_symbols(pron, None, phones)
+            inventory.require(pron, f"{role} {word!r}")
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
 
@@ -546,43 +569,3 @@ def emit_lexicon(lexicon: Lexicon) -> str:
         for pron, count in variants:
             lines.append(f"{word}\t{count}\t{' '.join(pron)}\n")
     return "".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# lenient token scanners, used to derive an inventory when none is supplied
-
-
-def checked_symbols(lines: Iterable[tuple[int, Iterable[str]]]) -> list[str]:
-    """Distinct tokens of ``(line number, tokens)`` pairs, in first-seen order.
-
-    Each token is checked against the phone-symbol rule on the line where
-    it first appears, so a bad symbol raises an error naming that line.
-    """
-    seen: dict[str, None] = {}
-    for lineno, tokens in lines:
-        _check_new_symbols(tokens, lineno, seen)
-    return list(seen)
-
-
-def scan_phone_tokens(text: str) -> list[str]:
-    lines = enumerate(text.splitlines(), 1)
-    return checked_symbols((n, raw.split("\t", 1)[1].split()) for n, raw in lines if "\t" in raw)
-
-
-def scan_segmented_tokens(text: str) -> list[str]:
-    lines = enumerate(text.splitlines(), 1)
-    return checked_symbols(
-        (n, [t for t in raw.split("\t", 2)[1].split() if t != "#"]) for n, raw in lines if "\t" in raw
-    )
-
-
-def scan_dictionary_tokens(text: str) -> list[str]:
-    lines = enumerate(text.splitlines(), 1)
-    return checked_symbols(
-        (n, raw.split("\t", 1)[1].split()) for n, raw in lines if "\t" in raw and not raw.startswith("#")
-    )
-
-
-def derive_inventory(*token_streams: Iterable[str]) -> PhoneInventory:
-    """Build a permissive all-EN inventory from first-seen token order."""
-    return PhoneInventory.from_phones(dict.fromkeys(chain.from_iterable(token_streams)))

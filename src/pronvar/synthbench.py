@@ -15,6 +15,7 @@ from .attnalign import AttentionMap, Segmentation, emit_bounds_file, parse_bound
 from .dpalign import AlignConfig
 from .errors import BadRule, MissingUtterance, PronvarError, SizeBound
 from .phonecore import (
+    AnySymbol,
     Lexicon,
     PhoneInventory,
     PhoneSequence,
@@ -23,7 +24,6 @@ from .phonecore import (
     WordSpan,
     _decimals,
     _on_line,
-    checked_symbols,
     derive_inventory,
 )
 from . import lexbuild
@@ -57,11 +57,15 @@ DEFAULT_RULES = (
 )
 
 
-def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tuple[ConfusionRule, ...]:
-    """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules; ``p`` is one float field."""
+def parse_rules_file(text: str, inventory: PhoneInventory | AnySymbol | None = None) -> tuple[ConfusionRule, ...]:
+    """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules; ``p`` is one float field.
+
+    With no ``inventory``, both phones must still follow the phone-symbol rule.
+    """
+    inventory = AnySymbol() if inventory is None else inventory
     rules = []
     try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(text.split("\n"), 1):
             if not raw.strip() or raw.startswith("#"):
                 continue
             fields = raw.split("\t")
@@ -71,20 +75,11 @@ def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tupl
             probabilities = _decimals(fields[2], None, "probability")
             if len(probabilities) != 1:
                 raise ValueError(f"bad probability {fields[2]!r}")
-            if inventory is not None:
-                inventory.require((source, target), "rule")
+            inventory.require((source, target), "rule")
             rules.append(ConfusionRule(source, target, probabilities[0]))
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
     return tuple(rules)
-
-
-def scan_rules_tokens(text: str) -> list[str]:
-    """Lenient phone-symbol scan of a rules file, skipping the lines the parser skips;
-    see :func:`checked_symbols`."""
-    lines = enumerate(text.splitlines(), 1)
-    rows = ((n, raw.split("\t")) for n, raw in lines if raw.strip() and not raw.startswith("#"))
-    return checked_symbols((n, (f[0].strip(), f[1].strip())) for n, f in rows if len(f) == 3)
 
 
 @dataclass(frozen=True)

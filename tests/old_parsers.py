@@ -4,6 +4,9 @@ checks and each parser added the line in one place, kept as the oracle.
 Verbatim but for what no parser reaches: the emitters, and the record methods
 after ``__init__`` of ``ReferenceDictionary`` and ``Lexicon``. The error types
 are the package's own.
+
+At the end, verbatim too: the lenient token scanners that, with no inventory
+given, found each input's phones before it was parsed, to derive one.
 """
 
 import math
@@ -550,3 +553,52 @@ def parse_rules_file(text: str, inventory: PhoneInventory | None = None) -> tupl
             raise BadRule(str(err), lineno) from None
     return tuple(rules)
 
+
+# --- the lenient token scanners that derived an inventory when none was given --------------
+# (from pronvar/phonecore.py, pronvar/attnalign.py and pronvar/synthbench.py, before each
+# parser checked its phones by the symbol rule as it read them)
+
+
+def checked_symbols(lines: Iterable[tuple[int, Iterable[str]]]) -> list[str]:
+    """Distinct tokens of ``(line number, tokens)`` pairs, in first-seen order.
+
+    Each token is checked against the phone-symbol rule on the line where
+    it first appears, so a bad symbol raises an error naming that line.
+    """
+    seen: dict[str, None] = {}
+    for lineno, tokens in lines:
+        _check_new_symbols(tokens, lineno, seen)
+    return list(seen)
+
+
+def scan_phone_tokens(text: str) -> list[str]:
+    lines = enumerate(text.splitlines(), 1)
+    return checked_symbols((n, raw.split("\t", 1)[1].split()) for n, raw in lines if "\t" in raw)
+
+
+def scan_segmented_tokens(text: str) -> list[str]:
+    lines = enumerate(text.splitlines(), 1)
+    return checked_symbols(
+        (n, [t for t in raw.split("\t", 2)[1].split() if t != "#"]) for n, raw in lines if "\t" in raw
+    )
+
+
+def scan_dictionary_tokens(text: str) -> list[str]:
+    lines = enumerate(text.splitlines(), 1)
+    return checked_symbols(
+        (n, raw.split("\t", 1)[1].split()) for n, raw in lines if "\t" in raw and not raw.startswith("#")
+    )
+
+
+def scan_attention_tokens(text: str) -> list[str]:
+    """Lenient phone-symbol scan of an attention file (axis lines only)."""
+    axis_lines = ((lineno, raw.split()) for record in _records(text) for lineno, raw in record[1:3])
+    return checked_symbols(axis_lines)
+
+
+def scan_rules_tokens(text: str) -> list[str]:
+    """Lenient phone-symbol scan of a rules file, skipping the lines the parser skips;
+    see :func:`checked_symbols`."""
+    lines = enumerate(text.splitlines(), 1)
+    rows = ((n, raw.split("\t")) for n, raw in lines if raw.strip() and not raw.startswith("#"))
+    return checked_symbols((n, (f[0].strip(), f[1].strip())) for n, f in rows if len(f) == 3)

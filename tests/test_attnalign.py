@@ -27,10 +27,9 @@ from pronvar.attnalign import (
     parse_attention_file,
     parse_bounds_file,
     place_boundaries,
-    scan_attention_tokens,
     split_by_attention,
 )
-from pronvar.phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, WordSpan, checked_symbols
+from pronvar.phonecore import PhoneInventory, ReferenceDictionary, SegmentedUtterance, WordSpan
 from pronvar.synthbench import identity_attention, jittered_attention
 
 
@@ -136,40 +135,6 @@ def test_every_weight_emit_writes_parses_back(inv, row, utt_id):
     # an id holding "_" makes the parser check each weight row on its own
     amap = AttentionMap(utt_id, ("K",) * len(row), ("K",), (tuple(row),))
     assert parse_attention_file(emit_attention_file([amap]), inv) == [amap]
-
-
-def block_line_scan(text):
-    """The attention axis scan as a per-line counter of the record line, kept as the oracle."""
-    axis_lines = []
-    block_line = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        block_line = block_line + 1 if raw.strip() else 0
-        if block_line in (2, 3):
-            axis_lines.append((lineno, raw.split()))
-    return checked_symbols(axis_lines)
-
-
-def scan_outcome(scan, text):
-    try:
-        return scan(text)
-    except errors.PronvarError as err:
-        return type(err), str(err), err.line
-
-
-attention_lines = st.lists(
-    st.one_of(
-        st.sampled_from(["", " ", "\t", " \t "]),
-        st.lists(st.sampled_from(["K", "AE", "T", "1", "0.5", "É", "x#"]), min_size=1, max_size=4).map(" ".join),
-    ),
-    max_size=20,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(attention_lines, st.booleans())
-def test_scan_attention_tokens_equals_the_block_line_scan(lines, trailing_newline):
-    text = "\n".join(lines) + ("\n" if trailing_newline else "")
-    assert scan_outcome(scan_attention_tokens, text) == scan_outcome(block_line_scan, text)
 
 
 class TestPlaceBoundaries:

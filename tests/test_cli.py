@@ -259,6 +259,8 @@ def put_defect(kind, refs, records, i):
         del records[i]
     elif kind == "row phones disagree":
         record[1] = " ".join(["S", *record[1].split()[1:]])
+    elif kind == "bad phone symbol":
+        record[2] = " ".join(["É", *record[2].split()[1:]])
     elif kind in ("row count", "column count"):
         utt_id, n_rows, n_cols = record[0].split()
         bump = (1, 0) if kind == "row count" else (0, 1)
@@ -277,6 +279,7 @@ DEFECTS = (
     "row phones disagree",
     "row count",
     "column count",
+    "bad phone symbol",
 )
 
 
@@ -347,6 +350,10 @@ class TestAttentionStream:
             ([("bad weight token", 0)], ("--radius", "-1"),
              (1, "usage error: shift_radius must be >= 0\n"),
              (2, "format error: TMP/attn.txt: line 4: bad weight row 'x 0 0'\n")),
+            # without --inventory, a bad phone symbol is a defect of its record, met as that is read
+            ([("row phones disagree", 1), ("bad phone symbol", 3)], (),
+             (3, "error: attention map 'u1': row phones disagree with the reference phones\n"),
+             (2, "format error: TMP/attn.txt: line 24: bad phone symbol 'É'\n")),
         ],
     )
     def test_the_first_defect_read_now_fails_first(self, defects, flags, now, eager):
@@ -354,6 +361,14 @@ class TestAttentionStream:
         got_now, got_eager = run_align_attn(utterances, defects, flags)
         assert got_now == (*now, [])
         assert got_eager == (*eager, [])
+
+
+def test_a_form_feed_does_not_end_a_line(tmp_path, capsys):
+    hyp = write(tmp_path / "hyp.txt", "u1\tK AE\fu9\tK AE T\n")
+    ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\nu9\tK AE T\tcat\n")
+    d = write(tmp_path / "dict.txt", "cat\tK AE T\n")
+    assert main(["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")]) == 2
+    assert "hyp.txt: line 1: extra tab in phone field\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -685,6 +700,22 @@ class TestInventoryFlag:
         assert runs[0][0] == 0
 
 
+@pytest.mark.parametrize(
+    "command, inputs",
+    [("align-dp", ["--hyp", "hyp.txt", "--ref", "ref.txt"]),
+     ("align-attn", ["--attn", "attn.txt", "--ref", "ref.txt", "--mode", "per-boundary"])],
+)
+def test_an_inventory_that_admits_every_phone_changes_no_output(corpus_dir, command, inputs):
+    tmp_path, corpus = corpus_dir
+    outputs = []
+    for flags in ([], ["--inventory", str(corpus / "inventory.txt")]):
+        out = tmp_path / f"out{len(flags)}"
+        argv = [command, *(str(corpus / arg) if arg.endswith(".txt") else arg for arg in inputs)]
+        assert main([*argv, "--dict", str(tmp_path / "dict.txt"), *flags, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] != b""
+
+
 class TestBadPhoneSymbol:
     """Without --inventory, a symbol that breaks the phone-symbol rule is a format error."""
 
@@ -732,6 +763,17 @@ class TestBadPhoneSymbol:
         )
         assert code == 2
         assert "rules.txt: line 1: bad phone symbol ''" in err
+
+    def test_an_earlier_file_fails_first(self, tmp_path, capsys):
+        # each input is parsed in turn, so a bad symbol in hyp.txt waits for dict.txt
+        hyp = write(tmp_path / "hyp.txt", "u1\tK | T\n")
+        ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\n")
+        d = write(tmp_path / "dict.txt", "cat K AE T\n")
+        code, err = self.run(
+            ["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 2
+        assert "dict.txt: line 1: missing tab separator in 'cat K AE T'" in err
 
     def test_reserved_symbol_in_a_derived_inventory_names_the_file(self, tmp_path, capsys):
         hyp = write(tmp_path / "hyp.txt", "u1\tK | T\n")

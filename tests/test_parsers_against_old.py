@@ -13,8 +13,12 @@ Where a line, or a file, holds several defects, the one reported first can
 differ; each such case is in ``ORDER_CHANGES`` with both verdicts, and is an
 ``@example`` of its parser's test.
 
-Each scanner that derives an inventory for a parser is also checked against
-that parser: on a text the parser accepts, the scan finds the phones it read.
+With no inventory, a parser checks each phone by the phone-symbol rule as it
+reads its line (``phonecore.AnySymbol``). Each parser that once read a file
+only after a lenient scan of it had derived an inventory is also checked
+against that chain (scan, ``derive_inventory``, parse) on the same files, a
+bad phone symbol among their defects: it gives the same records, or the same
+error.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -164,6 +168,8 @@ def put(draw, lines, kinds, defect, noise=("", "  ")):
 
 
 phones_st = st.lists(st.sampled_from(PHONES), min_size=1, max_size=3).map(" ".join)
+#: a symbol outside the phone-symbol rule: not ASCII, or reserved
+bad_symbols = st.sampled_from(("É", "|"))
 with_inventory = st.sampled_from(("given", None))
 
 
@@ -199,9 +205,11 @@ def phone_files(draw):
             "extra tab": f"u{j}\t{phones}\tK",
             "repeated id": f"u0\t{phones}",
             "unknown phone": f"{utt_id}\t{phones} ZZ",
+            "bad symbol": f"{utt_id}\t{phones} {draw(bad_symbols)}",
         }[kind]
 
-    text, line, _ = put(draw, lines, ("no tab", "bad id", "extra tab", "repeated id", "unknown phone"), defect)
+    kinds = ("no tab", "bad id", "extra tab", "repeated id", "unknown phone", "bad symbol")
+    text, line, _ = put(draw, lines, kinds, defect)
     return text, line, "given"
 
 
@@ -223,9 +231,11 @@ def segmented_files(draw):
             "word too many": f"u{j}\t{middle}\t{words} a",
             "empty span": f"u{j}\t{middle} #\t{words} a",
             "unknown phone": f"u{j}\tZZ {middle}\t{words}",
+            "bad symbol": f"u{j}\t{middle} {draw(bad_symbols)}\t{words}",
         }[kind]
 
     kinds = ("no tab", "bad id", "two fields", "four fields", "repeated id", "word too many", "empty span", "unknown phone")
+    kinds += ("bad symbol",)
     text, line, _ = put(draw, lines, kinds, defect)
     return text, line, "given"
 
@@ -317,10 +327,12 @@ def rules_files(draw):
             "rule to itself": f"{s}\t{s}\t0.5",
             "probability out of range": f"{s}\t{t}\t1.5",
             "unknown phone": f"{s}\tZZ\t0.5",
+            "bad symbol": f"{draw(bad_symbols)}\t{t}\t0.5",
         }[kind]
 
     kinds = ("two fields", "bad probability", "rule to itself", "probability out of range")
-    kinds += ("unknown phone",) if inventory else ()
+    # the old parser checked no phone of a rule without an inventory
+    kinds += ("unknown phone", "bad symbol") if inventory else ()
     text, line, _ = put(draw, lines, kinds, defect, noise=("", "# a comment"))
     return text, line, inventory
 
@@ -335,7 +347,8 @@ def attention_files(draw):
         weights = [" ".join(draw(st.sampled_from(("0", "1", "0.5", "2e-3"))) for _ in cols) for _ in rows]
         records.append([f"u{i} {len(rows)} {len(cols)}", " ".join(rows), " ".join(cols), *weights])
     kinds = ("two header fields", "bad dimension", "repeated id", "row count", "column count", "unknown phone",
-             "bad weight row", "negative weight", "infinite weight", "long row", "row phone too many")  # fmt: skip
+             "bad weight row", "negative weight", "infinite weight", "long row", "row phone too many",
+             "bad symbol")  # fmt: skip
     kind = draw(st.sampled_from((None, *kinds)))
     j = draw(st.integers(0, n - 1))
     offset = 0  # the line within record j that the defect is on
@@ -354,6 +367,9 @@ def attention_files(draw):
             record[0], offset = f"{utt_id} {n_rows} {int(n_cols) + 1}", 2
         elif kind == "unknown phone":
             record[1] = " ".join(["ZZ", *record[1].split()[1:]])
+        elif kind == "bad symbol":  # on either axis line; with an inventory, an unknown phone
+            axis = draw(st.sampled_from((1, 2)))
+            record[axis] = " ".join([draw(bad_symbols), *record[axis].split()[1:]])
         elif kind == "row phone too many":
             record[1] += " K"
         elif kind == "long row":
@@ -435,64 +451,45 @@ def test_attention_parser_against_its_old_self(case):
 
 
 
-# --- each scanner against its parser --------------------------------------------------------
+# --- one pass against the scan, then the parse ---------------------------------------------
 
 
-def dictionary_phones(text, dictionary):
-    # the record groups a word's lines, so the phones in file order come line by line
-    lines = (phonecore.parse_dictionary_file(line, FULL_INVENTORY) for line in text.splitlines())
-    return [p for d in lines for word in d.words() for pron in d.pronunciations(word) for p in pron]
-
-
-#: the (scan, parse) pairs of ``cli._load``: (scan, parse, file strategy, the phones read in file order)
-SCANS = {
-    "phone": (
-        phonecore.scan_phone_tokens,
-        phonecore.parse_phone_file,
-        phone_files,
-        lambda text, seqs: [p for s in seqs for p in s.phones],
-    ),
-    "segmented": (
-        phonecore.scan_segmented_tokens,
-        phonecore.parse_segmented_file,
-        segmented_files,
-        lambda text, utts: [p for u in utts for p in u.phones],
-    ),
-    "dictionary": (phonecore.scan_dictionary_tokens, phonecore.parse_dictionary_file, dictionary_files, dictionary_phones),
-    "rules": (
-        synthbench.scan_rules_tokens,
-        synthbench.parse_rules_file,
-        rules_files,
-        lambda text, rules: [p for r in rules for p in (r.source, r.target)],
-    ),
-    "attention": (
-        attnalign.scan_attention_tokens,
-        lambda text, inventory: list(attnalign._attention_maps(text, inventory)),
-        attention_files,
-        lambda text, maps: [p for m in maps for p in (*m.row_phones, *m.col_phones)],
-    ),
+#: each parser that ``cli._load`` ran after a scan: (the old scan, the parser, its file strategy)
+SCANNED = {
+    "phone": (old.scan_phone_tokens, phonecore.parse_phone_file, phone_files),
+    "segmented": (old.scan_segmented_tokens, phonecore.parse_segmented_file, segmented_files),
+    "dictionary": (old.scan_dictionary_tokens, phonecore.parse_dictionary_file, dictionary_files),
+    "rules": (old.scan_rules_tokens, synthbench.parse_rules_file, rules_files),
+    "attention": (old.scan_attention_tokens, attnalign.parse_attention_file, attention_files),
 }
-#: every symbol a file of these strategies can name that an inventory can hold
-FULL_INVENTORY = phonecore.PhoneInventory.from_phones((*PHONES, "ZZ"))
 
 
 @st.composite
-def scan_cases(draw):
-    """A parser's name and one of its files, with whitespace-only lines, some holding tabs, put in."""
-    name = draw(st.sampled_from(sorted(SCANS)))
-    lines = draw(SCANS[name][2]())[0].split("\n")
-    for _ in range(draw(st.integers(0, 2))):
+def scanned_cases(draw):
+    """A parser's name and one of its files. Outside attention files, where they would
+    split a record, whitespace-only lines, some holding tabs, are put in."""
+    name = draw(st.sampled_from(sorted(SCANNED)))
+    lines = draw(SCANNED[name][2]())[0].split("\n")
+    for _ in range(draw(st.integers(0, 0 if name == "attention" else 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(("", " \t \t ", "\t"))))
     return name, "\n".join(lines)
 
 
-@settings(max_examples=400, deadline=None)
-@given(scan_cases())
-def test_a_scan_finds_the_phones_its_parser_reads(case):
-    name, text = case
-    scan, parse, _, phones = SCANS[name]
+def outcome(plain, parse):
     try:
-        records = parse(text, FULL_INVENTORY)
-    except (errors.PronvarError, ValueError):
-        return
-    assert scan(text) == list(dict.fromkeys(phones(text, records)))
+        return "parsed", plain(parse())
+    except (errors.PronvarError, ValueError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scanned_cases())
+@example(("attention", "u0 1 2\nK\nK É\n1 0\n"))
+@example(("phone", "u0\tK\nu1\tK |\n"))
+@example(("rules", "K\t|\t0.5\n"))
+def test_one_pass_parsing_equals_scan_then_parse(case):
+    name, text = case
+    scan, parse, _ = SCANNED[name]
+    plain = PARSERS[name][2]
+    scanned = outcome(plain, lambda: parse(text, phonecore.derive_inventory(scan(text))))
+    assert outcome(plain, lambda: parse(text, phonecore.AnySymbol())) == scanned

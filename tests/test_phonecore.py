@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pronvar import errors
-from pronvar.attnalign import AttentionMap
+from pronvar.attnalign import AttentionMap, parse_attention_file, parse_bounds_file
 from pronvar.phonecore import (
     RESERVED_CHARS,
+    AnySymbol,
     Lexicon,
     PhoneInventory,
     ReferenceDictionary,
@@ -32,6 +33,7 @@ from pronvar.phonecore import (
     parse_phone_file,
     parse_segmented_file,
 )
+from pronvar.synthbench import parse_rules_file
 
 
 class TestInventory:
@@ -276,6 +278,65 @@ class TestPairs:
     def test_parse_allows_duplicates(self):
         triples = parse_pairs_file("cat\t1\tK AE T\ncat\t1\tK AE T\n")
         assert triples == [("cat", ("K", "AE", "T"), 1)] * 2
+
+
+class TestAnySymbol:
+    def test_holds_exactly_the_symbols_the_rule_admits(self):
+        symbols = AnySymbol()
+        assert "K" in symbols and "AE1" in symbols
+        assert not any(s in symbols for s in ("", "É", "A B", "K|", "#"))
+
+    def test_require_raises_the_rules_errors(self):
+        symbols = AnySymbol()
+        symbols.require(("K", "AE", "K"), "utterance 'u1'")
+        with pytest.raises(ValueError, match="bad phone symbol 'É'"):
+            symbols.require(("K", "É"), "utterance 'u1'")
+        with pytest.raises(errors.ReservedSymbol):
+            symbols.require(("|",), "utterance 'u1'")
+
+    def test_a_record_names_the_line_of_a_bad_symbol(self):
+        with pytest.raises(errors.MalformedLine, match=r"^line 2: bad phone symbol 'É'$"):
+            parse_phone_file("u1\tK\nu2\tK É\n", AnySymbol())
+
+    def test_all_instances_are_equal(self):
+        assert AnySymbol() == AnySymbol()
+        assert parse_phone_file("u1\tK\n", AnySymbol()) == parse_phone_file("u1\tK\n", AnySymbol())
+
+
+#: one valid file of each format with LF line endings, and the call that parses it
+LF_FILES = {
+    "inventory": ("K\n# a comment\nAE\tL1\n", parse_inventory),
+    "phone": ("u1\tK AE T\nu2\t\n", lambda text: parse_phone_file(text, AnySymbol())),
+    "segmented": ("u1\tK AE T # D\tcat a\n\nu2\tK\tthe\n", lambda text: parse_segmented_file(text, AnySymbol())),
+    "dictionary": ("cat\tK AE T\n# a comment\ncat\tK AH T\n", parse_dictionary_file),
+    "lexicon": ("cat\t2\tK AE T\ncat\t0\tK AH T\n", parse_lexicon),
+    "pairs": ("cat\t1\tK AE T\ncat\t1\tK AE T\n", parse_pairs_file),
+    "bounds": ("u1\t2 3\nu2\t\n", parse_bounds_file),
+    "attention": ("u1 1 2\nK\nK AE\n1 0.5\n\nu2 1 1\nT\nT\n1\n", lambda text: parse_attention_file(text, AnySymbol())),
+    "rules": ("# a comment\nZ\tS\t0.5\n", parse_rules_file),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LF_FILES))
+def test_a_crlf_copy_parses_as_the_lf_file(name):
+    text, parse = LF_FILES[name]
+    assert parse(text.replace("\n", "\r\n")) == parse(text)
+
+
+#: the characters besides LF at which ``str.splitlines`` breaks a line
+OTHER_BREAKS = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+@pytest.mark.parametrize(
+    "text, message",
+    [("u1\tK AE{}u9\tK AE T\n", "line 1: extra tab in phone field"),
+     ("u1\tK AE T\nu2\tK{}AE T\tK\n", "line 2: extra tab in phone field")],
+)
+def test_only_lf_ends_a_line(brk, text, message):
+    with pytest.raises(errors.MalformedLine) as err:
+        parse_phone_file(text.format(brk), AnySymbol())
+    assert str(err.value) == message
 
 
 def test_derive_inventory_first_seen_order():

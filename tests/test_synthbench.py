@@ -47,6 +47,12 @@ class TestRules:
         with pytest.raises(errors.MalformedLine):
             parse_rules_file("Z S 0.5")
 
+    @pytest.mark.parametrize("line, error", [("Z\tÉ\t0.5", errors.MalformedLine), ("Z|\tS\t0.5", errors.ReservedSymbol)])
+    def test_without_an_inventory_the_symbol_rule_holds(self, line, error):
+        with pytest.raises(error) as err:
+            parse_rules_file(f"Z\tS\t0.5\n{line}\n")
+        assert err.value.line == 2
+
     def test_default_ruleset_covers_the_usual_confusions(self):
         assert {(r.source, r.target) for r in DEFAULT_RULES} == {
             ("Z", "S"),
