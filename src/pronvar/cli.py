@@ -7,6 +7,7 @@ names the file and line), 3 constraint violation.
 import argparse
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 from . import lexbuild, synthbench
@@ -116,6 +117,7 @@ def _catching(path: str, parse, *args):
 def _load(args, *inputs) -> list:
     """Read every ``(path, parse)`` input, then parse each once, in turn, against one
     inventory: --inventory when given, else :class:`AnySymbol`, the phone-symbol rule.
+    The commands that take --inventory load through here: align-dp, align-attn, build, synth.
 
     A generator parser returns before it reads a record, so its errors come
     as its records are taken (:func:`_streamed`).
@@ -169,16 +171,11 @@ def _cmd_align_attn(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    inv = None
-    if args.inventory:
-        inv = _catching(args.inventory, parse_inventory)
-    triples = []
-    for path in args.pairs:
-        triples.extend(_catching(path, parse_pairs_file, inv))
-    lex = lexbuild.from_counted_pairs(triples)
-    canonical = None
+    dictionary = [(args.dict, parse_dictionary_file)] if args.dict else []
+    loaded = _load(args, *[(path, parse_pairs_file) for path in args.pairs], *dictionary)
+    canonical = loaded.pop() if args.dict else None
+    lex = lexbuild.from_counted_pairs(chain.from_iterable(loaded))
     if args.dict:
-        canonical = _catching(args.dict, parse_dictionary_file, inv)
         lex = lexbuild.merge(lexbuild.from_dictionary(canonical), lex)
     lex = _checked(lexbuild.prune, lex, args.min_count, args.max_variants, canonical)
     _write(args.out, emit_lexicon(lex))

@@ -296,6 +296,8 @@ def _resolve_reference(
     resolved and the words after it at their given spans, and the cost of
     aligning the whole utterance decides. Costs are compared in the
     integers of :func:`_exact`; ties keep the dictionary's file order.
+    The given reference's phones are checked against the hypothesis
+    inventory first, then each alternative's as it is tried.
 
     The whole-utterance cost is split at the word's end (Hirschberg, 1975):
     it is ``min_i F[i] + B[i]``, where ``F`` continues the resolved prefix's
@@ -313,6 +315,7 @@ def _resolve_reference(
     choices = [dictionary.pronunciations(s.word) if s.word in dictionary else () for s in spans]
     if all(len(variants) < 2 for variants in choices):
         return ref_seg, None
+    _checked_reference(hyp, ref_seg.phones)
     hyp_phones = hyp.phones
     reversed_hyp = hyp_phones[::-1]
     edge = _last_row((), hyp_phones, exact)
@@ -323,24 +326,16 @@ def _resolve_reference(
         backward.append(_last_row(span.phones[::-1], reversed_hyp, exact, backward[-1]))
     backward.reverse()
 
-    given = ref_seg.phones
-    given_end = 0
     rows = [edge]
-    changed = checked = False
+    changed = False
     for wi, (span, variants) in enumerate(zip(spans, choices)):
-        given_start, given_end = given_end, given_end + len(span.phones)
         if len(variants) < 2:
             rows.extend(islice(_cost_rows(span.phones, hyp_phones, exact, rows[-1]), 1, None))
             continue
-        after = given[given_end:]
         suffix_cost = backward[wi][::-1]
         scored = []
         for pron in variants:
-            # The first alternative is checked with the given phones around
-            # it; by the next one, every phone of a reference tried except
-            # the alternative's own has been checked.
-            _checked_reference(hyp, pron if checked else given[:given_start] + pron + after)
-            checked = True
+            _checked_reference(hyp, pron)
             tried = list(islice(_cost_rows(pron, hyp_phones, exact, rows[-1]), 1, None))
             scored.append((min(map(add, tried[-1], suffix_cost)), pron, tried))
         _, best, best_rows = min(scored, key=itemgetter(0))

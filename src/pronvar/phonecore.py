@@ -72,16 +72,6 @@ def _check_symbol(symbol: str, line: int | None = None) -> None:
         raise ReservedSymbol(symbol, line)
 
 
-def _check_new_symbols(symbols: Iterable[str], seen: set[str]) -> None:
-    """Apply the phone-symbol rule to each symbol not in ``seen``, then add it,
-    so the symbols of every record read against one :class:`AnySymbol` are
-    checked once each."""
-    for symbol in symbols:
-        if symbol not in seen:
-            _check_symbol(symbol)
-            seen.add(symbol)
-
-
 def _check_entry(word: str, pron: tuple[str, ...], count: int = 0, known: Container[str] = ()) -> None:
     """The rules of a dictionary or lexicon entry: a one-token word, a non-empty pronunciation,
     and a count that is an ``int`` of at least 0 (not a ``bool``, which is written ``True``).
@@ -172,9 +162,12 @@ class AnySymbol:
 
     def require(self, symbols: Iterable[str], context: str) -> None:
         """Raise the phone-symbol rule's error for the first of ``symbols`` that breaks it:
-        a ``ValueError``, which a parser makes a format error naming its line, or
-        :class:`ReservedSymbol`. Unlike :meth:`PhoneInventory.require`'s, it names no ``context``."""
-        _check_new_symbols(symbols, self._seen)
+        a ``ValueError``, which a parser makes a format error naming its line, or :class:`ReservedSymbol`.
+        Unlike :meth:`PhoneInventory.require`'s, it names no ``context``. A symbol that passed is remembered."""
+        for symbol in symbols:
+            if symbol not in self._seen:
+                _check_symbol(symbol)
+                self._seen.add(symbol)
 
 
 @dataclass(frozen=True)
@@ -502,7 +495,7 @@ def emit_dictionary(dictionary: ReferenceDictionary) -> str:
 
 
 def _read_lexicon_lines(
-    text: str, inventory: PhoneInventory | None, role: str, add: Callable[[str, tuple[str, ...], int], None]
+    text: str, inventory: PhoneInventory | AnySymbol | None, role: str, add: Callable[[str, tuple[str, ...], int], None]
 ) -> None:
     """Pass each lexicon-format line's word, pronunciation and count to ``add``, which checks
     them as an entry, then check its phones against ``inventory``, naming the word's ``role``
@@ -523,7 +516,7 @@ def _read_lexicon_lines(
         raise _on_line(err, lineno) from None
 
 
-def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexicon":
+def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol | None = None) -> "Lexicon":
     """Parse a counted lexicon; duplicate (word, pronunciation) lines are an error.
 
     With no ``inventory``, every phone must still follow the phone-symbol rule.
@@ -533,7 +526,9 @@ def parse_lexicon(text: str, inventory: PhoneInventory | None = None) -> "Lexico
     return lexicon
 
 
-def parse_pairs_file(text: str, inventory: PhoneInventory | None = None) -> list[tuple[str, tuple[str, ...], int]]:
+def parse_pairs_file(
+    text: str, inventory: PhoneInventory | AnySymbol | None = None
+) -> list[tuple[str, tuple[str, ...], int]]:
     """Read aligner output pairs: lexicon-format lines, each checked as a lexicon entry,
     duplicates allowed.
 

@@ -9,6 +9,7 @@ whole pipeline can be exercised end to end against known ground truth.
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 # the bounds I/O stays importable here: bench/ reads it as synthbench.*
 from .attnalign import AttentionMap, Segmentation, emit_bounds_file, parse_bounds_file
@@ -101,12 +102,15 @@ def corrupt(
     Rules are tried in order per phone; the first one whose draw fires
     wins. With ``indel_probability`` > 0 phones may also be dropped or
     have a random inventory phone inserted after them; a word is never
-    reduced to zero phones, so the ground-truth cuts stay valid.
+    reduced to zero phones, so the ground-truth cuts stay valid. Insertions
+    need a :class:`PhoneInventory` to draw from: on any other, ``ValueError``.
     """
     for rule in rules:
         seg.inventory.require((rule.source, rule.target), "confusion rule")
+    if indel_probability > 0.0 and not isinstance(seg.inventory, PhoneInventory):
+        raise ValueError("insertions need a PhoneInventory to draw phones from")
     rng = random.Random(seed)
-    all_phones = seg.inventory.phones
+    all_phones = seg.inventory.phones if indel_probability > 0.0 else ()
     out_spans: list[list[str]] = []
     for span in seg.words:
         out: list[str] = []
@@ -134,11 +138,7 @@ def corrupt(
         out_spans.append(out)
 
     flat = [p for span in out_spans for p in span]
-    cuts = []
-    total = 0
-    for span in out_spans[:-1]:
-        total += len(span)
-        cuts.append(total)
+    cuts = accumulate(len(span) for span in out_spans[:-1])
     sequence = PhoneSequence(seg.utterance_id, tuple(flat), seg.inventory)
     return CorruptionResult(sequence, Segmentation(tuple(cuts), len(flat)))
 

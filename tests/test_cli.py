@@ -454,6 +454,21 @@ class TestBuildMergeStats:
         assert "doesn't\t0\tD AH Z N T" in text
         assert "cat\t0\tK AE T" in text
 
+    @pytest.mark.parametrize(
+        "files, message",
+        [
+            (["--pairs", "bad.pairs", "--dict", "missing.dict"], "usage error: cannot read missing.dict"),
+            (["--inventory", "bad_inv.txt", "--pairs", "missing.pairs"], "usage error: cannot read missing.pairs"),
+        ],
+    )
+    def test_build_reads_every_file_before_it_parses_any(self, tmp_path, capsys, monkeypatch, files, message):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "bad.pairs", "cat\tmany\tK AE T\n")
+        write(tmp_path / "bad_inv.txt", "K\tXX\n")
+        assert main(["build", *files, "--out", "o.lex"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.lex").exists()
+
     def test_merge_unions(self, tmp_path):
         a = write(tmp_path / "a.lex", "cat\t2\tK AE T\n")
         b = write(tmp_path / "b.lex", "cat\t1\tK AE T\ndog\t1\tD AO G\n")
@@ -703,7 +718,8 @@ class TestInventoryFlag:
 @pytest.mark.parametrize(
     "command, inputs",
     [("align-dp", ["--hyp", "hyp.txt", "--ref", "ref.txt"]),
-     ("align-attn", ["--attn", "attn.txt", "--ref", "ref.txt", "--mode", "per-boundary"])],
+     ("align-attn", ["--attn", "attn.txt", "--ref", "ref.txt", "--mode", "per-boundary"]),
+     ("build", ["--pairs", "truth_lexicon.txt"])],
 )
 def test_an_inventory_that_admits_every_phone_changes_no_output(corpus_dir, command, inputs):
     tmp_path, corpus = corpus_dir

@@ -350,6 +350,18 @@ class TestExtractVariantsDp:
         with pytest.raises(errors.InventoryMismatch, match=message):
             _resolve_reference(hyp, ref, d, _exact(AlignConfig()))
 
+    @pytest.mark.parametrize("alternatives", [[("A",), ("B", "B")], [("Z",)]])
+    def test_a_given_span_outside_the_inventory_is_an_error_whatever_the_dictionary_lists(self, alternatives):
+        # the given reference is checked whole, so 'Z' fails also where every
+        # alternative tried for its word is in the hypothesis inventory
+        hyp = PhoneSequence("u", ("A", "B"), PhoneInventory.from_phones(["A", "B"]))
+        ref = SegmentedUtterance(
+            "u", (WordSpan("w", ("Z",)), WordSpan("v", ("B",))), PhoneInventory.from_phones(["A", "B", "Z"])
+        )
+        message = "^reference phone 'Z' not in the hypothesis inventory$"
+        with pytest.raises(errors.InventoryMismatch, match=message):
+            extract_variants_dp([hyp], [ref], ReferenceDictionary({"w": alternatives}))
+
 
 def resolve_reference_by_full_alignment(hyp, ref_seg, dictionary, cfg):
     """The resolver as it was before the cost-only kernel, kept as the oracle."""

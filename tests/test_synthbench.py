@@ -5,7 +5,7 @@ import pytest
 from pronvar import errors, lexbuild
 from pronvar.attnalign import AttnConfig, Segmentation, extract_variants_attn
 from pronvar.dpalign import AlignConfig, extract_variants_dp
-from pronvar.phonecore import ReferenceDictionary
+from pronvar.phonecore import AnySymbol, ReferenceDictionary, parse_segmented_file
 from pronvar.synthbench import (
     DEFAULT_RULES,
     ConfusionRule,
@@ -115,6 +115,15 @@ class TestCorrupt:
             spans = result.truth.spans(result.sequence.phones)
             assert len(spans) == 3
             assert all(len(s) >= 1 for s in spans)
+
+    def test_a_reference_on_the_symbol_rule_needs_an_inventory_only_to_insert(self, inv):
+        text = "u1\tK AE T # Z\tcat z\n"
+        [anywhere], [listed] = parse_segmented_file(text, AnySymbol()), parse_segmented_file(text, inv)
+        result = corrupt(anywhere, DEFAULT_RULES, 1)
+        expected = corrupt(listed, DEFAULT_RULES, 1)
+        assert (result.sequence.phones, result.truth) == (expected.sequence.phones, expected.truth)
+        with pytest.raises(ValueError, match="insertions need a PhoneInventory"):
+            corrupt(anywhere, DEFAULT_RULES, 1, indel_probability=0.05)
 
 
 class TestOracleAlign:
