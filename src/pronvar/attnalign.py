@@ -101,6 +101,13 @@ class AttentionMap:
         for r, row in enumerate(self.weights):
             if len(row) != columns:
                 raise DimensionMismatch(self.utterance_id, f"row {r} has {len(row)} weights for {columns} columns")
+            # one C-level test per row: min finds a negative or a leading nan, sum any non-finite weight.
+            # A row it fails (finite weights may overflow the sum) or cannot take is walked cell by cell
+            try:
+                if 0 <= min(row) and math.isfinite(sum(row)):
+                    continue
+            except (ArithmeticError, TypeError):
+                pass
             for c, w in enumerate(row):
                 if not math.isfinite(w):
                     raise DimensionMismatch(self.utterance_id, f"non-finite weight at ({r}, {c})")
@@ -260,7 +267,7 @@ def emit_attention_file(maps: Iterable[AttentionMap]) -> str:
         lines.append(" ".join(amap.row_phones))
         lines.append(" ".join(amap.col_phones))
         for row in amap.weights:
-            lines.append(" ".join(repr(w) for w in row))
+            lines.append(" ".join(map(repr, row)))
         blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)
 
@@ -284,8 +291,7 @@ def place_boundaries(amap: AttentionMap, ref_seg: SegmentedUtterance) -> Segment
     for span in ref_seg.words[:-1]:
         row += len(span.phones)
         weights = amap.weights[row]
-        best_col = max(range(length), key=weights.__getitem__)
-        raw_cuts.append(best_col + 1)
+        raw_cuts.append(weights.index(max(weights)) + 1)
     cuts, moved = _repair(raw_cuts, length)
     return Segmentation(cuts, length, repaired=moved)
 

@@ -120,11 +120,12 @@ def _load(args, *inputs) -> list:
     The commands that take --inventory load through here: align-dp, align-attn, build, synth.
 
     A generator parser returns before it reads a record, so its errors come
-    as its records are taken (:func:`_streamed`).
+    as its records are taken (:func:`_streamed`). Each text is let go once its
+    parser returns; a generator parser holds its own.
     """
     texts = [_read(path) for path, _ in inputs]
     inv = _catching(args.inventory, parse_inventory) if args.inventory else AnySymbol()
-    return [_parsed(path, text, parse, inv) for (path, parse), text in zip(inputs, texts)]
+    return [_parsed(path, texts.pop(0), parse, inv) for path, parse in inputs]
 
 
 def _checked(make, *args):

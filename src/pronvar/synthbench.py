@@ -228,15 +228,23 @@ def recovery_report(
     return precision, recall
 
 
+def _peak_map(utterance_id: str, col_phones: Sequence[str], row_phones: Sequence[str], peaks: Iterable[int]):
+    """Map whose row r is 1.0 at the r-th peak's column and 0.0 elsewhere, or 0.0 only for a peak off the columns."""
+    n_cols = len(col_phones)
+    rows = []
+    for peak in peaks:
+        row = [0.0] * n_cols
+        if 0 <= peak < n_cols:
+            row[peak] = 1.0
+        rows.append(row)
+    return AttentionMap(utterance_id, col_phones, row_phones, rows)
+
+
 def identity_attention(
     utterance_id: str, col_phones: Sequence[str], row_phones: Sequence[str]
 ) -> AttentionMap:
     """Diagonal-1 map; for unequal axes the diagonal runs along the shorter one."""
-    n_rows, n_cols = len(row_phones), len(col_phones)
-    weights = tuple(
-        tuple(1.0 if r == c else 0.0 for c in range(n_cols)) for r in range(n_rows)
-    )
-    return AttentionMap(utterance_id, tuple(col_phones), tuple(row_phones), weights)
+    return _peak_map(utterance_id, col_phones, row_phones, range(len(row_phones)))
 
 
 def jittered_attention(
@@ -248,12 +256,9 @@ def jittered_attention(
 ) -> AttentionMap:
     """Identity map with each row's peak displaced by a seeded offset in [-radius, radius]."""
     rng = random.Random(seed)
-    n_rows, n_cols = len(row_phones), len(col_phones)
-    rows = []
-    for r in range(n_rows):
-        peak = min(max(r + rng.randint(-radius, radius), 0), n_cols - 1)
-        rows.append(tuple(1.0 if c == peak else 0.0 for c in range(n_cols)))
-    return AttentionMap(utterance_id, tuple(col_phones), tuple(row_phones), tuple(rows))
+    last = len(col_phones) - 1
+    peaks = [min(max(r + rng.randint(-radius, radius), 0), last) for r in range(len(row_phones))]
+    return _peak_map(utterance_id, col_phones, row_phones, peaks)
 
 
 @dataclass(frozen=True)

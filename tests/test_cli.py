@@ -3,6 +3,7 @@ import re
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager, nullcontext, redirect_stderr
 from pathlib import Path
 from unittest import mock
@@ -14,6 +15,7 @@ from pronvar import attnalign, cli
 from pronvar.attnalign import parse_attention_file
 from pronvar.cli import main
 from pronvar.errors import DuplicateUtteranceId, MissingUtterance
+from pronvar.phonecore import parse_pairs_file
 
 DICT = "doesn't\tD AH Z N T\ncat\tK AE T\n"
 RULES = "Z\tS\t1.0\n"
@@ -468,6 +470,26 @@ class TestBuildMergeStats:
         assert main(["build", *files, "--out", "o.lex"]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o.lex").exists()
+
+    def test_build_lets_each_text_go_once_parsed(self, tmp_path, monkeypatch):
+        # the first file is 4 MB of text that parses to one pair; traced memory is read
+        # as the second file's parse begins, when only its own text need be held
+        pad = 4_000_000
+        first = write(tmp_path / "a.pairs", "cat\t1\tK AE T\n" + " " * pad + "\n")
+        second = write(tmp_path / "b.pairs", "cat\t1\tK AH T\n")
+        held = []
+
+        def spy(text, inventory):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return parse_pairs_file(text, inventory)
+
+        monkeypatch.setattr(cli, "parse_pairs_file", spy)
+        tracemalloc.start()
+        try:
+            assert main(["build", "--pairs", first, second, "--out", str(tmp_path / "o.lex")]) == 0
+        finally:
+            tracemalloc.stop()
+        assert held[0] > pad and held[1] < pad / 2
 
     def test_merge_unions(self, tmp_path):
         a = write(tmp_path / "a.lex", "cat\t2\tK AE T\n")
