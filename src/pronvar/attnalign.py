@@ -5,7 +5,7 @@ segmented native reference (rows). For every word but the last, the
 column with the highest weight on the word's final row proposes a cut.
 Those cuts then move within a radius n, and the segmentation closest to
 the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
-(the row kernel that global alignment also uses) wins:
+wins:
 
 * ``global_shift`` moves all cuts together, 2n+1 candidates. They are
   visited by a lower bound from span and pronunciation lengths, and one
@@ -16,11 +16,15 @@ the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
   orders the tuples, scores only the spans that can still reach the best
   total, and the first tuple it completes wins.
 
-Spans are scored from one lazy row pass per (word, start, pronunciation):
-the pass's row i is the distance of the span that ends i columns after the
-start, so every end of one start comes from the same pass, and no span is
-scored twice in an utterance. An utterance whose best segmentation is
-still too far from the reference is rejected.
+Spans are scored from one pass per (word, start, pronunciation) of the
+bit-parallel unit-cost kernel :func:`pronvar.dpalign._bit_rows`, which
+:func:`pronvar.dpalign.nw_align` also uses at unit costs. The pass runs the
+pronunciation as rows over the columns from the start, in full, and cell i
+of its last row is the distance of the span that ends i columns after the
+start. So every end of one start comes from the same pass, at two
+``bit_count`` calls, and the scores are those of
+:func:`pronvar.dpalign.edit_distance`. An utterance whose best
+segmentation is still too far from the reference is rejected.
 """
 
 import math
@@ -38,7 +42,8 @@ from .errors import (
     ReservedSymbol,
     RowMismatch,
 )
-from .dpalign import AlignConfig, _cost_rows, _harvest, edit_distance, pair_by_id  # edit_distance stays importable here
+# bench/spans.py counts edit_distance here, though this module no longer calls it
+from .dpalign import _bit_rows, _column_masks, _harvest, edit_distance, pair_by_id
 from .phonecore import (
     AnySymbol,
     PhoneInventory,
@@ -351,27 +356,35 @@ SpanScore = Callable[[int, int, int], float]
 
 def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[str]]]) -> SpanScore:
     """Score (word, start, end) as the unit-cost edit distance of ``cols[start:end]``
-    to the word's nearest pronunciation.
+    to the word's nearest pronunciation, as a float.
 
-    Each (word, start) runs one lazy :func:`pronvar.dpalign._cost_rows` pass
-    per pronunciation, with ``cols[start:]`` as the rows. Row i's last cell is
-    the distance of the first i columns: one gap cost serves both
-    directions, so this is the transpose of :func:`edit_distance`'s matrix and
-    the same value. A pass advances only as far as the largest ``end`` asked
-    of it, and each (word, start, end) is computed once.
+    The first score asked of a (word, start) runs each pronunciation as the
+    rows of :func:`pronvar.dpalign._bit_rows` over ``cols[start:]`` and keeps
+    the last row. Cell i of that row is the distance of the span that ends
+    i columns after ``start``, the same value as :func:`edit_distance`, so
+    every end of one start comes from the same rows, two ``bit_count`` calls
+    per pronunciation.
     """
-    unit = AlignConfig()
-    passes: dict[tuple[int, int], tuple[list[float], Iterator[float]]] = {}
+    masks = _column_masks(cols)
+    last_rows: dict[tuple[int, int], list[tuple[float, int, int]]] = {}
 
     def score(word: int, start: int, end: int) -> float:
         key = (word, start)
-        if key not in passes:
-            last_cells = [map(itemgetter(-1), _cost_rows(cols[start:], pron, unit)) for pron in ref_variants[word]]
-            passes[key] = ([], last_cells[0] if len(last_cells) == 1 else map(min, zip(*last_cells)))
-        distances, more = passes[key]
-        while len(distances) <= end - start:
-            distances.append(next(more))
-        return distances[end - start]
+        rows = last_rows.get(key)
+        if rows is None:
+            width = len(cols) - start
+            rows = last_rows[key] = []
+            for pron in ref_variants[word]:
+                for plus, minus, _ in _bit_rows(pron, masks, width, start):
+                    pass
+                rows.append((float(len(pron)), plus, minus))
+        low = (1 << (end - start)) - 1
+        best = math.inf
+        for length, plus, minus in rows:  # a loop, not min(): most words have one pronunciation
+            distance = length + (plus & low).bit_count() - (minus & low).bit_count()
+            if distance < best:
+                best = distance
+        return best
 
     return score
 

@@ -1,14 +1,22 @@
 """Global alignment of non-native phone sequences against native references.
 
-Both aligners share one row recurrence with :class:`AlignConfig` costs.
-:func:`edit_distance` keeps one row and returns the cost. :mod:`pronvar.attnalign`
-scores word spans from the rows themselves, many span ends per pass.
-Dictionary alternatives are costed here from forward and backward rows of
-the same recurrence. :func:`nw_align` keeps the whole matrix to backtrack
-the ops, and native word boundaries are projected through them to carve
-the hypothesis into per-word variants. Where the resolver's forward rows
-already form that matrix and float sums of the costs are exact, the ops are
-traced back through those rows instead.
+Two kernels compute the rows of one alignment matrix. :func:`_cost_rows`
+takes any :class:`AlignConfig` costs, one step per cell. :func:`_bit_rows`
+takes unit costs and computes a whole row as bit vectors in a few ``int``
+operations. Both give the same cells, so which one runs never changes an
+output.
+
+:func:`edit_distance` keeps one row of :func:`_cost_rows` and returns the
+cost. :mod:`pronvar.attnalign` scores word spans, always at unit costs, from
+the last row of :func:`_bit_rows`, every span end of one start at once.
+:func:`nw_align` keeps the whole matrix to backtrack the ops. It takes the
+bit rows at unit costs times one gap cost, while float sums of that cost are
+exact, as at the default costs, and :func:`_cost_rows` otherwise. Native
+word boundaries are projected through the ops to carve the hypothesis into
+per-word variants. Dictionary alternatives are costed here from forward and
+backward rows of :func:`_cost_rows` in exact integer costs. Where the
+resolver's forward rows already form the final matrix and float sums of the
+costs are exact, the ops are traced back through those rows instead.
 """
 
 import math
@@ -117,6 +125,43 @@ def _cost_rows(
         yield row
 
 
+def _column_masks(b: Sequence[str]) -> dict[str, int]:
+    """One bit mask per phone of ``b``: bit j is set where ``b[j]`` is that phone."""
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    return masks
+
+
+def _bit_rows(a: Sequence[str], masks: dict[str, int], width: int, shift: int = 0) -> Iterator[tuple[int, int, int]]:
+    """Unit-cost rows 0..len(a) of ``a`` (rows) against ``width`` columns, as bit vectors.
+
+    The columns are those that :func:`_column_masks` describes, from column
+    ``shift`` on. Row 0 is the top edge 0..width, and the left edge counts
+    the rows. Row i comes as ``(plus, minus, same)``: bit j-1 of ``plus``
+    (``minus``) is set where cell j is one more (less) than cell j-1, and bit
+    j-1 of ``same`` where cell j equals cell j-1 of row i-1 (none in row 0).
+    So cell j of row i is ``i + (plus & low).bit_count() - (minus &
+    low).bit_count()`` with ``low = (1 << j) - 1``. One row takes a fixed
+    number of ``int`` operations whatever its width: Myers' bit-vector
+    recurrence (J. ACM 46(3), 1999) in Hyyrö's global edit-distance form
+    (Nordic J. Computing 10(1), 2003), with rows and columns named as in
+    :func:`_cost_rows`.
+    """
+    full = (1 << width) - 1
+    plus, minus = full, 0
+    yield plus, minus, 0
+    for x in a:
+        eq = masks.get(x, 0) >> shift
+        same = ((((eq & plus) + plus) ^ plus) | eq | minus) & full
+        # the column deltas of row i against row i-1; column 0's is +1
+        up = (minus | ~(same | plus)) << 1 | 1
+        down = (plus & same) << 1
+        plus = (down | ~(same | up)) & full
+        minus = up & same
+        yield plus, minus, same
+
+
 def edit_distance(a: Sequence[str], b: Sequence[str], cfg: AlignConfig = AlignConfig()) -> float:
     """Least cost of aligning ``a`` with ``b``, bit for bit :func:`nw_align`'s total.
 
@@ -165,11 +210,59 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
     Backtracking ties are broken deterministically: diagonal
     (match/substitute) first, then delete (gap in the reference), then
     insert.
+
+    At unit costs times one gap cost ``g`` (``match_score == 0`` and
+    ``mismatch_score == gap_penalty``), while float sums of ``g`` are exact,
+    the rows come from :func:`_bit_rows` and the ops are traced from their
+    bits (:func:`_trace_bits`). A cell sums at most ``len(hyp) + len(ref)``
+    gaps, so that holds while that many times ``g``'s integer numerator is
+    at most 2**53, as at the default costs. The ops and the bits of the
+    total are those of the :func:`_cost_rows` fill, which every other cost
+    setting takes.
     """
     a = hyp.phones
     b = _checked_reference(hyp, ref)
+    gap = cfg.gap_penalty
+    if cfg.match_score == 0 and cfg.mismatch_score == gap and gap.as_integer_ratio()[0] * (len(a) + len(b)) <= 2**53:
+        rows = list(_bit_rows(b, _column_masks(a), len(a)))
+        plus, minus, _ = rows[-1]
+        distance = len(b) + plus.bit_count() - minus.bit_count()
+        return Alignment(a, b, _trace_bits(a, b, rows), distance * gap)
     score = list(_cost_rows(b, a, cfg))
     return Alignment(a, b, _trace(a, b, score, cfg), score[-1][-1])
+
+
+def _trace_bits(hyp: Sequence[str], ref: Sequence[str], rows: list[tuple[int, int, int]]) -> tuple[EditOp, ...]:
+    """:func:`_trace` through the :func:`_bit_rows` of ``ref`` against ``hyp``.
+
+    At unit costs a cell is its diagonal neighbour's cost or one more, and
+    that neighbour's when the phones match. So the diagonal is taken when
+    the phones match or the cell's ``same`` bit is clear; else the delete
+    when its ``plus`` bit is set, else the insert.
+    """
+    ops: list[EditOp] = []
+    i, j = len(ref), len(hyp)
+    while i > 0 and j > 0:
+        plus, _, same = rows[i]
+        bit = 1 << (j - 1)
+        if ref[i - 1] == hyp[j - 1]:
+            ops.append(EditOp(MATCH, j - 1, i - 1))
+        elif not same & bit:
+            ops.append(EditOp(SUBSTITUTE, j - 1, i - 1))
+        elif plus & bit:
+            ops.append(EditOp(DELETE, j - 1))
+            j -= 1
+            continue
+        else:
+            ops.append(EditOp(INSERT, None, i - 1))
+            i -= 1
+            continue
+        i, j = i - 1, j - 1
+    # the top edge deletes what is left of the hypothesis, the left edge inserts the reference
+    ops.extend(EditOp(DELETE, k) for k in reversed(range(j)))
+    ops.extend(EditOp(INSERT, None, k) for k in reversed(range(i)))
+    ops.reverse()
+    return tuple(ops)
 
 
 def _trace(

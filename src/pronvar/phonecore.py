@@ -154,6 +154,8 @@ class AnySymbol:
     _seen: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __contains__(self, symbol: str) -> bool:
+        if symbol in self._seen:
+            return True
         try:
             self.require((symbol,), "")
         except (PronvarError, ValueError):

@@ -517,20 +517,33 @@ def test_memoised_global_shift_matches_the_scoring_loop(case, radius, threshold,
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.sampled_from("ABC"), max_size=8).map(tuple),
+    # D is in no pronunciation; the long columns take more than one 64-bit word
+    st.one_of(
+        st.lists(st.sampled_from("ABCD"), max_size=8), st.lists(st.sampled_from("ABCD"), min_size=60, max_size=100)
+    ).map(tuple),
     st.lists(st.lists(short_pron, min_size=1, max_size=3, unique=True), min_size=1, max_size=4),
     st.data(),
 )
 def test_span_scorer_matches_edit_distance(cols, prons, data):
     n = len(cols)
-    requests = [(w, start, end) for w in range(len(prons)) for start in range(n + 1) for end in range(start, n + 1)]
     # one start first asked its ends from the last down, so its passes run
     # to the end before any shorter span is read back
     word, start = data.draw(st.integers(0, len(prons) - 1)), data.draw(st.integers(0, n))
-    requests = [(word, start, end) for end in range(n, start - 1, -1)] + data.draw(st.permutations(requests))
+    requests = [(word, start, end) for end in range(n, start - 1, -1)]
+    if n <= 8:
+        every = [(w, a, b) for w in range(len(prons)) for a in range(n + 1) for b in range(a, n + 1)]
+        requests += data.draw(st.permutations(every))
+    else:
+        span = st.tuples(st.integers(0, len(prons) - 1), st.integers(0, n), st.integers(0, n))
+        requests += [(w, min(a, b), max(a, b)) for w, a, b in data.draw(st.lists(span, max_size=30))]
     score = _span_scorer(cols, prons)
     for word, start, end in requests:
-        assert score(word, start, end) == min(edit_distance(cols[start:end], p) for p in prons[word])
+        got = score(word, start, end)
+        assert type(got) is float
+        assert got == min(edit_distance(cols[start:end], p) for p in prons[word])
+    # an empty span costs its word's shortest pronunciation, wherever it starts
+    for word, variants in enumerate(prons):
+        assert score(word, n, n) == score(word, 0, 0) == min(map(len, variants))
 
 
 def best_global_shift_by_full_scan(amap, ref_seg, cfg, score):

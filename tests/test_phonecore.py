@@ -298,6 +298,25 @@ class TestAnySymbol:
         with pytest.raises(errors.MalformedLine, match=r"^line 2: bad phone symbol 'É'$"):
             parse_phone_file("u1\tK\nu2\tK É\n", AnySymbol())
 
+    @pytest.mark.parametrize("symbol", ["K", "AE1", "É", "#", "|", "", "A B"])
+    def test_membership_and_require_agree_before_and_after_a_symbol_is_remembered(self, symbol):
+        def passes(symbols):
+            try:
+                symbols.require((symbol,), "utterance 'u1'")
+            except (errors.PronvarError, ValueError):
+                return False
+            return True
+
+        expected = passes(AnySymbol())
+        by_membership, by_require = AnySymbol(), AnySymbol()
+        assert (symbol in by_membership) == expected
+        assert passes(by_require) == expected
+        # a symbol that passed is remembered, one that broke the rule never is
+        for symbols in (by_membership, by_require):
+            assert (symbol in symbols._seen) == expected
+            assert (symbol in symbols) == passes(symbols) == expected
+            assert (symbol in symbols._seen) == expected
+
     def test_all_instances_are_equal(self):
         assert AnySymbol() == AnySymbol()
         assert parse_phone_file("u1\tK\n", AnySymbol()) == parse_phone_file("u1\tK\n", AnySymbol())
