@@ -12,9 +12,10 @@ wins:
   is dropped as soon as it cannot beat the best so far (branch-and-bound);
 * ``per_boundary`` moves each cut on its own and finds the best of all
   (2n+1)^k offset tuples exactly. A best-first search over the cut
-  positions, bounded by the same floors and ordered as the tie-break
-  orders the tuples, scores only the spans that can still reach the best
-  total, and the first tuple it completes wins.
+  positions, bounded by the summed pronunciation lengths of the words
+  still to place and ordered as the tie-break orders the tuples, scores
+  only the spans out of cut positions that can still reach the best total,
+  and the first tuple it completes wins.
 
 Spans are scored from one pass per (word, start, pronunciation) of the
 bit-parallel unit-cost kernel :func:`pronvar.dpalign._bit_rows`, which
@@ -32,7 +33,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import pairwise
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -74,6 +75,8 @@ class AttnConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        if type(self.shift_radius) is not int:  # not a bool, which is written True
+            raise ValueError("shift_radius must be an int")
         if self.shift_radius < 0:
             raise ValueError("shift_radius must be >= 0")
         if self.mode not in (GLOBAL_SHIFT, PER_BOUNDARY):
@@ -394,8 +397,8 @@ def _span_floors(ref_variants: Sequence[Sequence[Sequence[str]]], length: int) -
 
     That is ``max(lo - n, n - hi, 0)``, where ``lo`` and ``hi`` are the
     lengths of the word's shortest and longest pronunciations: unit-cost
-    edit distance is at least the length difference. Both searches bound
-    their work by these floors.
+    edit distance is at least the length difference. The global search
+    bounds its work by these floors.
     """
     floors = []
     for prons in ref_variants:
@@ -448,14 +451,8 @@ def _best_global_shift(
     return best, best_key[0]
 
 
-def _cuts_after(prev: int, target: int, n: int, length: int) -> range:
-    """The positions that offsets -n..n of ``target`` clamp to after a cut at
-    ``prev`` (:func:`_clamp`): one run, since clamping is monotone."""
-    return range(_clamp(target - n, prev, length), _clamp(target + n, prev, length) + 1)
-
-
 def _best_per_boundary(
-    base: Segmentation, radius: int, floors: Sequence[Sequence[int]], score: SpanScore
+    base: Segmentation, radius: int, ref_variants: Sequence[Sequence[Sequence[str]]], score: SpanScore
 ) -> tuple[Segmentation, float]:
     """Exact best independent per-cut shift of ``base``, by a bounded best-first search.
 
@@ -468,66 +465,55 @@ def _best_per_boundary(
 
     A state is (cut i, previous clamped cut). A step from it places cut i,
     or, after the last cut, ends the last word at the sequence end. ``h`` of
-    a state is the least sum of span floors (:func:`_span_floors`) from it
-    to the end: it scores nothing and never exceeds the distance still to
-    come. The heap orders entries by (estimate, clamps so far, ranks), where
-    the estimate is the exact prefix distance ``g`` plus ``h`` and the ranks
-    are the offsets' positions in :func:`_offset_order`: the winner's order,
-    with ``g + h`` for the total. A step enters the heap with its span's
-    floor in place of its score, and is scored when it comes off the heap,
-    unless the state it reaches is settled by then. From each state, each
-    cut is pushed once, with the best (clamp, rank) of the offsets that land
-    on it: no clamp, then the lowest rank.
+    a state whose last cut is at ``prev`` is the distance of the ``rest =
+    length - prev`` columns still to split from ``[lo, hi]``, the least and
+    greatest summed pronunciation lengths of the words still to place:
+    ``max(lo - rest, rest - hi, 0)``. It scores nothing and never exceeds
+    the distance still to come, since a span scores at least its length's
+    distance from ``[lo_w, hi_w]`` of its word, and the distance of a sum
+    from a summed range is at most the sum of the distances. The heap orders
+    entries by (estimate, clamps so far, ranks), where the estimate is the
+    exact prefix distance ``g`` plus ``h`` and the ranks are the offsets'
+    positions in :func:`_offset_order`: the winner's order, with ``g + h``
+    for the total. A step is scored when it is pushed, unless the state it
+    reaches is settled by then. From each state, each cut is pushed once,
+    with the best (clamp, rank) of the offsets that land on it: no clamp,
+    then the lowest rank.
 
-    Why the first completion popped is the winner. ``h`` is consistent: a
-    floor is at most its score, and ``h`` is at most a step's floor plus
-    ``h`` of the state it reaches. So along a path the estimate and the
-    clamps never fall, and a prefix's ranks sort before any longer tuple
-    they begin: an entry sorts no later than its path's entries further on.
-    A best path to a state runs through best paths to the states before it,
-    so until the state is settled that path has an entry in the heap, and
-    the entry sorts before the state's entry from any path with a worse
-    (``g``, clamps, ranks). The first pop of each state thus carries its
-    best prefix, and a completion's key is the winner's order itself.
+    Why the first completion popped is the winner. ``h`` is consistent: by
+    the same sum rule, ``h`` is at most a step's score plus ``h`` of the
+    state it reaches. So along a path the estimate and the clamps never
+    fall, and a prefix's ranks sort before any longer tuple they begin: an
+    entry sorts no later than its path's entries further on. A best path to
+    a state runs through best paths to the states before it, so until the
+    state is settled that path has an entry in the heap, and the entry
+    sorts before the state's entry from any path with a worse (``g``,
+    clamps, ranks). The first pop of each state thus carries its best
+    prefix, and a completion's key is the winner's order itself.
     """
     length = base.length
     n = min(radius, length)
     targets = base.cuts
     k = len(targets)
 
-    # h[i][prev] over the positions cut i-1 can reach: one run per cut, as the
-    # ends of a successor run move by at most one as prev does
-    reach = [range(1)]
-    for t in targets:
-        first, last = _cuts_after(reach[-1][0], t, n, length), _cuts_after(reach[-1][-1], t, n, length)
-        reach.append(range(first[0], last[-1] + 1))
-    # the last span runs from prev to the end, after which nothing is left
-    h: list[Sequence[int]] = [[]] * k + [floors[k][length::-1], [0] * (length + 1)]
-    for i in reversed(range(k)):
-        fl, later = floors[i], h[i + 1]
-        row = [0] * (length + 1)
-        for prev in reach[i]:
-            cuts = _cuts_after(prev, targets[i], n, length)
-            row[prev] = min(map(add, fl[cuts.start - prev : cuts.stop - prev], later[cuts.start : cuts.stop]))
-        h[i] = row
+    # lo[i], hi[i]: the summed shortest and longest pronunciation lengths of words i..k
+    lo, hi = [0] * (k + 2), [0] * (k + 2)
+    for i in reversed(range(k + 1)):
+        lengths = [len(pron) for pron in ref_variants[i]]
+        lo[i], hi[i] = lo[i + 1] + min(lengths), hi[i + 1] + max(lengths)
 
     offsets = _offset_order(n)
     settled: list[set[int]] = [set() for _ in range(k + 2)]
-    # (estimate, clamps, ranks, prev, g, source): state (len(ranks), prev) at
-    # prefix distance g when source is -1, else the unscored step to it from
-    # the state (len(ranks) - 1, source), with g that source's
-    heap = [(h[0][0], 0, (), 0, 0, -1)]
+    # (g + h, clamps, ranks, prev, g): state (len(ranks), prev) at prefix distance g;
+    # the first entry is popped alone, so its estimate is never compared
+    heap = [(0, 0, (), 0, 0)]
     while True:
-        _, clamps, ranks, prev, g, source = heappop(heap)
+        _, clamps, ranks, prev, g = heappop(heap)
         i = len(ranks)
-        if prev in settled[i]:
-            continue
-        if source >= 0:
-            g += score(i - 1, source, prev)
-            heappush(heap, (g + h[i][prev], clamps, ranks, prev, g, -1))
-            continue
         if i > k:
             break
+        if prev in settled[i]:
+            continue
         settled[i].add(prev)
         if i == k:  # the last word's span runs to the end
             steps = {length: (False, 0)}
@@ -537,9 +523,14 @@ def _best_per_boundary(
                 cut = _clamp(wanted, prev, length)
                 if cut == wanted or cut not in steps:
                     steps[cut] = (cut != wanted, rank)
-        fl, later = floors[i], h[i + 1]
+        done, lo_next, hi_next = settled[i + 1], lo[i + 1], hi[i + 1]
         for cut, (clamped, rank) in steps.items():
-            heappush(heap, (g + fl[cut - prev] + later[cut], clamps + clamped, (*ranks, rank), cut, g, prev))
+            if cut in done:
+                continue
+            step = g + score(i, prev, cut)
+            rest = length - cut
+            estimate = step + max(lo_next - rest, rest - hi_next, 0)
+            heappush(heap, (estimate, clamps + clamped, (*ranks, rank), cut, step))
 
     # replay the winner's offsets; zip leaves out the rank of the step to the end
     cuts, repaired = _repair([t + offsets[r] for t, r in zip(targets, ranks)], length)
@@ -579,11 +570,10 @@ def align_word_boundaries(
             ref_variants.append((span.phones,))
 
     score = _span_scorer(cols, ref_variants)
-    floors = _span_floors(ref_variants, len(cols))
     if cfg.mode == GLOBAL_SHIFT:
-        best, total = _best_global_shift(amap, ref_seg, cfg, floors, score)
+        best, total = _best_global_shift(amap, ref_seg, cfg, _span_floors(ref_variants, len(cols)), score)
     else:
-        best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, floors, score)
+        best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, ref_variants, score)
 
     normalized = total / len(ref_seg.phones)
     variants = tuple((span.word, hyp) for span, hyp in zip(ref_seg.words, best.spans(cols)))

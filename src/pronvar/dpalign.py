@@ -72,10 +72,10 @@ class _ExactCosts(NamedTuple):
     scale: int
 
 
-@dataclass(frozen=True)
-class EditOp:
+class EditOp(NamedTuple):
     """One alignment step. ``hyp_index`` is None for inserts, ``ref_index``
-    for deletes (a delete consumes a hypothesis phone the reference lacks)."""
+    for deletes (a delete consumes a hypothesis phone the reference lacks).
+    A tuple, so it compares equal to a plain tuple of its fields."""
 
     kind: str
     hyp_index: int | None = None

@@ -211,6 +211,12 @@ class TestSplitByAttention:
         assert [c.cuts for c in cands] == [(1,), (2,), (3,)]
 
 
+@pytest.mark.parametrize("radius", [2.5, float("inf"), True, 3.0])
+def test_a_radius_that_is_not_an_int_is_rejected(radius):
+    with pytest.raises(ValueError, match="^shift_radius must be an int$"):
+        AttnConfig(radius)
+
+
 class TestEditDistance:
     def test_identical(self):
         assert edit_distance(["D", "AH", "Z", "N", "T"], ["D", "AH", "Z", "N", "T"]) == 0
@@ -656,7 +662,7 @@ def per_boundary_both_ways(case, radius):
     prons = [dictionary.pronunciations(w.word) if w.word in dictionary else (w.phones,) for w in ref.words]
     base = place_boundaries(amap, ref)
     searches = (
-        (_best_per_boundary, (_span_floors(prons, base.length),)),
+        (_best_per_boundary, (prons,)),
         (best_per_boundary_by_full_dp, ()),
     )
     found = []

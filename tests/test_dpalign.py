@@ -100,7 +100,14 @@ class TestNwAlign:
         assert nw_align(hyp, ref) == nw_align(hyp, ref)
 
 
-short = st.lists(st.sampled_from(["A", "B", "C"]), max_size=6)
+def test_an_op_is_a_tuple_of_its_fields():
+    op = EditOp(INSERT, None, 0)
+    assert op == (INSERT, None, 0)
+    assert repr(op) == "EditOp(kind='insert', hyp_index=None, ref_index=0)"
+    assert EditOp(MATCH) == (MATCH, None, None)
+
+
+short =st.lists(st.sampled_from(["A", "B", "C"]), max_size=6)
 
 
 @settings(max_examples=80, deadline=None)
