@@ -8,14 +8,18 @@ the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
 wins:
 
 * ``global_shift`` moves all cuts together, 2n+1 candidates. They are
-  visited by a lower bound from span and pronunciation lengths, and one
-  is dropped as soon as it cannot beat the best so far (branch-and-bound);
+  visited by a lower bound from each span's length and its word's range,
+  and one is dropped as soon as it cannot beat the best so far
+  (branch-and-bound);
 * ``per_boundary`` moves each cut on its own and finds the best of all
   (2n+1)^k offset tuples exactly. A best-first search over the cut
-  positions, bounded by the summed pronunciation lengths of the words
-  still to place and ordered as the tie-break orders the tuples, scores
-  only the spans out of cut positions that can still reach the best total,
-  and the first tuple it completes wins.
+  positions, bounded by the ranges summed over the words still to place
+  and ordered as the tie-break orders the tuples, scores only the spans
+  out of cut positions that can still reach the best total, and the first
+  tuple it completes wins.
+
+A word's range, the lengths of its shortest and longest pronunciation, is
+worked out once per utterance, and both bounds read it.
 
 Spans are scored from one pass per (word, start, pronunciation) of the
 bit-parallel unit-cost kernel :func:`pronvar.dpalign._bit_rows`, which
@@ -50,6 +54,7 @@ from .phonecore import (
     PhoneInventory,
     ReferenceDictionary,
     SegmentedUtterance,
+    _check_real,
     _decimals,
     _natural,
     _on_line,
@@ -81,6 +86,7 @@ class AttnConfig:
             raise ValueError("shift_radius must be >= 0")
         if self.mode not in (GLOBAL_SHIFT, PER_BOUNDARY):
             raise ValueError(f"unknown mode {self.mode!r}")
+        _check_real(self.threshold, "threshold")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
 
@@ -392,44 +398,29 @@ def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[s
     return score
 
 
-def _span_floors(ref_variants: Sequence[Sequence[Sequence[str]]], length: int) -> list[list[int]]:
-    """``floors[word][n]``: the least score of an ``n``-column span of ``word``.
-
-    That is ``max(lo - n, n - hi, 0)``, where ``lo`` and ``hi`` are the
-    lengths of the word's shortest and longest pronunciations: unit-cost
-    edit distance is at least the length difference. The global search
-    bounds its work by these floors.
-    """
-    floors = []
-    for prons in ref_variants:
-        lo, hi = min(map(len, prons)), max(map(len, prons))
-        # lo - n below lo, 0 up to hi, n - hi above; entries past length are not read
-        floors.append([*range(lo, 0, -1), *[0] * (hi - lo + 1), *range(1, length - hi + 1)])
-    return floors
-
-
 def _best_global_shift(
-    amap: AttentionMap,
-    ref_seg: SegmentedUtterance,
-    cfg: AttnConfig,
-    floors: Sequence[Sequence[int]],
-    score: SpanScore,
+    candidates: Iterable[Segmentation], ranges: Sequence[tuple[int, int]], score: SpanScore
 ) -> tuple[Segmentation, float]:
     """Best of the global shifts: least total, then fewest repairs, then first.
 
-    A branch-and-bound over the :func:`split_by_attention` candidates. A
-    span of ``len`` columns scores at least its floor ``floors[word][len]``
-    (:func:`_span_floors`). Candidates are visited by ascending floor sum,
-    ties in generation order. The search stops at the first floor sum strictly
+    A branch-and-bound over ``candidates``, those of :func:`split_by_attention`.
+    Unit-cost edit distance is at least the length difference, so a span of
+    ``n`` columns scores at least its floor: its distance from its word's
+    ``ranges[word]``, the lengths ``(lo, hi)`` of the shortest and longest
+    pronunciation. Candidates are visited by ascending floor sum, ties in
+    generation order. The search stops at the first floor sum strictly
     greater than the best total, and a candidate is dropped part-way once its
     partial sum plus the floors of its unscored words is strictly greater.
     A candidate that equals the best is scored in full, so the winner and its
     exact total are those of scoring every candidate.
     """
     visits = []
-    for order, candidate in enumerate(split_by_attention(amap, ref_seg, cfg)):
+    for order, candidate in enumerate(candidates):
         spans = list(pairwise((0, *candidate.cuts, candidate.length)))
-        span_floors = [fl[b - a] for fl, (a, b) in zip(floors, spans)]
+        # each span's distance from its word's range, by conditionals as in _clamp: faster than max()
+        span_floors = [
+            lo - n if (n := b - a) < lo else n - hi if n > hi else 0 for (lo, hi), (a, b) in zip(ranges, spans)
+        ]
         visits.append((sum(span_floors), order, candidate, spans, span_floors))
     visits.sort(key=itemgetter(0))
 
@@ -452,7 +443,7 @@ def _best_global_shift(
 
 
 def _best_per_boundary(
-    base: Segmentation, radius: int, ref_variants: Sequence[Sequence[Sequence[str]]], score: SpanScore
+    base: Segmentation, radius: int, ranges: Sequence[tuple[int, int]], score: SpanScore
 ) -> tuple[Segmentation, float]:
     """Exact best independent per-cut shift of ``base``, by a bounded best-first search.
 
@@ -466,19 +457,19 @@ def _best_per_boundary(
     A state is (cut i, previous clamped cut). A step from it places cut i,
     or, after the last cut, ends the last word at the sequence end. ``h`` of
     a state whose last cut is at ``prev`` is the distance of the ``rest =
-    length - prev`` columns still to split from ``[lo, hi]``, the least and
-    greatest summed pronunciation lengths of the words still to place:
-    ``max(lo - rest, rest - hi, 0)``. It scores nothing and never exceeds
-    the distance still to come, since a span scores at least its length's
-    distance from ``[lo_w, hi_w]`` of its word, and the distance of a sum
-    from a summed range is at most the sum of the distances. The heap orders
-    entries by (estimate, clamps so far, ranks), where the estimate is the
-    exact prefix distance ``g`` plus ``h`` and the ranks are the offsets'
-    positions in :func:`_offset_order`: the winner's order, with ``g + h``
-    for the total. A step is scored when it is pushed, unless the state it
-    reaches is settled by then. From each state, each cut is pushed once,
-    with the best (clamp, rank) of the offsets that land on it: no clamp,
-    then the lowest rank.
+    length - prev`` columns still to split from ``[lo, hi]``, the sums of
+    ``ranges`` (each word's shortest and longest pronunciation length) over
+    the words still to place: ``max(lo - rest, rest - hi, 0)``. It scores
+    nothing and never exceeds the distance still to come, since a span
+    scores at least its length's distance from its word's range, and the
+    distance of a sum from a summed range is at most the sum of the
+    distances. The heap orders entries by (estimate, clamps so far, ranks),
+    where the estimate is the exact prefix distance ``g`` plus ``h`` and the
+    ranks are the offsets' positions in :func:`_offset_order`: the winner's
+    order, with ``g + h`` for the total. A step is scored when it is
+    pushed, unless the state it reaches is settled by then. From each state,
+    each cut is pushed once, with the best (clamp, rank) of the offsets that
+    land on it: no clamp, then the lowest rank.
 
     Why the first completion popped is the winner. ``h`` is consistent: by
     the same sum rule, ``h`` is at most a step's score plus ``h`` of the
@@ -499,8 +490,7 @@ def _best_per_boundary(
     # lo[i], hi[i]: the summed shortest and longest pronunciation lengths of words i..k
     lo, hi = [0] * (k + 2), [0] * (k + 2)
     for i in reversed(range(k + 1)):
-        lengths = [len(pron) for pron in ref_variants[i]]
-        lo[i], hi[i] = lo[i + 1] + min(lengths), hi[i + 1] + max(lengths)
+        lo[i], hi[i] = lo[i + 1] + ranges[i][0], hi[i + 1] + ranges[i][1]
 
     offsets = _offset_order(n)
     settled: list[set[int]] = [set() for _ in range(k + 2)]
@@ -562,18 +552,18 @@ def align_word_boundaries(
     reference phone count is within ``cfg.threshold``.
     """
     cols = amap.col_phones
-    ref_variants: list[tuple[tuple[str, ...], ...]] = []
-    for span in ref_seg.words:
-        if dictionary is not None and span.word in dictionary:
-            ref_variants.append(dictionary.pronunciations(span.word))
-        else:
-            ref_variants.append((span.phones,))
+    ref_variants = [
+        dictionary.pronunciations(span.word) if dictionary is not None and span.word in dictionary else (span.phones,)
+        for span in ref_seg.words
+    ]
+    # each word's range: its shortest and longest pronunciation length
+    ranges = [(min(map(len, prons)), max(map(len, prons))) for prons in ref_variants]
 
     score = _span_scorer(cols, ref_variants)
     if cfg.mode == GLOBAL_SHIFT:
-        best, total = _best_global_shift(amap, ref_seg, cfg, _span_floors(ref_variants, len(cols)), score)
+        best, total = _best_global_shift(split_by_attention(amap, ref_seg, cfg), ranges, score)
     else:
-        best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, ref_variants, score)
+        best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, ranges, score)
 
     normalized = total / len(ref_seg.phones)
     variants = tuple((span.word, hyp) for span, hyp in zip(ref_seg.words, best.spans(cols)))

@@ -184,10 +184,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    lexicons = [_catching(path, parse_lexicon) for path in args.inputs]
-    merged = lexicons[0]
-    for lex in lexicons[1:]:
-        merged = lexbuild.merge(merged, lex)
+    merged = lexbuild.merge(*(_catching(path, parse_lexicon) for path in args.inputs))
     _write(args.out, emit_lexicon(merged))
     return 0
 

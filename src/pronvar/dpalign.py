@@ -37,6 +37,7 @@ from .phonecore import (
     ReferenceDictionary,
     SegmentedUtterance,
     WordSpan,
+    _check_real,
 )
 
 MATCH = "match"
@@ -55,6 +56,7 @@ class AlignConfig:
 
     def __post_init__(self):
         for name in ("match_score", "mismatch_score", "gap_penalty"):
+            _check_real(getattr(self, name), name)
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.mismatch_score < self.match_score:

@@ -34,9 +34,10 @@ def from_dictionary(dictionary: ReferenceDictionary) -> Lexicon:
     )
 
 
-def merge(a: Lexicon, b: Lexicon) -> Lexicon:
-    """Union of variants per word; counts of shared variants are summed."""
-    return from_counted_pairs(chain(a.pairs(), b.pairs()))
+def merge(*lexicons: Lexicon) -> Lexicon:
+    """Union of variants per word, in one lexicon built from every input's pairs;
+    counts of shared variants are summed."""
+    return from_counted_pairs(chain.from_iterable(lex.pairs() for lex in lexicons))
 
 
 def prune(

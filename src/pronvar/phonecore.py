@@ -15,6 +15,7 @@ endings:
   count is ASCII digits.
 """
 
+import numbers
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -82,6 +83,13 @@ def _check_entry(word: str, pron: tuple[str, ...], count: int = 0, known: Contai
         raise EmptyPronunciation(word)
     if type(count) is not int or count < 0:
         raise ValueError(f"bad count {count!r} for {word!r}")
+
+
+def _check_real(value: object, name: str) -> None:
+    """The type rule of a config number field: a real number (``int``, ``float``,
+    ``Fraction``) that is not a ``bool``, which is written ``True``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 import functools
 import random
 import weakref
+from fractions import Fraction
 from itertools import pairwise, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import old_attention as old
 from pronvar import errors
 from pronvar.attnalign import (
     AttentionMap,
@@ -17,7 +19,6 @@ from pronvar.attnalign import (
     _clamp,
     _offset_order,
     _repair,
-    _span_floors,
     _span_scorer,
     align_word_boundaries,
     edit_distance,
@@ -215,6 +216,17 @@ class TestSplitByAttention:
 def test_a_radius_that_is_not_an_int_is_rejected(radius):
     with pytest.raises(ValueError, match="^shift_radius must be an int$"):
         AttnConfig(radius)
+
+
+@pytest.mark.parametrize("threshold", [True, False, "0.5", None])
+def test_a_threshold_that_is_not_a_real_number_is_rejected(threshold):
+    with pytest.raises(ValueError, match="^threshold must be a real number"):
+        AttnConfig(threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [0, 1, 0.5, Fraction(1, 3)])
+def test_a_real_threshold_in_range_is_kept(threshold):
+    assert AttnConfig(threshold=threshold).threshold == threshold
 
 
 class TestEditDistance:
@@ -602,6 +614,40 @@ def test_bounded_global_shift_matches_the_full_scan(case, radius, use_dictionary
     assert out.variants == tuple(zip((w.word for w in ref.words), best.spans(amap.col_phones)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(loose_cases, st.integers(0, 3), st.booleans())
+@example(placed_cuts("CAB", [("A",), ("B", "B")], [2]), 2, False)
+@example(placed_cuts("ABC", [("A", "A"), ("B",)], [2]), 1, False)
+def test_global_shift_from_ranges_asks_what_the_floor_table_asked(case, radius, use_dictionary):
+    # the search on per-word length ranges against its old self on a
+    # words x columns floor table: the same winner, and the same spans asked
+    amap, ref, dictionary = case
+    dictionary = dictionary if use_dictionary else None
+    prons = [
+        dictionary.pronunciations(w.word) if dictionary is not None and w.word in dictionary else (w.phones,)
+        for w in ref.words
+    ]
+    cfg = AttnConfig(radius)
+    ranges = [(min(map(len, p)), max(map(len, p))) for p in prons]
+    floors = old._span_floors(prons, len(amap.col_phones))
+    searches = (
+        lambda score: _best_global_shift(split_by_attention(amap, ref, cfg), ranges, score),
+        lambda score: old._best_global_shift(amap, ref, cfg, floors, score),
+    )
+    found = []
+    for search in searches:
+        scorer = _span_scorer(amap.col_phones, prons)
+        asked = []
+
+        def score(word, start, end, scorer=scorer, asked=asked):
+            asked.append((word, start, end))
+            return scorer(word, start, end)
+
+        best, total = search(score)
+        found.append((best.cuts, best.length, best.repaired, total, asked))
+    assert found[0] == found[1]
+
+
 def test_global_shift_scores_only_the_spans_of_an_exact_shift_zero(seg):
     # one pronunciation per word and the hypothesis is the reference: the
     # shift-0 cuts score 0, and every other shift moves the first span off
@@ -616,7 +662,8 @@ def test_global_shift_scores_only_the_spans_of_an_exact_shift_zero(seg):
         asked.append((word, start, end))
         return scorer(word, start, end)
 
-    best, total = _best_global_shift(amap, ref, AttnConfig(3), _span_floors(prons, len(amap.col_phones)), score)
+    ranges = [(len(w.phones), len(w.phones)) for w in ref.words]
+    best, total = _best_global_shift(split_by_attention(amap, ref, AttnConfig(3)), ranges, score)
     assert (best.cuts, total) == ((3, 5, 9), 0)
     assert asked == [(0, 0, 3), (1, 3, 5), (2, 5, 9), (3, 9, 10)]
 
@@ -662,7 +709,7 @@ def per_boundary_both_ways(case, radius):
     prons = [dictionary.pronunciations(w.word) if w.word in dictionary else (w.phones,) for w in ref.words]
     base = place_boundaries(amap, ref)
     searches = (
-        (_best_per_boundary, (prons,)),
+        (_best_per_boundary, ([(min(map(len, p)), max(map(len, p))) for p in prons],)),
         (best_per_boundary_by_full_dp, ()),
     )
     found = []

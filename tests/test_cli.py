@@ -498,6 +498,18 @@ class TestBuildMergeStats:
         assert main(["merge", "--in", a, "--in", b, "--out", str(out)]) == 0
         assert out.read_text() == "cat\t3\tK AE T\ndog\t1\tD AO G\n"
 
+    def test_merge_of_three_inputs_builds_one_lexicon(self, tmp_path, monkeypatch):
+        a = write(tmp_path / "a.lex", "cat\t2\tK AE T\n")
+        b = write(tmp_path / "b.lex", "cat\t1\tK AE T\ndog\t1\tD AO G\n")
+        c = write(tmp_path / "c.lex", "dog\t0\tD AA G\n")
+        calls = []
+        merge = cli.lexbuild.merge
+        monkeypatch.setattr(cli.lexbuild, "merge", lambda *lexicons: calls.append(len(lexicons)) or merge(*lexicons))
+        out = tmp_path / "m.lex"
+        assert main(["merge", "--in", a, "--in", b, "--in", c, "--out", str(out)]) == 0
+        assert out.read_text() == "cat\t3\tK AE T\ndog\t1\tD AO G\ndog\t0\tD AA G\n"
+        assert calls == [3]
+
     def test_stats_reports_tsv(self, tmp_path, capsys):
         lex = write(tmp_path / "l.lex", "cat\t2\tK AE T\ncat\t1\tK AH T\n")
         assert main(["stats", "--lex", lex]) == 0

@@ -46,6 +46,20 @@ class TestAlignConfig:
         with pytest.raises(ValueError):
             AlignConfig(gap_penalty=0)
 
+    @pytest.mark.parametrize("name", ["match_score", "mismatch_score", "gap_penalty"])
+    @pytest.mark.parametrize("value", [True, False, "1", None])
+    def test_a_cost_that_is_not_a_real_number_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            AlignConfig(**{name: value})
+
+    def test_the_finite_and_range_checks_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^gap_penalty must be finite$"):
+            AlignConfig(gap_penalty=float("inf"))
+        with pytest.raises(ValueError, match="^mismatch_score must be >= match_score$"):
+            AlignConfig(mismatch_score=-1)
+        with pytest.raises(ValueError, match="^gap_penalty must be positive$"):
+            AlignConfig(gap_penalty=Fraction(0))
+
 
 class TestNwAlign:
     def test_identical_sequences(self, seq):

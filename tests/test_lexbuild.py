@@ -199,6 +199,27 @@ def test_merge_size_never_exceeds_the_sum(a_entries, b_entries):
     assert merged.entry_count <= a.entry_count + b.entry_count
 
 
+@given(st.lists(entries_st, min_size=1, max_size=4))
+def test_merging_many_at_once_equals_the_pairwise_fold(entries):
+    lexicons = [Lexicon(e) for e in entries]
+    folded = lexicons[0]
+    for lex in lexicons[1:]:
+        folded = merge(folded, lex)
+    merged = merge(*lexicons)
+    assert merged == folded
+    assert list(merged.pairs()) == list(folded.pairs())
+
+
+def test_merge_of_three_lexicons_keeps_first_seen_order():
+    a = accumulate([("y", ("T",)), ("x", ("K",))])
+    b = accumulate([("z", ("S",)), ("x", ("D",)), ("x", ("K",))])
+    c = accumulate([("x", ("T",)), ("y", ("T",))])
+    assert list(merge(a, b, c).pairs()) == [
+        ("y", ("T",), 2), ("x", ("K",), 2), ("x", ("D",), 1), ("x", ("T",), 1), ("z", ("S",), 1)
+    ]
+    assert merge() == Lexicon()
+
+
 @given(entries_st)
 def test_prune_identity_property(entries):
     lex = Lexicon(entries)
