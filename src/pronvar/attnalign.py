@@ -56,6 +56,7 @@ from .phonecore import (
     SegmentedUtterance,
     _check_real,
     _decimals,
+    _last_field,
     _natural,
     _on_line,
     _split_id_line,
@@ -181,10 +182,11 @@ def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
             if not raw.strip():
                 continue
             utt_id, rest = _split_id_line(raw, lineno)
+            cuts = _last_field(rest, "cut").split()
             if utt_id in seen:
                 raise ValueError(f"repeated utterance id {utt_id!r}")
             seen.add(utt_id)
-            out.append((utt_id, tuple(_natural(tok, "cut", 1) for tok in rest.split())))
+            out.append((utt_id, tuple(_natural(tok, "cut", 1) for tok in cuts)))
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
     return out

@@ -3,8 +3,8 @@
 Two kernels compute the rows of one alignment matrix. :func:`_cost_rows`
 takes any :class:`AlignConfig` costs, one step per cell. :func:`_bit_rows`
 takes unit costs and computes a whole row as bit vectors in a few ``int``
-operations. Both give the same cells, so which one runs never changes an
-output.
+operations, from the top edge or carried on from any row it gave. Both give
+the same cells, so which one runs never changes an output.
 
 :func:`edit_distance` keeps one row of :func:`_cost_rows` and returns the
 cost. :mod:`pronvar.attnalign` scores word spans, always at unit costs, from
@@ -13,16 +13,21 @@ the last row of :func:`_bit_rows`, every span end of one start at once.
 bit rows at unit costs times one gap cost, while float sums of that cost are
 exact, as at the default costs, and :func:`_cost_rows` otherwise. Native
 word boundaries are projected through the ops to carve the hypothesis into
-per-word variants. Dictionary alternatives are costed here from forward and
-backward rows of :func:`_cost_rows` in exact integer costs. Where the
-resolver's forward rows already form the final matrix and float sums of the
-costs are exact, the ops are traced back through those rows instead.
+per-word variants.
+
+Dictionary alternatives are costed in exact integer costs. At unit costs
+times one gap, each alternative's bit rows are carried on through the rest
+of the utterance, and its cost is read from the last row with two
+``bit_count`` calls, with no backward pass. At other costs the cost comes
+from forward and backward rows of :func:`_cost_rows`. Where the resolver's
+forward rows already form the final matrix and float sums of the costs are
+exact, the ops are traced back through those rows instead.
 """
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -135,7 +140,9 @@ def _column_masks(b: Sequence[str]) -> dict[str, int]:
     return masks
 
 
-def _bit_rows(a: Sequence[str], masks: dict[str, int], width: int, shift: int = 0) -> Iterator[tuple[int, int, int]]:
+def _bit_rows(
+    a: Sequence[str], masks: dict[str, int], width: int, shift: int = 0, row: tuple[int, int, int] | None = None
+) -> Iterator[tuple[int, int, int]]:
     """Unit-cost rows 0..len(a) of ``a`` (rows) against ``width`` columns, as bit vectors.
 
     The columns are those that :func:`_column_masks` describes, from column
@@ -144,14 +151,21 @@ def _bit_rows(a: Sequence[str], masks: dict[str, int], width: int, shift: int = 
     (``minus``) is set where cell j is one more (less) than cell j-1, and bit
     j-1 of ``same`` where cell j equals cell j-1 of row i-1 (none in row 0).
     So cell j of row i is ``i + (plus & low).bit_count() - (minus &
-    low).bit_count()`` with ``low = (1 << j) - 1``. One row takes a fixed
+    low).bit_count()`` with ``low = (1 << j) - 1``. Given ``row``, a row
+    that this function yielded for what precedes ``a``, row 0 takes its
+    ``plus`` and ``minus`` instead of the top edge's, and row i is row i of
+    ``a`` after that row: the left edge adds one a row, wherever the rows
+    started, so they carry on unchanged. One row takes a fixed
     number of ``int`` operations whatever its width: Myers' bit-vector
     recurrence (J. ACM 46(3), 1999) in Hyyrö's global edit-distance form
     (Nordic J. Computing 10(1), 2003), with rows and columns named as in
     :func:`_cost_rows`.
     """
     full = (1 << width) - 1
-    plus, minus = full, 0
+    if row is None:
+        plus, minus = full, 0
+    else:
+        plus, minus, _ = row
     yield plus, minus, 0
     for x in a:
         eq = masks.get(x, 0) >> shift
@@ -227,11 +241,15 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
     gap = cfg.gap_penalty
     if cfg.match_score == 0 and cfg.mismatch_score == gap and gap.as_integer_ratio()[0] * (len(a) + len(b)) <= 2**53:
         rows = list(_bit_rows(b, _column_masks(a), len(a)))
-        plus, minus, _ = rows[-1]
-        distance = len(b) + plus.bit_count() - minus.bit_count()
-        return Alignment(a, b, _trace_bits(a, b, rows), distance * gap)
+        return Alignment(a, b, _trace_bits(a, b, rows), _bit_distance(rows) * gap)
     score = list(_cost_rows(b, a, cfg))
     return Alignment(a, b, _trace(a, b, score, cfg), score[-1][-1])
+
+
+def _bit_distance(rows: list[tuple[int, int, int]]) -> int:
+    """The last cell of ``rows``, every :func:`_bit_rows` row from the top edge on."""
+    plus, minus, _ = rows[-1]
+    return len(rows) - 1 + plus.bit_count() - minus.bit_count()
 
 
 def _trace_bits(hyp: Sequence[str], ref: Sequence[str], rows: list[tuple[int, int, int]]) -> tuple[EditOp, ...]:
@@ -377,12 +395,17 @@ def pair_by_id(left: Iterable, right: Iterable) -> Iterator[tuple]:
             raise MissingUtterance(utt_id)
 
 
+def _scaled_unit(exact: _ExactCosts) -> bool:
+    """Whether the costs are unit costs times one gap cost, which :func:`_bit_rows` computes."""
+    return exact.match_score == 0 and exact.mismatch_score == exact.gap_penalty
+
+
 def _resolve_reference(
     hyp: PhoneSequence,
     ref_seg: SegmentedUtterance,
     dictionary: ReferenceDictionary,
     exact: _ExactCosts,
-) -> tuple[SegmentedUtterance, list[list[int]] | None]:
+) -> tuple[SegmentedUtterance, list | None]:
     """Swap in the dictionary variant that aligns cheapest, word by word.
 
     Words are resolved left to right. Words with a single listed
@@ -394,45 +417,72 @@ def _resolve_reference(
     The given reference's phones are checked against the hypothesis
     inventory first, then each alternative's as it is tried.
 
-    The whole-utterance cost is split at the word's end (Hirschberg, 1975):
-    it is ``min_i F[i] + B[i]``, where ``F`` continues the resolved prefix's
-    rows through the alternative and ``B[i]``, from one backward pass,
-    is the cost of ``hyp[i:]`` against the given spans after the word. The
-    work is O(n·m·(1 + alternatives)) for n hypothesis and m reference
-    phones, not one full alignment per alternative.
+    The rows of the resolved prefix are kept, and each alternative's rows
+    continue them. At unit costs times one gap cost the rows are those of
+    :func:`_bit_rows`. An alternative's last row is carried on through the
+    given spans after its word, and the whole-utterance cost is read from
+    the final row with two ``bit_count`` calls, so there is no backward
+    pass. The work is O(m) rows per alternative for m reference phones, each
+    a fixed number of ``int`` operations. At other costs the rows are those
+    of :func:`_cost_rows`, and the cost is split at the word's end
+    (Hirschberg, 1975): it is ``min_i F[i] + B[i]``, where ``F`` is the
+    alternative's last row and ``B[i]``, from one backward pass, is the cost
+    of ``hyp[i:]`` against the given spans after the word. The work is
+    O(n·m·(1 + alternatives)) cells for n hypothesis phones, not one full
+    alignment per alternative.
 
     Returns the resolved utterance and the resolved prefix's rows, which by
-    the end are every row of :func:`_cost_rows` of its phones against the
-    hypothesis in the exact costs. When no word has alternatives the
-    utterance comes back as given, with no rows.
+    the end are every row of the resolved phones against the hypothesis: bit
+    rows at unit costs times one gap, else cell rows in the exact costs.
+    When no word has alternatives the utterance comes back as given, with no
+    rows.
     """
     spans = list(ref_seg.words)
     choices = [dictionary.pronunciations(s.word) if s.word in dictionary else () for s in spans]
     if all(len(variants) < 2 for variants in choices):
         return ref_seg, None
-    _checked_reference(hyp, ref_seg.phones)
+    given = _checked_reference(hyp, ref_seg.phones)
     hyp_phones = hyp.phones
-    reversed_hyp = hyp_phones[::-1]
-    edge = _last_row((), hyp_phones, exact)
-    # backward[wi][j]: cost of the last j hypothesis phones against the given
-    # spans after word wi
-    backward = [edge]
-    for span in reversed(spans[1:]):
-        backward.append(_last_row(span.phones[::-1], reversed_hyp, exact, backward[-1]))
-    backward.reverse()
+    if _scaled_unit(exact):
+        masks, width = _column_masks(hyp_phones), len(hyp_phones)
+        ends = list(accumulate(len(span.phones) for span in spans))
 
-    rows = [edge]
+        def rows_of(phones, row=None):
+            return _bit_rows(phones, masks, width, row=row)
+
+        def cost(wi, tried):
+            # the distance, less the rows before and after the word, which
+            # every alternative has
+            for plus, minus, _ in _bit_rows(given[ends[wi] :], masks, width, row=tried[-1]):
+                pass
+            return len(tried) + plus.bit_count() - minus.bit_count()
+
+    else:
+        reversed_hyp = hyp_phones[::-1]
+        # backward[wi][j]: cost of the last j hypothesis phones against the
+        # given spans after word wi
+        backward = [_last_row((), hyp_phones, exact)]
+        for span in reversed(spans[1:]):
+            backward.append(_last_row(span.phones[::-1], reversed_hyp, exact, backward[-1]))
+        suffix_costs = [row[::-1] for row in reversed(backward)]
+
+        def rows_of(phones, row=None):
+            return _cost_rows(phones, hyp_phones, exact, row)
+
+        def cost(wi, tried):
+            return min(map(add, tried[-1], suffix_costs[wi]))
+
+    rows = [next(rows_of(()))]
     changed = False
     for wi, (span, variants) in enumerate(zip(spans, choices)):
         if len(variants) < 2:
-            rows.extend(islice(_cost_rows(span.phones, hyp_phones, exact, rows[-1]), 1, None))
+            rows.extend(islice(rows_of(span.phones, rows[-1]), 1, None))
             continue
-        suffix_cost = backward[wi][::-1]
         scored = []
         for pron in variants:
             _checked_reference(hyp, pron)
-            tried = list(islice(_cost_rows(pron, hyp_phones, exact, rows[-1]), 1, None))
-            scored.append((min(map(add, tried[-1], suffix_cost)), pron, tried))
+            tried = list(islice(rows_of(pron, rows[-1]), 1, None))
+            scored.append((cost(wi, tried), pron, tried))
         _, best, best_rows = min(scored, key=itemgetter(0))
         rows.extend(best_rows)
         if best != span.phones:
@@ -460,9 +510,11 @@ def extract_variants_dp(
     sums at most ``len(hyp) + len(ref)`` costs, so while that many of the
     largest scaled cost stay within 2**53, every float the DP adds is the
     exact integer over a power of two, and its comparisons are the
-    integers' comparisons.
+    integers' comparisons. Bit rows are traced by :func:`_trace_bits`, and
+    their distance ``d`` costs ``d`` gaps.
     """
     exact = _exact(cfg)
+    unit = _scaled_unit(exact)
     longest_exact = 2**53 // max(abs(exact.match_score), abs(exact.mismatch_score), exact.gap_penalty)
     pairs: list[tuple[str, tuple[str, ...]]] = []
     empty = 0
@@ -470,8 +522,11 @@ def extract_variants_dp(
         resolved, rows = _resolve_reference(hyp, ref_seg, dictionary, exact)
         ref = resolved.phones
         if rows is not None and len(hyp.phones) + len(ref) <= longest_exact:
-            ops = _trace(hyp.phones, ref, rows, exact)
-            alignment = Alignment(hyp.phones, ref, ops, rows[-1][-1] / exact.scale)
+            if unit:
+                ops, total = _trace_bits(hyp.phones, ref, rows), _bit_distance(rows) * exact.gap_penalty
+            else:
+                ops, total = _trace(hyp.phones, ref, rows, exact), rows[-1][-1]
+            alignment = Alignment(hyp.phones, ref, ops, total / exact.scale)
         else:
             alignment = nw_align(hyp, ref, cfg)
         empty += _harvest(project_boundaries(alignment, resolved), pairs)

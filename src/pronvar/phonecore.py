@@ -61,9 +61,9 @@ def _on_line(err: Exception, lineno: int) -> Exception:
 
 
 def _check_word(word: str, line: int | None = None, what: str = "word", ascii_only: bool = False) -> None:
-    """Accept one token: non-empty, with no whitespace (``str.split`` splits at exactly
-    the characters ``isspace`` names) and, if ``ascii_only``, no non-ASCII character."""
-    if word.split() != [word] or (ascii_only and not word.isascii()):
+    """Accept one token: a ``str``, non-empty, with no whitespace (``str.split`` splits at
+    exactly the characters ``isspace`` names) and, if ``ascii_only``, no non-ASCII character."""
+    if not isinstance(word, str) or word.split() != [word] or (ascii_only and not word.isascii()):
         raise _bad(what, word, line)
 
 
@@ -380,6 +380,14 @@ def _split_tab(raw: str, line: int | None = None) -> tuple[str, str]:
     return first.strip(), rest
 
 
+def _last_field(rest: str, field: str) -> str:
+    """``rest``, the last field of a two-field line, which holds no tab: read as
+    whitespace, a tab there would join two fields into one."""
+    if "\t" in rest:
+        raise ValueError(f"extra tab in {field} field")
+    return rest
+
+
 def _split_id_line(raw: str, lineno: int) -> tuple[str, str]:
     """Split off and check a line's utterance id, for the bounds format (no record type checks it)."""
     utt_id, rest = _split_tab(raw, lineno)
@@ -419,12 +427,11 @@ def parse_phone_file(text: str, inventory: PhoneInventory | AnySymbol) -> list[P
             if not raw.strip():
                 continue
             utt_id, rest = _split_tab(raw)
-            if "\t" in rest:
-                raise ValueError("extra tab in phone field")
+            phones = _last_field(rest, "phone").split()
             if utt_id in seen:
                 raise DuplicateUtteranceId(utt_id)
             seen.add(utt_id)
-            out.append(PhoneSequence(utt_id, rest.split(), inventory))
+            out.append(PhoneSequence(utt_id, phones, inventory))
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
     return out
@@ -488,7 +495,7 @@ def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol | Non
             if not raw.strip() or raw.startswith("#"):
                 continue
             word, rest = _split_tab(raw)
-            pron = tuple(rest.split())
+            pron = tuple(_last_field(rest, "pronunciation").split())
             dictionary._add(word, pron)
             inventory.require(pron, f"dictionary word {word!r}")
     except (PronvarError, ValueError) as err:

@@ -373,6 +373,18 @@ def test_a_form_feed_does_not_end_a_line(tmp_path, capsys):
     assert "hyp.txt: line 1: extra tab in phone field\n" in capsys.readouterr().err
 
 
+def test_a_tab_inside_a_pronunciation_or_cut_field_exits_2(tmp_path, capsys):
+    hyp = write(tmp_path / "hyp.txt", "u1\tK AE T\n")
+    ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\n")
+    d = write(tmp_path / "dict.txt", "cat\tK AE T\ncat\tK\tAE T\n")
+    assert main(["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--out", str(tmp_path / "o")]) == 2
+    assert "dict.txt: line 2: extra tab in pronunciation field\n" in capsys.readouterr().err
+    pred = write(tmp_path / "pred.bounds", "u1\t1\t2\n")
+    truth = write(tmp_path / "truth.bounds", "u1\t1 2\n")
+    assert main(["eval-bounds", "--pred", pred, "--truth", truth]) == 2
+    assert "pred.bounds: line 1: extra tab in cut field\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, command, line",
     [("attn.txt", "align-attn", 8), ("ref.txt", "align-attn", 2), ("hyp.txt", "align-dp", 2)],

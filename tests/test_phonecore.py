@@ -13,6 +13,7 @@ from pronvar.phonecore import (
     AnySymbol,
     Lexicon,
     PhoneInventory,
+    PhoneSequence,
     ReferenceDictionary,
     WordSpan,
     _check_symbol,
@@ -356,6 +357,38 @@ def test_only_lf_ends_a_line(brk, text, message):
     with pytest.raises(errors.MalformedLine) as err:
         parse_phone_file(text.format(brk), AnySymbol())
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_dictionary_file, "w\tA\tB\n", "line 1: extra tab in pronunciation field"),
+        (parse_dictionary_file, "w\tA B\nv\tA B\t\n", "line 2: extra tab in pronunciation field"),
+        (parse_bounds_file, "u1\t1\t2\n", "line 1: extra tab in cut field"),
+        (parse_bounds_file, "u1\t1\nu2\t\t1\n", "line 2: extra tab in cut field"),
+        (lambda text: parse_phone_file(text, AnySymbol()), "u1\tA\tB\n", "line 1: extra tab in phone field"),
+    ],
+)
+def test_a_tab_inside_the_last_field_is_a_format_error(parse, text, message):
+    # read as whitespace, the tab would join two fields into one
+    with pytest.raises(errors.MalformedLine) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PhoneInventory((1,), ("EN",)), "bad phone symbol 1"),
+        (lambda: Lexicon({1: {("A",): 1}}), "bad word 1"),
+        (lambda: PhoneSequence("u", [1], AnySymbol()), "bad phone symbol 1"),
+        (lambda: PhoneSequence("u", [b"A"], AnySymbol()), "bad phone symbol b'A'"),
+    ],
+)
+def test_a_token_that_is_not_a_str_is_a_value_error(build, message):
+    # it used to raise AttributeError from str.split
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_derive_inventory_first_seen_order():
