@@ -302,13 +302,8 @@ def place_boundaries(amap: AttentionMap, ref_seg: SegmentedUtterance) -> Segment
             else "row phones disagree with the reference phones",
         )
     length = len(amap.col_phones)
-    raw_cuts: list[int] = []
-    row = -1
-    for span in ref_seg.words[:-1]:
-        row += len(span.phones)
-        weights = amap.weights[row]
-        raw_cuts.append(weights.index(max(weights)) + 1)
-    cuts, moved = _repair(raw_cuts, length)
+    finals = [amap.weights[end - 1] for end in ref_seg.ends[:-1]]
+    cuts, moved = _repair([weights.index(max(weights)) + 1 for weights in finals], length)
     return Segmentation(cuts, length, repaired=moved)
 
 

@@ -175,9 +175,8 @@ def _cmd_build(args) -> int:
     dictionary = [(args.dict, parse_dictionary_file)] if args.dict else []
     loaded = _load(args, *[(path, parse_pairs_file) for path in args.pairs], *dictionary)
     canonical = loaded.pop() if args.dict else None
-    lex = lexbuild.from_counted_pairs(chain.from_iterable(loaded))
-    if args.dict:
-        lex = lexbuild.merge(lexbuild.from_dictionary(canonical), lex)
+    seeds = lexbuild.from_dictionary(canonical).pairs() if args.dict else ()
+    lex = lexbuild.from_counted_pairs(chain(seeds, *loaded))
     lex = _checked(lexbuild.prune, lex, args.min_count, args.max_variants, canonical)
     _write(args.out, emit_lexicon(lex))
     return 0

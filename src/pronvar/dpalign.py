@@ -27,7 +27,7 @@ exact, the ops are traced back through those rows instead.
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice, pairwise
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -320,37 +320,37 @@ def project_boundaries(
 ) -> list[tuple[str, tuple[str, ...]]]:
     """Carve the hypothesis into per-word spans using the reference boundaries.
 
-    Each word receives the hypothesis phones whose alignment ops touch
-    that word's reference positions. A hypothesis phone consumed by a
-    delete attaches to the word of the nearest following reference
-    position, or to the last word when the delete closes the utterance.
-    Spans partition the hypothesis; a word may come out empty.
+    One pass over the ops cuts the hypothesis at each word's first reference phone,
+    after the phones taken up to the last op before it that took a reference phone:
+    a phone a delete consumed goes to the next reference position's word, or at the
+    end to the last word. Spans partition the hypothesis; a word may come out empty.
+    Raises :class:`AlignmentReferenceMismatch` if the alignment is of other reference
+    phones, or its ops do not take each hypothesis and reference position once, in order.
     """
-    ref_phones = ref_seg.phones
+    ref_phones, hyp = ref_seg.phones, alignment.hyp_phones
     if alignment.ref_phones != ref_phones:
         raise AlignmentReferenceMismatch(
-            f"alignment reference has {len(alignment.ref_phones)} phones, "
-            f"segmentation has {len(ref_phones)}"
+            f"alignment reference has {len(alignment.ref_phones)} phones, segmentation has {len(ref_phones)}"
         )
-    word_of: list[int] = []
-    for wi, span in enumerate(ref_seg.words):
-        word_of.extend([wi] * len(span.phones))
-
-    spans: list[list[str]] = [[] for _ in ref_seg.words]
-    pending: list[str] = []  # deleted hyp phones awaiting the next ref position
-    for op in alignment.ops:
-        if op.kind == DELETE:
-            pending.append(alignment.hyp_phones[op.hyp_index])
-            continue
-        wi = word_of[op.ref_index]
-        if pending:
-            spans[wi].extend(pending)
-            pending.clear()
-        if op.hyp_index is not None:
-            spans[wi].append(alignment.hyp_phones[op.hyp_index])
-    if pending:
-        spans[-1].extend(pending)
-    return [(span.word, tuple(phones)) for span, phones in zip(ref_seg.words, spans)]
+    starts = set(ref_seg.ends[:-1])
+    cuts: list[int] = []
+    next_hyp = next_ref = taken = 0
+    for _, hyp_index, ref_index in alignment.ops:
+        if hyp_index is not None:
+            if hyp_index != next_hyp:
+                break
+            next_hyp += 1
+        if ref_index is not None:
+            if ref_index != next_ref:
+                break
+            if ref_index in starts:
+                cuts.append(taken)
+            next_ref += 1
+            taken = next_hyp
+    else:
+        if (next_hyp, next_ref) == (len(hyp), len(ref_phones)):
+            return [(span.word, tuple(hyp[a:b])) for span, (a, b) in zip(ref_seg.words, pairwise((0, *cuts, len(hyp))))]
+    raise AlignmentReferenceMismatch("alignment ops do not take each hypothesis and reference phone once, in order")
 
 
 @dataclass(frozen=True)
@@ -445,7 +445,6 @@ def _resolve_reference(
     hyp_phones = hyp.phones
     if _scaled_unit(exact):
         masks, width = _column_masks(hyp_phones), len(hyp_phones)
-        ends = list(accumulate(len(span.phones) for span in spans))
 
         def rows_of(phones, row=None):
             return _bit_rows(phones, masks, width, row=row)
@@ -453,7 +452,7 @@ def _resolve_reference(
         def cost(wi, tried):
             # the distance, less the rows before and after the word, which
             # every alternative has
-            for plus, minus, _ in _bit_rows(given[ends[wi] :], masks, width, row=tried[-1]):
+            for plus, minus, _ in _bit_rows(given[ref_seg.ends[wi] :], masks, width, row=tried[-1]):
                 pass
             return len(tried) + plus.bit_count() - minus.bit_count()
 

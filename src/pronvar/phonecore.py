@@ -18,7 +18,7 @@ endings:
 import numbers
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .errors import (
@@ -207,12 +207,15 @@ class SegmentedUtterance:
     """A native reference: an ordered list of (word, phone span) pairs.
 
     Concatenating the spans reproduces the utterance's full phone
-    sequence; every span is non-empty and there is at least one word.
+    sequence; every span is non-empty and there is at least one word. ``ends``, the running
+    sums of the span lengths, is derived from the spans and left out of ``==``, ``hash`` and
+    ``repr``: word k is ``phones[ends[k - 1]:ends[k]]``, from 0 for k = 0.
     """
 
     utterance_id: str
     words: tuple[WordSpan, ...]
     inventory: PhoneInventory | AnySymbol
+    ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_word(self.utterance_id, what="utterance id")
@@ -225,6 +228,7 @@ class SegmentedUtterance:
             if not span.phones:
                 raise EmptySpan(self.utterance_id, i)
             self.inventory.require(span.phones, f"utterance {self.utterance_id!r}")
+        object.__setattr__(self, "ends", tuple(accumulate(len(span.phones) for span in spans)))
 
     @property
     def phones(self) -> tuple[str, ...]:
@@ -569,15 +573,15 @@ def emit_pairs(pairs: Iterable[tuple[str, Sequence[str]]]) -> str:
 def emit_lexicon(lexicon: Lexicon) -> str:
     """Serialize a lexicon byte-deterministically.
 
-    Lines are sorted by word (byte order), then count descending, then
-    pronunciation string ascending.
+    Lines are sorted by word, then count descending, then pronunciation string
+    ascending, as :func:`pronvar.lexbuild.prune` ranks them: by code point, which is
+    UTF-8 byte order. A lone surrogate, which has no UTF-8, raises ``UnicodeEncodeError``.
     """
     lines = []
-    for word in sorted(lexicon.words(), key=lambda w: w.encode("utf-8")):
-        variants = sorted(
-            lexicon.variants(word),
-            key=lambda vc: (-vc[1], " ".join(vc[0]).encode("utf-8")),
-        )
-        for pron, count in variants:
+    for word in sorted(lexicon.words()):
+        for pron, count in sorted(lexicon.variants(word), key=lambda vc: (-vc[1], " ".join(vc[0]))):
             lines.append(f"{word}\t{count}\t{' '.join(pron)}\n")
-    return "".join(lines)
+    text = "".join(lines)
+    if not text.isascii():
+        text.encode("utf-8")
+    return text

@@ -23,6 +23,7 @@ from .phonecore import (
     ReferenceDictionary,
     SegmentedUtterance,
     WordSpan,
+    _check_real,
     _decimals,
     _on_line,
     derive_inventory,
@@ -44,6 +45,7 @@ class ConfusionRule:
     def __post_init__(self):
         if self.source == self.target:
             raise BadRule(f"rule maps {self.source!r} to itself")
+        _check_real(self.probability, "probability")
         if not 0.0 <= self.probability <= 1.0:
             raise BadRule(f"probability {self.probability} out of [0, 1]")
 

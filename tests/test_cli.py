@@ -15,7 +15,7 @@ from pronvar import attnalign, cli
 from pronvar.attnalign import parse_attention_file
 from pronvar.cli import main
 from pronvar.errors import DuplicateUtteranceId, MissingUtterance
-from pronvar.phonecore import parse_pairs_file
+from pronvar.phonecore import emit_lexicon, parse_dictionary_file, parse_pairs_file
 
 DICT = "doesn't\tD AH Z N T\ncat\tK AE T\n"
 RULES = "Z\tS\t1.0\n"
@@ -467,6 +467,22 @@ class TestBuildMergeStats:
         assert "doesn't\t1\tD AH S N T" in text
         assert "doesn't\t0\tD AH Z N T" in text
         assert "cat\t0\tK AE T" in text
+
+    def test_build_with_dictionary_sums_every_pair_once(self, tmp_path, monkeypatch):
+        text = "cat\t1\tK AH T\ndoesn't\t1\tD AH S N T\ncat\t2\tK AE T\n"
+        pairs = write(tmp_path / "p.pairs", text)
+        d = write(tmp_path / "dict.txt", DICT)
+        calls = []
+        merge = cli.lexbuild.merge
+        monkeypatch.setattr(cli.lexbuild, "merge", lambda *lexicons: calls.append(len(lexicons)) or merge(*lexicons))
+        out = tmp_path / "built.lex"
+        assert main(["build", "--pairs", pairs, "--dict", d, "--min-count", "1", "--out", str(out)]) == 0
+        assert calls == []
+        canonical = parse_dictionary_file(DICT)
+        seeded = merge(cli.lexbuild.from_dictionary(canonical), cli.lexbuild.from_counted_pairs(parse_pairs_file(text)))
+        assert out.read_text() == emit_lexicon(cli.lexbuild.prune(seeded, 1, None, canonical)) == (
+            "cat\t2\tK AE T\ncat\t1\tK AH T\ndoesn't\t1\tD AH S N T\ndoesn't\t0\tD AH Z N T\n"
+        )
 
     @pytest.mark.parametrize(
         "files, message",

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -224,3 +226,15 @@ def test_merge_of_three_lexicons_keeps_first_seen_order():
 def test_prune_identity_property(entries):
     lex = Lexicon(entries)
     assert prune(lex, 0, None) == lex
+
+
+@given(entries_st, st.lists(st.lists(entries_st.map(lambda e: list(Lexicon(e).pairs())), max_size=3), max_size=3))
+def test_seeding_the_pair_stream_equals_merging_the_seed_lexicon(seed_entries, files):
+    # build --dict sums the dictionary's pairs and every file's in one lexicon,
+    # where it merged a seed lexicon into the lexicon of the files
+    seeds = Lexicon(seed_entries)
+    triples = [triple for pairs_file in files for pairs in pairs_file for triple in pairs]
+    once = from_counted_pairs(chain(seeds.pairs(), triples))
+    merged = merge(seeds, from_counted_pairs(triples))
+    assert once == merged
+    assert list(once.pairs()) == list(merged.pairs())

@@ -226,6 +226,11 @@ class TestLexiconType:
             Lexicon({"cat": {("K", "AE", "T"): True}})
 
 
+# one- to three-character tokens over characters of every UTF-8 length, from both
+# sides of the surrogate block, where UTF-16 order departs from code-point order
+LEXICON_TOKENS = st.text(alphabet="aBzé\u00ff\u0100\u4e2d\ue000\ufffd\U0001f600\U0010fffd", min_size=1, max_size=3)
+
+
 class TestEmitLexicon:
     def test_counts_descend_within_word(self):
         lex = Lexicon(
@@ -248,6 +253,28 @@ class TestEmitLexicon:
     def test_deterministic(self):
         lex = Lexicon({"x": {("K",): 1, ("T",): 4}, "y": {("D",): 2}})
         assert emit_lexicon(lex) == emit_lexicon(lex)
+
+    @pytest.mark.parametrize("entries", [{"a\ud800": {("K",): 1}}, {"a": {("K\udc80",): 1}}])
+    def test_a_lone_surrogate_cannot_be_written(self, entries):
+        # a library-built lexicon can hold one; it has no UTF-8 bytes
+        with pytest.raises(UnicodeEncodeError):
+            emit_lexicon(Lexicon(entries))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            LEXICON_TOKENS,
+            st.dictionaries(st.lists(LEXICON_TOKENS, min_size=1, max_size=3).map(tuple), st.integers(0, 2), min_size=1, max_size=4),
+            max_size=6,
+        )
+    )
+    def test_code_point_order_is_utf8_byte_order(self, entries):
+        lex = Lexicon(entries)
+        lines = []
+        for word in sorted(lex.words(), key=lambda w: w.encode("utf-8")):
+            for pron, count in sorted(lex.variants(word), key=lambda vc: (-vc[1], " ".join(vc[0]).encode("utf-8"))):
+                lines.append(f"{word}\t{count}\t{' '.join(pron)}\n")
+        assert emit_lexicon(lex) == "".join(lines)
 
 
 class TestParseLexicon:

@@ -1,3 +1,5 @@
+from decimal import Decimal
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -38,6 +40,20 @@ class TestRules:
     def test_self_rule(self):
         with pytest.raises(errors.BadRule):
             ConfusionRule("Z", "Z", 0.5)
+
+    @pytest.mark.parametrize("probability", ["0.5", True, False, None, 1j, Decimal("0.5")])
+    def test_a_probability_that_is_not_a_real_number_is_rejected(self, probability):
+        with pytest.raises(ValueError, match=r"^probability must be a real number, got "):
+            ConfusionRule("Z", "S", probability)
+
+    @pytest.mark.parametrize("probability", [0, 1, 0.5, Fraction(1, 3)])
+    def test_a_real_probability_in_range_is_kept(self, probability):
+        assert ConfusionRule("Z", "S", probability).probability == probability
+
+    @pytest.mark.parametrize("probability", [1.5, -0.25, float("nan"), Fraction(3, 2)])
+    def test_a_real_probability_out_of_range_keeps_its_error(self, probability):
+        with pytest.raises(errors.BadRule, match=r"^probability .* out of \[0, 1\]$"):
+            ConfusionRule("Z", "S", probability)
 
     def test_unknown_phone(self, inv):
         with pytest.raises(errors.UnknownPhone):
