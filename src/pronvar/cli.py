@@ -128,10 +128,11 @@ def _load(args, *inputs) -> list:
     return [_parsed(path, texts.pop(0), parse, inv) for path, parse in inputs]
 
 
-def _checked(make, *args):
-    """Call a config constructor with flag values; a value it rejects is a usage error."""
+def _checked(make, *args, **flags):
+    """Call a config constructor with flag values; a value it rejects is a usage error.
+    A keyword flag the user did not give (None) is left out, so the constructor's default holds."""
     try:
-        return make(*args)
+        return make(*args, **{name: value for name, value in flags.items() if value is not None})
     except ValueError as err:
         raise UsageError(str(err)) from None
 
@@ -143,7 +144,7 @@ def _cmd_align_dp(args) -> int:
         (args.hyp, parse_phone_file),
         (args.ref, parse_segmented_file),
     )
-    cfg = _checked(AlignConfig, args.match, args.mismatch, args.gap)
+    cfg = _checked(AlignConfig, match_score=args.match, mismatch_score=args.mismatch, gap_penalty=args.gap)
     result = extract_variants_dp(hyps, refs, dictionary, cfg)
     _write(args.out, emit_pairs(result.pairs))
     return 0
@@ -156,8 +157,8 @@ def _cmd_align_attn(args) -> int:
         (args.ref, parse_segmented_file),
         (args.attn, _attention_maps),
     )
-    mode = {"global": "global_shift", "per-boundary": "per_boundary"}[args.mode]
-    cfg = _checked(AttnConfig, args.radius, mode, args.threshold)
+    mode = {"global": "global_shift", "per-boundary": "per_boundary"}.get(args.mode)
+    cfg = _checked(AttnConfig, shift_radius=args.radius, mode=mode, threshold=args.threshold)
     # one map is held at a time; the outputs are written only once every map is read
     result = extract_variants_attn(_streamed(args.attn, maps), refs, dictionary, cfg)
     _write(args.out, emit_pairs(result.pairs))
@@ -273,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True, help="decoded phone file (no boundaries)")
     p.add_argument("--ref", required=True, help="segmented native reference file")
     p.add_argument("--dict", required=True, help="reference pronunciation dictionary")
-    p.add_argument("--match", type=_decimal, default=0.0, help="cost of a match")
-    p.add_argument("--mismatch", type=_decimal, default=1.0, help="cost of a substitution")
-    p.add_argument("--gap", type=_decimal, default=1.0, help="cost of a gap")
+    p.add_argument("--match", type=_decimal, help="cost of a match")
+    p.add_argument("--mismatch", type=_decimal, help="cost of a substitution")
+    p.add_argument("--gap", type=_decimal, help="cost of a gap")
     p.add_argument("--inventory", help="phone inventory file (if omitted, any phone that follows the symbol rule)")
     p.add_argument("--out", required=True, help="output pairs file")
     p.set_defaults(func=_cmd_align_dp)
@@ -284,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attn", required=True, help="attention map file")
     p.add_argument("--ref", required=True, help="segmented native reference file")
     p.add_argument("--dict", required=True, help="reference pronunciation dictionary")
-    p.add_argument("--radius", type=_integer, default=3, help="boundary shift radius")
-    p.add_argument("--mode", choices=("global", "per-boundary"), default="global")
-    p.add_argument("--threshold", type=_decimal, default=0.5, help="max normalized edit distance")
+    p.add_argument("--radius", type=_integer, help="boundary shift radius")
+    p.add_argument("--mode", choices=("global", "per-boundary"))
+    p.add_argument("--threshold", type=_decimal, help="max normalized edit distance")
     p.add_argument("--rejects", help="sidecar file for rejected utterances")
     p.add_argument("--bounds", help="sidecar file for the selected segmentations")
     p.add_argument("--inventory", help="phone inventory file (if omitted, any phone that follows the symbol rule)")

@@ -315,6 +315,10 @@ def _trace(
     return tuple(ops)
 
 
+#: whether each op kind takes a hypothesis phone and a reference phone
+_TAKES = {MATCH: (True, True), SUBSTITUTE: (True, True), DELETE: (True, False), INSERT: (False, True)}
+
+
 def project_boundaries(
     alignment: Alignment, ref_seg: SegmentedUtterance
 ) -> list[tuple[str, tuple[str, ...]]]:
@@ -325,7 +329,9 @@ def project_boundaries(
     a phone a delete consumed goes to the next reference position's word, or at the
     end to the last word. Spans partition the hypothesis; a word may come out empty.
     Raises :class:`AlignmentReferenceMismatch` if the alignment is of other reference
-    phones, or its ops do not take each hypothesis and reference position once, in order.
+    phones, an op's indices are not those its kind takes (a delete a hypothesis index
+    only, an insert a reference index only, a match or substitute both), or the ops do
+    not take each hypothesis and reference position once, in order.
     """
     ref_phones, hyp = ref_seg.phones, alignment.hyp_phones
     if alignment.ref_phones != ref_phones:
@@ -335,7 +341,9 @@ def project_boundaries(
     starts = set(ref_seg.ends[:-1])
     cuts: list[int] = []
     next_hyp = next_ref = taken = 0
-    for _, hyp_index, ref_index in alignment.ops:
+    for kind, hyp_index, ref_index in alignment.ops:
+        if _TAKES.get(kind) != (hyp_index is not None, ref_index is not None):
+            raise AlignmentReferenceMismatch(f"alignment op {kind!r} cannot take indices {hyp_index!r}, {ref_index!r}")
         if hyp_index is not None:
             if hyp_index != next_hyp:
                 break

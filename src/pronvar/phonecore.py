@@ -206,15 +206,16 @@ class WordSpan(NamedTuple):
 class SegmentedUtterance:
     """A native reference: an ordered list of (word, phone span) pairs.
 
-    Concatenating the spans reproduces the utterance's full phone
-    sequence; every span is non-empty and there is at least one word. ``ends``, the running
-    sums of the span lengths, is derived from the spans and left out of ``==``, ``hash`` and
-    ``repr``: word k is ``phones[ends[k - 1]:ends[k]]``, from 0 for k = 0.
+    Every span is non-empty and there is at least one word. ``phones``, the spans
+    concatenated, and ``ends``, the running sums of the span lengths, are derived from the
+    spans and left out of ``==``, ``hash`` and ``repr``: word k is ``phones[ends[k - 1]:ends[k]]``,
+    from 0 for k = 0.
     """
 
     utterance_id: str
     words: tuple[WordSpan, ...]
     inventory: PhoneInventory | AnySymbol
+    phones: tuple[str, ...] = field(init=False, repr=False, compare=False)
     ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -228,12 +229,8 @@ class SegmentedUtterance:
             if not span.phones:
                 raise EmptySpan(self.utterance_id, i)
             self.inventory.require(span.phones, f"utterance {self.utterance_id!r}")
+        object.__setattr__(self, "phones", tuple(chain.from_iterable(span.phones for span in spans)))
         object.__setattr__(self, "ends", tuple(accumulate(len(span.phones) for span in spans)))
-
-    @property
-    def phones(self) -> tuple[str, ...]:
-        """All phones in order, boundaries dropped."""
-        return tuple(p for span in self.words for p in span.phones)
 
 
 class ReferenceDictionary:

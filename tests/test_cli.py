@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 import sys
@@ -967,6 +968,51 @@ class TestFlagValues:
         }[command]  # fmt: skip
         assert main([command, *inputs, f"{flag}={value}"]) == 1
         assert capsys.readouterr().err == f"usage error: bad number {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "command, flags, expected",
+        [
+            ("align-dp", [], (0.25, 2.0, 0.5)),
+            ("align-dp", ["--mismatch", "1"], (0.25, 1.0, 0.5)),
+            ("align-attn", [], (1, "per_boundary", 0.75)),
+            ("align-attn", ["--mode", "global", "--threshold", "0.5"], (1, "global_shift", 0.5)),
+        ],
+    )
+    def test_a_flag_not_given_takes_the_config_default(self, tmp_path, monkeypatch, command, flags, expected):
+        # the configs' defaults are the CLI's: subclasses with other defaults must be followed
+        made = []
+
+        @dataclasses.dataclass(frozen=True)
+        class OtherAlignConfig(cli.AlignConfig):
+            match_score: float = 0.25
+            mismatch_score: float = 2.0
+            gap_penalty: float = 0.5
+
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(dataclasses.astuple(self))
+
+        @dataclasses.dataclass(frozen=True)
+        class OtherAttnConfig(cli.AttnConfig):
+            shift_radius: int = 1
+            mode: str = "per_boundary"
+            threshold: float = 0.75
+
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(dataclasses.astuple(self))
+
+        monkeypatch.setattr(cli, "AlignConfig", OtherAlignConfig)
+        monkeypatch.setattr(cli, "AttnConfig", OtherAttnConfig)
+        d = write(tmp_path / "dict.txt", "cat\tK AE T\n")
+        ref = write(tmp_path / "ref.txt", "u1\tK AE T\tcat\n")
+        inputs = {
+            "align-dp": ["--hyp", write(tmp_path / "hyp.txt", "u1\tK AH T\n"), "--ref", ref, "--dict", d],
+            "align-attn": ["--attn", write(tmp_path / "attn.txt", "u1 3 3\nK AE T\nK AH T\n1 0 0\n0 1 0\n0 0 1\n"),
+                           "--ref", ref, "--dict", d],
+        }[command]  # fmt: skip
+        assert main([command, *inputs, *flags, "--out", str(tmp_path / "o")]) == 0
+        assert made == [expected]
 
     @pytest.mark.parametrize("value", ["2", "0.25", "-0", "1e-3", "1E1", "+.5"])
     def test_a_float_flag_reads_what_it_read_before(self, value):

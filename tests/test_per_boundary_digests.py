@@ -1,8 +1,11 @@
-"""Byte pins of ``align-attn --mode per-boundary``.
+"""Byte pins of ``align-attn --mode per-boundary`` and ``--mode global``.
 
 The search is exact, so a change to how it searches must leave every output
-byte as it was. The digests were recorded from the A* search over a per-state
-table of summed span floors, and pin its successors to the same bytes.
+byte as it was. The per-boundary digests were recorded from the A* search over
+a per-state table of summed span floors, and pin its successors to the same
+bytes. The global digests were recorded from the search that takes each word's
+pronunciation-length range, whose length floors differ when a word lists
+pronunciations of unequal length.
 """
 
 import hashlib
@@ -51,8 +54,23 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("alternatives", [False, True], ids=["1pron", "1to3prons"])
-def test_per_boundary_outputs_are_pinned(tmp_path, alternatives):
+GLOBAL_DIGESTS = {  # the same at both radii
+    False: {
+        "pairs": "d4b8c1fc012a98de2fb9216b502a315897627e0ba17f4971d75a01b0b5da76d9",
+        "rejects": "5870be95be3ded6832c247d1b9ea29b49382540bbc6a429f0e383e9d111d3730",
+        "bounds": "6b935f9ec2fe0cc702f02d5b9bd0d4ff49d1fdc70122939dfe20a41269fedfc9",
+    },
+    True: {
+        "pairs": "cf960917e57f2fa4a401d84d668d3a6290bf52d78a7e303ffd1c3dfa9175e596",
+        "rejects": "041dfcc02e1d05103ba0c8220024a7d0baf86cfe63b2a17a44fea4a517710e85",
+        "bounds": "786e1e44d7093b4b62bd9e45411a68916f74eb6038147f9c6ebbc20854b62d0f",
+    },
+}
+
+
+def align_attn_digests(tmp_path, alternatives: bool, mode: str) -> dict[str, str]:
+    """Synthesize the corpus and run ``align-attn --mode mode`` on it at radii 3 and 6;
+    the sha256 of each output, keyed by its name and radius."""
     d = tmp_path / "dict.txt"
     d.write_text(dictionary(alternatives), encoding="utf-8")
     r = tmp_path / "rules.txt"
@@ -64,8 +82,19 @@ def test_per_boundary_outputs_are_pinned(tmp_path, alternatives):
     for radius in ("3", "6"):
         outputs = [tmp_path / f"{name}{radius}.txt" for name in ("pairs", "rejects", "bounds")]
         assert main(["align-attn", "--attn", str(corpus / "attn.txt"), "--ref", str(corpus / "ref.txt"),
-                     "--dict", str(d), "--mode", "per-boundary", "--radius", radius, "--out", str(outputs[0]),
+                     "--dict", str(d), "--mode", mode, "--radius", radius, "--out", str(outputs[0]),
                      "--rejects", str(outputs[1]), "--bounds", str(outputs[2])]) == 0  # fmt: skip
         for path in outputs:
             found[path.stem] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert found == DIGESTS[alternatives]
+    return found
+
+
+@pytest.mark.parametrize("alternatives", [False, True], ids=["1pron", "1to3prons"])
+def test_per_boundary_outputs_are_pinned(tmp_path, alternatives):
+    assert align_attn_digests(tmp_path, alternatives, "per-boundary") == DIGESTS[alternatives]
+
+
+@pytest.mark.parametrize("alternatives", [False, True], ids=["1pron", "1to3prons"])
+def test_global_outputs_are_pinned(tmp_path, alternatives):
+    expected = {f"{name}{radius}": digest for radius in "36" for name, digest in GLOBAL_DIGESTS[alternatives].items()}
+    assert align_attn_digests(tmp_path, alternatives, "global") == expected

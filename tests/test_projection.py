@@ -1,5 +1,9 @@
-"""Word ends of a segmented reference, and align-dp's projection of them onto
+"""Word ends and phones of a segmented reference, and align-dp's projection of them onto
 the hypothesis, against the projection it replaced (``tests/old_projection.py``)."""
+
+import dataclasses
+import random
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 from old_projection import project_boundaries as old_project_boundaries
 from pronvar import errors
 from pronvar.dpalign import DELETE, INSERT, MATCH, SUBSTITUTE, Alignment, EditOp, nw_align, project_boundaries
-from pronvar.phonecore import AnySymbol, PhoneSequence, SegmentedUtterance, WordSpan
+from pronvar.phonecore import (
+    AnySymbol,
+    PhoneSequence,
+    SegmentedUtterance,
+    WordSpan,
+    emit_segmented_file,
+    parse_segmented_file,
+)
 
 PHONES = ("A", "B", "C", "D")
 
@@ -94,6 +105,29 @@ def test_malformed_ops_are_refused(ops):
         project_boundaries(Alignment(("A", "C"), ("A", "B", "C"), ops, 0.0), AB_C)
 
 
+A_C = SegmentedUtterance("u", (WordSpan("a", ("A",)), WordSpan("b", ("C",))), AnySymbol())
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        EditOp(DELETE, 0, 0),
+        EditOp(INSERT, 0, 0),
+        EditOp(MATCH, 0, None),
+        EditOp(SUBSTITUTE, None, 0),
+        EditOp("frobnicate", 0, 0),
+        EditOp("frobnicate", None, None),
+    ],
+)
+def test_an_op_whose_indices_are_not_those_of_its_kind_is_refused(op):
+    # with its first kind read as a substitute, this walk projects cleanly
+    alignment = Alignment(("X", "C"), ("A", "C"), (op, EditOp(MATCH, 1, 1)), 0.0)
+    with pytest.raises(errors.AlignmentReferenceMismatch, match=f"op {op.kind!r} cannot take"):
+        project_boundaries(alignment, A_C)
+    valid = Alignment(("X", "C"), ("A", "C"), (EditOp(SUBSTITUTE, 0, 0), EditOp(MATCH, 1, 1)), 0.0)
+    assert project_boundaries(valid, A_C) == [("a", ("X",)), ("b", ("C",))]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(PHONES), min_size=1, max_size=20).flatmap(segmented))
 @example(AB_C)
@@ -101,6 +135,24 @@ def test_ends_are_the_running_sums_of_the_span_lengths(ref):
     assert ref.ends[-1] == len(ref.phones)
     starts = (0, *ref.ends[:-1])
     assert [ref.phones[a:b] for a, b in zip(starts, ref.ends)] == [span.phones for span in ref.words]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(PHONES), min_size=1, max_size=20).flatmap(segmented), st.randoms())
+@example(AB_C, random.Random(0))
+def test_phones_is_stored_once_from_the_spans(ref, rng):
+    assert ref.phones is ref.phones
+    assert ref.phones == tuple(chain.from_iterable(span.phones for span in ref.words))
+    assert ref.ends[-1] == len(ref.phones)
+    assert repr(ref) == f"SegmentedUtterance(utterance_id='u', words={ref.words!r}, inventory=AnySymbol())"
+    other = SegmentedUtterance("u", ref.words, AnySymbol())
+    object.__setattr__(other, "phones", ())
+    assert ref == other and hash(ref) == hash(other)
+    words = rng.sample(ref.words, len(ref.words))
+    shuffled = dataclasses.replace(ref, words=words)
+    assert shuffled.phones == tuple(chain.from_iterable(span.phones for span in words))
+    (parsed,) = parse_segmented_file(emit_segmented_file([ref]), AnySymbol())
+    assert parsed.phones == ref.phones
 
 
 def test_ends_are_left_out_of_equality_hash_and_repr():
