@@ -55,6 +55,7 @@ from .phonecore import (
     ReferenceDictionary,
     SegmentedUtterance,
     _check_real,
+    _check_word,
     _decimals,
     _last_field,
     _natural,
@@ -64,6 +65,7 @@ from .phonecore import (
 
 GLOBAL_SHIFT = "global_shift"
 PER_BOUNDARY = "per_boundary"
+MODES = {"global": GLOBAL_SHIFT, "per-boundary": PER_BOUNDARY}  # the searches by their align-attn --mode names
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class AttnConfig:
             raise ValueError("shift_radius must be an int")
         if self.shift_radius < 0:
             raise ValueError("shift_radius must be >= 0")
-        if self.mode not in (GLOBAL_SHIFT, PER_BOUNDARY):
+        if self.mode not in MODES.values():
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_real(self.threshold, "threshold")
         if not 0.0 <= self.threshold <= 1.0:
@@ -102,6 +104,7 @@ class AttentionMap:
     weights: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        _check_word(self.utterance_id, what="utterance id")
         object.__setattr__(self, "col_phones", tuple(self.col_phones))
         object.__setattr__(self, "row_phones", tuple(self.row_phones))
         object.__setattr__(self, "weights", tuple(tuple(row) for row in self.weights))

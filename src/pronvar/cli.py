@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import lexbuild, synthbench
 from .attnalign import (
+    MODES,
     AttnConfig,
     _attention_maps,
     emit_attention_file,
@@ -157,8 +158,7 @@ def _cmd_align_attn(args) -> int:
         (args.ref, parse_segmented_file),
         (args.attn, _attention_maps),
     )
-    mode = {"global": "global_shift", "per-boundary": "per_boundary"}.get(args.mode)
-    cfg = _checked(AttnConfig, shift_radius=args.radius, mode=mode, threshold=args.threshold)
+    cfg = _checked(AttnConfig, shift_radius=args.radius, mode=MODES.get(args.mode), threshold=args.threshold)
     # one map is held at a time; the outputs are written only once every map is read
     result = extract_variants_attn(_streamed(args.attn, maps), refs, dictionary, cfg)
     _write(args.out, emit_pairs(result.pairs))
@@ -202,10 +202,7 @@ def _parse_attn_flag(value: str) -> tuple[str, int]:
     if value == "identity":
         return "identity", 0
     if value.startswith("jitter:"):
-        radius = _integer(value.split(":", 1)[1])
-        if radius < 0:
-            raise UsageError("jitter radius must be >= 0")
-        return "jitter", radius
+        return "jitter", _integer(value.split(":", 1)[1])
     raise UsageError(f"bad --attn value {value!r} (expected identity or jitter:K)")
 
 
@@ -218,11 +215,8 @@ def _cmd_synth(args) -> int:
     if not dictionary:
         raise InputFormatError(f"{args.dict}: no words to sample")
     attn_kind, jitter_radius = _parse_attn_flag(args.attn)
-    if args.words < 1 or args.utts < 1:
-        raise UsageError("--words and --utts must be >= 1")
-    if not 0.0 <= args.indel_prob < 1.0:
-        raise UsageError("--indel-prob must be in [0, 1)")
-    corpus = synthbench.build_corpus(
+    corpus = _checked(
+        synthbench.build_corpus,
         dictionary,
         rules,
         vocabulary=args.words,
@@ -286,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, help="segmented native reference file")
     p.add_argument("--dict", required=True, help="reference pronunciation dictionary")
     p.add_argument("--radius", type=_integer, help="boundary shift radius")
-    p.add_argument("--mode", choices=("global", "per-boundary"))
+    p.add_argument("--mode", choices=tuple(MODES))
     p.add_argument("--threshold", type=_decimal, help="max normalized edit distance")
     p.add_argument("--rejects", help="sidecar file for rejected utterances")
     p.add_argument("--bounds", help="sidecar file for the selected segmentations")

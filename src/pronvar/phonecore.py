@@ -156,7 +156,8 @@ def derive_inventory(*token_streams: Iterable[str]) -> PhoneInventory:
 class AnySymbol:
     """Every symbol the phone-symbol rule admits: the inventory that records and parsers
     check phones against when none is given. ``symbol in`` it answers whether ``symbol``
-    follows the rule. Each distinct symbol is checked once; all instances are equal.
+    follows the rule. Each distinct symbol is checked once; all instances are equal, and the
+    cache holds only symbols that passed, so one instance is the parsers' shared default.
     It lists no phones, so code that draws from the list needs a :class:`PhoneInventory`."""
 
     _seen: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
@@ -482,14 +483,13 @@ def emit_segmented_file(utterances: Iterable[SegmentedUtterance]) -> str:
     return "".join(lines)
 
 
-def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol | None = None) -> ReferenceDictionary:
+def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()) -> ReferenceDictionary:
     """Parse a reference pronunciation dictionary.
 
     Repeated word lines accumulate alternative pronunciations in file
     order; listing the same pronunciation twice is an error. With no
     ``inventory``, every phone must still follow the phone-symbol rule.
     """
-    inventory = AnySymbol() if inventory is None else inventory
     dictionary = ReferenceDictionary({})
     try:
         for lineno, raw in enumerate(text.split("\n"), 1):
@@ -513,12 +513,10 @@ def emit_dictionary(dictionary: ReferenceDictionary) -> str:
 
 
 def _read_lexicon_lines(
-    text: str, inventory: PhoneInventory | AnySymbol | None, role: str, add: Callable[[str, tuple[str, ...], int], None]
+    text: str, inventory: PhoneInventory | AnySymbol, role: str, add: Callable[[str, tuple[str, ...], int], None]
 ) -> None:
     """Pass each lexicon-format line's word, pronunciation and count to ``add``, which checks
-    them as an entry, then check its phones against ``inventory``, naming the word's ``role``
-    in an error, or with no ``inventory`` by the phone-symbol rule."""
-    inventory = AnySymbol() if inventory is None else inventory
+    them as an entry, then check its phones against ``inventory``, naming the word's ``role`` in an error."""
     try:
         for lineno, raw in enumerate(text.split("\n"), 1):
             if not raw.strip():
@@ -534,7 +532,7 @@ def _read_lexicon_lines(
         raise _on_line(err, lineno) from None
 
 
-def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol | None = None) -> "Lexicon":
+def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()) -> "Lexicon":
     """Parse a counted lexicon; duplicate (word, pronunciation) lines are an error.
 
     With no ``inventory``, every phone must still follow the phone-symbol rule.
@@ -545,7 +543,7 @@ def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol | None = None
 
 
 def parse_pairs_file(
-    text: str, inventory: PhoneInventory | AnySymbol | None = None
+    text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()
 ) -> list[tuple[str, tuple[str, ...], int]]:
     """Read aligner output pairs: lexicon-format lines, each checked as a lexicon entry,
     duplicates allowed.

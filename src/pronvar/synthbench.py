@@ -60,12 +60,11 @@ DEFAULT_RULES = (
 )
 
 
-def parse_rules_file(text: str, inventory: PhoneInventory | AnySymbol | None = None) -> tuple[ConfusionRule, ...]:
+def parse_rules_file(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()) -> tuple[ConfusionRule, ...]:
     """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules; ``p`` is one float field.
 
     With no ``inventory``, both phones must still follow the phone-symbol rule.
     """
-    inventory = AnySymbol() if inventory is None else inventory
     rules = []
     try:
         for lineno, raw in enumerate(text.split("\n"), 1):
@@ -107,6 +106,8 @@ def corrupt(
     reduced to zero phones, so the ground-truth cuts stay valid. Insertions
     need a :class:`PhoneInventory` to draw from: on any other, ``ValueError``.
     """
+    if not 0.0 <= indel_probability < 1.0:
+        raise ValueError("indel_probability must be in [0, 1)")
     for rule in rules:
         seg.inventory.require((rule.source, rule.target), "confusion rule")
     if indel_probability > 0.0 and not isinstance(seg.inventory, PhoneInventory):
@@ -296,6 +297,10 @@ def build_corpus(
     """
     if attention not in ("identity", "jitter"):
         raise ValueError(f"unknown attention kind {attention!r}")
+    if vocabulary < 1 or utterances < 1:
+        raise ValueError("vocabulary and utterances must be >= 1")
+    if jitter_radius < 0:
+        raise ValueError("jitter_radius must be >= 0")
     rng = random.Random(seed)
     all_words = list(dictionary.words())
     vocab = all_words if vocabulary >= len(all_words) else rng.sample(all_words, vocabulary)

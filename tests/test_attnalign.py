@@ -229,6 +229,14 @@ def test_a_real_threshold_in_range_is_kept(threshold):
     assert AttnConfig(threshold=threshold).threshold == threshold
 
 
+@pytest.mark.parametrize("utt_id", ["a b", "", "u\t1", 7, None])
+def test_an_attention_map_checks_its_utterance_id(utt_id):
+    # "a b" used to be written as the header "a b 1 1", which the parser rejects
+    with pytest.raises(ValueError) as caught:
+        AttentionMap(utt_id, ("K",), ("K",), ((1.0,),))
+    assert str(caught.value) == f"bad utterance id {utt_id!r}"
+
+
 class TestEditDistance:
     def test_identical(self):
         assert edit_distance(["D", "AH", "Z", "N", "T"], ["D", "AH", "Z", "N", "T"]) == 0

@@ -91,6 +91,36 @@ class TestSynth:
         assert "blocker" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--words", "0"], "vocabulary and utterances must be >= 1"),
+            (["--utts", "0"], "vocabulary and utterances must be >= 1"),
+            (["--attn", "jitter:-1"], "jitter_radius must be >= 0"),
+            (["--indel-prob", "1.5"], "indel_probability must be in [0, 1)"),
+            (["--indel-prob", "-0.5"], "indel_probability must be in [0, 1)"),
+            # a bad radius used to be reported first
+            (["--attn", "jitter:-1", "--words", "0"], "vocabulary and utterances must be >= 1"),
+        ],
+    )
+    def test_a_value_out_of_range_is_the_librarys_usage_error(self, tmp_path, capsys, flags, message):
+        d = write(tmp_path / "dict.txt", DICT)
+        r = write(tmp_path / "rules.txt", RULES)
+        out = tmp_path / "x"
+        argv = ["synth", "--dict", d, "--rules", r, "--words", "1", "--utts", "1", "--seed", "1",
+                "--out-dir", str(out), *flags]  # fmt: skip
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+
+def test_the_mode_choices_are_the_searches_attnalign_names():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    mode = next(a for a in sub.choices["align-attn"]._actions if a.dest == "mode")
+    assert mode.choices == tuple(attnalign.MODES)
+    for name, search in attnalign.MODES.items():
+        assert cli.AttnConfig(mode=search).mode == search
+
 
 class TestAlignDp:
     def test_harvests_pairs(self, corpus_dir):

@@ -1,10 +1,13 @@
+import dataclasses
 from itertools import chain
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import old_lexbuild as old
 from pronvar import errors
 from pronvar.lexbuild import (
+    LexiconStats,
     accumulate,
     from_counted_pairs,
     from_dictionary,
@@ -238,3 +241,62 @@ def test_seeding_the_pair_stream_equals_merging_the_seed_lexicon(seed_entries, f
     merged = merge(seeds, from_counted_pairs(triples))
     assert once == merged
     assert list(once.pairs()) == list(merged.pairs())
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+prons_st = st.lists(st.sampled_from(["K", "T", "S"]), min_size=1, max_size=3).map(tuple)
+canonical_st = st.dictionaries(
+    st.text(alphabet="abc", min_size=1, max_size=3), st.lists(prons_st, min_size=1, max_size=3, unique=True), max_size=4
+)
+
+
+@given(entries_st, st.integers(-1, 10), st.one_of(st.none(), st.integers(0, 4)), st.one_of(st.none(), canonical_st))
+@example({"a": {("K",): 3, ("T",): 1, ("S",): 0}}, 2, 1, {"a": [("S",), ("T",)]})
+def test_prune_equals_the_old_prune(entries, min_count, max_variants, canonical_entries):
+    lex = Lexicon(entries)
+    canonical = None if canonical_entries is None else ReferenceDictionary(canonical_entries)
+    new = outcome(prune, lex, min_count, max_variants, canonical)
+    expected = outcome(old.prune, lex, min_count, max_variants, canonical)
+    assert new == expected
+    if isinstance(new, Lexicon):
+        assert list(new.pairs()) == list(expected.pairs())
+
+
+def float_bits(value):
+    return value if value is None else value.hex()
+
+
+@given(entries_st, st.one_of(st.none(), entries_st))
+@example({}, None)
+@example({"a": {("K",): 1}, "b": {("K",): 1, ("T",): 2}}, {})
+@example({"a": {("K",): 1}, "b": {("K",): 1, ("T",): 2}}, {"b": {("T",): 0, ("S",): 1}, "c": {("S",): 4}})
+def test_stats_equals_the_old_stats(entries, baseline_entries):
+    lex = Lexicon(entries)
+    baseline = None if baseline_entries is None else Lexicon(baseline_entries)
+    new, expected = stats(lex, baseline), old.stats(lex, baseline)
+    assert (new.to_tsv(), new.to_text()) == (expected.to_tsv(), expected.to_text())
+    for name in ("words", "entries", "max_variants", "baseline_entries", "shared"):
+        assert getattr(new, name) == getattr(expected, name)
+    for name in ("mean_variants", "size_ratio", "reduction_pct"):
+        assert float_bits(getattr(new, name)) == float_bits(getattr(expected, name))
+
+
+def test_stats_hold_their_counts_and_work_out_the_ratios():
+    assert [field.name for field in dataclasses.fields(LexiconStats)] == [
+        "words", "entries", "max_variants", "baseline_entries", "shared"
+    ]
+    report = LexiconStats(words=2, entries=3, max_variants=2)
+    assert report.mean_variants == 1.5
+    assert report.size_ratio is None and report.reduction_pct is None
+    against = LexiconStats(words=2, entries=3, max_variants=2, baseline_entries=4, shared=1)
+    assert (against.size_ratio, against.reduction_pct) == (0.75, 25.0)
+    assert LexiconStats(0, 0, 0, baseline_entries=0, shared=0).size_ratio is None
+    for name in ("mean_variants", "size_ratio", "reduction_pct"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 7.0)

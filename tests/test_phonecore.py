@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import sys
@@ -504,6 +505,32 @@ def outcome(check, *args):
         return check(*args)
     except (errors.PronvarError, ValueError) as err:
         return type(err), str(err), getattr(err, "line", None)
+
+
+#: the parsers whose ``inventory`` defaults to one shared :class:`AnySymbol`
+DEFAULT_INVENTORY_PARSERS = {
+    "dictionary": parse_dictionary_file,
+    "lexicon": parse_lexicon,
+    "pairs": parse_pairs_file,
+    "rules": parse_rules_file,
+}
+#: words, phones, counts and probabilities, good and bad
+FIELDS = ["cat", "c t", "K", "K AE", "É", "A|B", "#", "2", "x", "0.5", "", " "]
+#: lines of zero to three tab-separated fields
+field_lines = st.lists(st.lists(st.sampled_from(FIELDS), max_size=3).map("\t".join), max_size=4).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DEFAULT_INVENTORY_PARSERS)), field_lines)
+@example("dictionary", "cat\tK AE\ncat\tK É")
+@example("lexicon", "cat\t2\tK AE\ncat\t0\tA|B")
+@example("pairs", "cat\t1\tK AE\ncat\t1\tK AE")
+@example("rules", "K\tAE\t0.5\nK\tÉ\t0.5")
+def test_a_parser_without_an_inventory_reads_as_with_a_fresh_any_symbol(name, text):
+    parse = DEFAULT_INVENTORY_PARSERS[name]
+    assert isinstance(inspect.signature(parse).parameters["inventory"].default, AnySymbol)
+    # the shared default has met earlier examples' symbols; a fresh instance has met none
+    assert outcome(parse, text) == outcome(parse, text, AnySymbol())
 
 
 #: Whitespace of every kind ``isspace`` names, reserved and non-ASCII characters, and plain ones.

@@ -121,6 +121,12 @@ class TestCorrupt:
         with pytest.raises(errors.UnknownPhone):
             corrupt(ref, [ConfusionRule("QX", "K", 1.0)], seed=1)
 
+    @pytest.mark.parametrize("probability", [1.5, -0.5, 1.0, float("inf")])
+    def test_an_indel_probability_outside_zero_to_one_is_a_value_error(self, seg, probability):
+        ref = seg("u1", [("cat", ["K", "AE", "T"])])
+        with pytest.raises(ValueError, match=r"^indel_probability must be in \[0, 1\)$"):
+            corrupt(ref, [], seed=1, indel_probability=probability)
+
     def test_indels_keep_words_nonempty(self, seg):
         ref = seg(
             "u1",
@@ -252,6 +258,27 @@ class TestBuildCorpus:
         corpus = build_corpus(d, DEFAULT_RULES, vocabulary=3, utterances=50, seed=1)
         for word, pron, _ in corpus.truth_lexicon.pairs():
             assert pron not in d.pronunciations(word)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"vocabulary": 0}, "vocabulary and utterances must be >= 1"),
+            ({"utterances": 0}, "vocabulary and utterances must be >= 1"),
+            ({"utterances": -3, "jitter_radius": -1}, "vocabulary and utterances must be >= 1"),
+            ({"attention": "jitter", "jitter_radius": -1}, "jitter_radius must be >= 0"),
+            ({"jitter_radius": -1}, "jitter_radius must be >= 0"),
+            ({"indel_probability": 1.5}, "indel_probability must be in [0, 1)"),
+            ({"indel_probability": -0.5}, "indel_probability must be in [0, 1)"),
+            ({"indel_probability": 1.0}, "indel_probability must be in [0, 1)"),
+            ({"indel_probability": float("nan")}, "indel_probability must be in [0, 1)"),
+        ],
+    )
+    def test_a_value_out_of_range_is_a_value_error(self, values, message):
+        # vocabulary 0 and jitter radius -1 used to fail inside randrange; indel 1.5 and -0.5 were taken
+        d = self.dictionary()
+        with pytest.raises(ValueError) as caught:
+            build_corpus(d, DEFAULT_RULES, **({"vocabulary": 3, "utterances": 2, "seed": 1} | values))
+        assert str(caught.value) == message
 
     def test_no_rules_means_no_variants_and_true_bounds(self):
         d = self.dictionary()
