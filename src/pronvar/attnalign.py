@@ -21,12 +21,12 @@ wins:
 A word's range, the lengths of its shortest and longest pronunciation, is
 worked out once per utterance, and both bounds read it.
 
-Spans are scored from one pass per (word, start, pronunciation) of the
+Spans are scored from one call per (word, start, pronunciation) of the
 bit-parallel unit-cost kernel :func:`pronvar.dpalign._bit_rows`, which
-:func:`pronvar.dpalign.nw_align` also uses at unit costs. The pass runs the
-pronunciation as rows over the columns from the start, in full, and cell i
-of its last row is the distance of the span that ends i columns after the
-start. So every end of one start comes from the same pass, at two
+:func:`pronvar.dpalign.nw_align` also uses at unit costs. The call runs the
+pronunciation as rows over the columns from the start, in full, and returns
+the last row, whose cell i is the distance of the span that ends i columns
+after the start. So every end of one start comes from the same call, at two
 ``bit_count`` calls, and the scores are those of
 :func:`pronvar.dpalign.edit_distance`. An utterance whose best
 segmentation is still too far from the reference is rejected.
@@ -369,10 +369,10 @@ def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[s
 
     The first score asked of a (word, start) runs each pronunciation as the
     rows of :func:`pronvar.dpalign._bit_rows` over ``cols[start:]`` and keeps
-    the last row. Cell i of that row is the distance of the span that ends
-    i columns after ``start``, the same value as :func:`edit_distance`, so
-    every end of one start comes from the same rows, two ``bit_count`` calls
-    per pronunciation.
+    the last row, which the call returns. Cell i of that row is the distance
+    of the span that ends i columns after ``start``, the same value as
+    :func:`edit_distance`, so every end of one start comes from the same
+    row, two ``bit_count`` calls per pronunciation.
     """
     masks = _column_masks(cols)
     last_rows: dict[tuple[int, int], list[tuple[float, int, int]]] = {}
@@ -384,8 +384,7 @@ def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[s
             width = len(cols) - start
             rows = last_rows[key] = []
             for pron in ref_variants[word]:
-                for plus, minus, _ in _bit_rows(pron, masks, width, start):
-                    pass
+                plus, minus, _ = _bit_rows(pron, masks, width, start)
                 rows.append((float(len(pron)), plus, minus))
         low = (1 << (end - start)) - 1
         best = math.inf

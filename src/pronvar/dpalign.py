@@ -3,25 +3,28 @@
 Two kernels compute the rows of one alignment matrix. :func:`_cost_rows`
 takes any :class:`AlignConfig` costs, one step per cell. :func:`_bit_rows`
 takes unit costs and computes a whole row as bit vectors in a few ``int``
-operations, from the top edge or carried on from any row it gave. Both give
-the same cells, so which one runs never changes an output.
+operations, from the top edge or carried on from any row it gave. It
+returns its last row, and appends every row after the start to an ``out``
+list when given one. Both kernels give the same cells, so which one runs
+never changes an output.
 
 :func:`edit_distance` keeps one row of :func:`_cost_rows` and returns the
 cost. :mod:`pronvar.attnalign` scores word spans, always at unit costs, from
-the last row of :func:`_bit_rows`, every span end of one start at once.
-:func:`nw_align` keeps the whole matrix to backtrack the ops. It takes the
-bit rows at unit costs times one gap cost, while float sums of that cost are
-exact, as at the default costs, and :func:`_cost_rows` otherwise. Native
-word boundaries are projected through the ops to carve the hypothesis into
-per-word variants.
+the row :func:`_bit_rows` returns, every span end of one start at once.
+:func:`nw_align` keeps the whole matrix to backtrack the ops. It collects
+the bit rows through ``out`` at unit costs times one gap cost, while float
+sums of that cost are exact, as at the default costs, and takes
+:func:`_cost_rows` otherwise. Native word boundaries are projected through
+the ops to carve the hypothesis into per-word variants.
 
 Dictionary alternatives are costed in exact integer costs. At unit costs
-times one gap, each alternative's bit rows are carried on through the rest
-of the utterance, and its cost is read from the last row with two
-``bit_count`` calls, with no backward pass. At other costs the cost comes
-from forward and backward rows of :func:`_cost_rows`. Where the resolver's
-forward rows already form the final matrix and float sums of the costs are
-exact, the ops are traced back through those rows instead.
+times one gap, each alternative costs two :func:`_bit_rows` calls with no
+backward pass: one collects its rows, and one carries its last row on
+through the rest of the utterance and returns the final row, whose cost two
+``bit_count`` calls read. At other costs the cost comes from forward and
+backward rows of :func:`_cost_rows`. Where the resolver's forward rows
+already form the final matrix and float sums of the costs are exact, the
+ops are traced back through those rows instead.
 """
 
 import math
@@ -141,32 +144,34 @@ def _column_masks(b: Sequence[str]) -> dict[str, int]:
 
 
 def _bit_rows(
-    a: Sequence[str], masks: dict[str, int], width: int, shift: int = 0, row: tuple[int, int, int] | None = None
-) -> Iterator[tuple[int, int, int]]:
-    """Unit-cost rows 0..len(a) of ``a`` (rows) against ``width`` columns, as bit vectors.
+    a: Sequence[str],
+    masks: dict[str, int],
+    width: int,
+    shift: int = 0,
+    row: tuple[int, int, int] | None = None,
+    out: list[tuple[int, int, int]] | None = None,
+) -> tuple[int, int, int]:
+    """The last unit-cost row of ``a`` (rows) against ``width`` columns, as bit vectors.
 
     The columns are those that :func:`_column_masks` describes, from column
-    ``shift`` on. Row 0 is the top edge 0..width, and the left edge counts
-    the rows. Row i comes as ``(plus, minus, same)``: bit j-1 of ``plus``
-    (``minus``) is set where cell j is one more (less) than cell j-1, and bit
-    j-1 of ``same`` where cell j equals cell j-1 of row i-1 (none in row 0).
-    So cell j of row i is ``i + (plus & low).bit_count() - (minus &
-    low).bit_count()`` with ``low = (1 << j) - 1``. Given ``row``, a row
-    that this function yielded for what precedes ``a``, row 0 takes its
-    ``plus`` and ``minus`` instead of the top edge's, and row i is row i of
-    ``a`` after that row: the left edge adds one a row, wherever the rows
-    started, so they carry on unchanged. One row takes a fixed
-    number of ``int`` operations whatever its width: Myers' bit-vector
-    recurrence (J. ACM 46(3), 1999) in Hyyrö's global edit-distance form
-    (Nordic J. Computing 10(1), 2003), with rows and columns named as in
-    :func:`_cost_rows`.
+    ``shift`` on. Row 0, the start row, is the top edge 0..width, and the
+    left edge counts the rows. Row i is ``(plus, minus, same)``: bit j-1 of
+    ``plus`` (``minus``) is set where cell j is one more (less) than cell
+    j-1, and bit j-1 of ``same`` where cell j equals cell j-1 of row i-1
+    (none in the top edge). So cell j of row i is ``i + (plus &
+    low).bit_count() - (minus & low).bit_count()`` with ``low = (1 << j) -
+    1``. Given ``row``, a row that this function gave for what precedes
+    ``a``, the start row is ``row`` instead of the top edge, and row i is
+    row i of ``a`` after it: the left edge adds one a row, wherever the rows
+    started, so they carry on unchanged. Row ``len(a)`` is returned, the
+    start row when ``a`` is empty; rows 1..len(a) are appended to ``out``
+    when it is given. One row takes a fixed number of ``int`` operations
+    whatever its width: Myers' bit-vector recurrence (J. ACM 46(3), 1999) in
+    Hyyrö's global edit-distance form (Nordic J. Computing 10(1), 2003), with
+    rows and columns named as in :func:`_cost_rows`.
     """
     full = (1 << width) - 1
-    if row is None:
-        plus, minus = full, 0
-    else:
-        plus, minus, _ = row
-    yield plus, minus, 0
+    plus, minus, same = (full, 0, 0) if row is None else row
     for x in a:
         eq = masks.get(x, 0) >> shift
         same = ((((eq & plus) + plus) ^ plus) | eq | minus) & full
@@ -175,7 +180,9 @@ def _bit_rows(
         down = (plus & same) << 1
         plus = (down | ~(same | up)) & full
         minus = up & same
-        yield plus, minus, same
+        if out is not None:
+            out.append((plus, minus, same))
+    return plus, minus, same
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str], cfg: AlignConfig = AlignConfig()) -> float:
@@ -214,9 +221,15 @@ def _exact(cfg: AlignConfig) -> _ExactCosts:
 
 
 def _checked_reference(hyp: PhoneSequence, ref: Sequence[str]) -> tuple[str, ...]:
-    for symbol in ref:
-        if symbol not in hyp.inventory:
-            raise InventoryMismatch(f"reference phone {symbol!r} not in the hypothesis inventory")
+    """``ref`` as a tuple, once its phones are found in the hypothesis inventory.
+
+    One set test passes the phones the inventory holds already; the walk
+    that names the first missing phone runs only when it fails.
+    """
+    if not hyp.inventory._has_all(ref):
+        for symbol in ref:
+            if symbol not in hyp.inventory:
+                raise InventoryMismatch(f"reference phone {symbol!r} not in the hypothesis inventory")
     return tuple(ref)
 
 
@@ -240,7 +253,9 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
     b = _checked_reference(hyp, ref)
     gap = cfg.gap_penalty
     if cfg.match_score == 0 and cfg.mismatch_score == gap and gap.as_integer_ratio()[0] * (len(a) + len(b)) <= 2**53:
-        rows = list(_bit_rows(b, _column_masks(a), len(a)))
+        masks = _column_masks(a)
+        rows = [_bit_rows((), masks, len(a))]
+        _bit_rows(b, masks, len(a), out=rows)
         return Alignment(a, b, _trace_bits(a, b, rows), _bit_distance(rows) * gap)
     score = list(_cost_rows(b, a, cfg))
     return Alignment(a, b, _trace(a, b, score, cfg), score[-1][-1])
@@ -426,18 +441,19 @@ def _resolve_reference(
     inventory first, then each alternative's as it is tried.
 
     The rows of the resolved prefix are kept, and each alternative's rows
-    continue them. At unit costs times one gap cost the rows are those of
-    :func:`_bit_rows`. An alternative's last row is carried on through the
-    given spans after its word, and the whole-utterance cost is read from
-    the final row with two ``bit_count`` calls, so there is no backward
-    pass. The work is O(m) rows per alternative for m reference phones, each
-    a fixed number of ``int`` operations. At other costs the rows are those
-    of :func:`_cost_rows`, and the cost is split at the word's end
-    (Hirschberg, 1975): it is ``min_i F[i] + B[i]``, where ``F`` is the
-    alternative's last row and ``B[i]``, from one backward pass, is the cost
-    of ``hyp[i:]`` against the given spans after the word. The work is
-    O(n·m·(1 + alternatives)) cells for n hypothesis phones, not one full
-    alignment per alternative.
+    continue them; the winner's extend the prefix. At unit costs times one
+    gap cost the rows are those of :func:`_bit_rows`, and an alternative
+    costs two calls of it with no backward pass: one collects the
+    alternative's rows through ``out``, and one carries its last row on
+    through the given spans after its word and returns the final row, whose
+    whole-utterance cost two ``bit_count`` calls read. The work is O(m) rows
+    per alternative for m reference phones, each a fixed number of ``int``
+    operations. At other costs the rows are those of :func:`_cost_rows`, and
+    the cost is split at the word's end (Hirschberg, 1975): it is ``min_i
+    F[i] + B[i]``, where ``F`` is the alternative's last row and ``B[i]``,
+    from one backward pass, is the cost of ``hyp[i:]`` against the given
+    spans after the word. The work is O(n·m·(1 + alternatives)) cells for n
+    hypothesis phones, not one full alignment per alternative.
 
     Returns the resolved utterance and the resolved prefix's rows, which by
     the end are every row of the resolved phones against the hypothesis: bit
@@ -453,15 +469,15 @@ def _resolve_reference(
     hyp_phones = hyp.phones
     if _scaled_unit(exact):
         masks, width = _column_masks(hyp_phones), len(hyp_phones)
+        start = _bit_rows((), masks, width)
 
-        def rows_of(phones, row=None):
-            return _bit_rows(phones, masks, width, row=row)
+        def rows_of(phones, row, out):
+            _bit_rows(phones, masks, width, 0, row, out)
 
         def cost(wi, tried):
             # the distance, less the rows before and after the word, which
             # every alternative has
-            for plus, minus, _ in _bit_rows(given[ref_seg.ends[wi] :], masks, width, row=tried[-1]):
-                pass
+            plus, minus, _ = _bit_rows(given[ref_seg.ends[wi] :], masks, width, 0, tried[-1])
             return len(tried) + plus.bit_count() - minus.bit_count()
 
     else:
@@ -473,22 +489,25 @@ def _resolve_reference(
             backward.append(_last_row(span.phones[::-1], reversed_hyp, exact, backward[-1]))
         suffix_costs = [row[::-1] for row in reversed(backward)]
 
-        def rows_of(phones, row=None):
-            return _cost_rows(phones, hyp_phones, exact, row)
+        start = _last_row((), hyp_phones, exact)
+
+        def rows_of(phones, row, out):
+            out.extend(islice(_cost_rows(phones, hyp_phones, exact, row), 1, None))
 
         def cost(wi, tried):
             return min(map(add, tried[-1], suffix_costs[wi]))
 
-    rows = [next(rows_of(()))]
+    rows = [start]
     changed = False
     for wi, (span, variants) in enumerate(zip(spans, choices)):
         if len(variants) < 2:
-            rows.extend(islice(rows_of(span.phones, rows[-1]), 1, None))
+            rows_of(span.phones, rows[-1], rows)
             continue
         scored = []
         for pron in variants:
             _checked_reference(hyp, pron)
-            tried = list(islice(rows_of(pron, rows[-1]), 1, None))
+            tried = []
+            rows_of(pron, rows[-1], tried)
             scored.append((cost(wi, tried), pron, tried))
         _, best, best_rows = min(scored, key=itemgetter(0))
         rows.extend(best_rows)

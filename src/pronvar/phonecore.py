@@ -134,6 +134,10 @@ class PhoneInventory:
     def __contains__(self, symbol: object) -> bool:
         return symbol in self._index
 
+    def _has_all(self, symbols: Iterable[str]) -> bool:
+        """Whether every one of ``symbols`` is in the inventory, in one set test."""
+        return self._index.issuperset(symbols)
+
     def __iter__(self) -> Iterator[str]:
         return iter(self.phones)
 
@@ -170,6 +174,11 @@ class AnySymbol:
         except (PronvarError, ValueError):
             return False
         return True
+
+    def _has_all(self, symbols: Iterable[str]) -> bool:
+        """Whether every one of ``symbols`` passed already, in one set test; ``False``
+        says only that some symbol is still to be checked."""
+        return self._seen.issuperset(symbols)
 
     def require(self, symbols: Iterable[str], context: str) -> None:
         """Raise the phone-symbol rule's error for the first of ``symbols`` that breaks it:
@@ -238,12 +247,21 @@ class ReferenceDictionary:
     """Canonical pronunciations per word, in file order, at least one each."""
 
     def __init__(self, entries: Mapping[str, Sequence[Sequence[str]]]):
+        """Check and list ``entries`` as :func:`parse_dictionary_file` would read them: each
+        phone must follow the phone-symbol rule, and a word may not start with ``#``, which
+        begins a comment line. The parsers check phones against their inventory, so
+        :meth:`_add` leaves both rules to this loop."""
         self._entries: dict[str, tuple[tuple[str, ...], ...]] = {}
         for word, prons in entries.items():
             for pron in prons:
-                self._add(word, tuple(pron))
+                pron = tuple(pron)
+                self._add(word, pron)
+                for symbol in pron:
+                    _check_symbol(symbol)
             if word not in self._entries:
                 raise EmptyPronunciation(word)
+            if word.startswith("#"):
+                raise ValueError(f"word {word!r} starts with '#', which begins a comment line")
 
     def _add(self, word: str, pron: tuple[str, ...]) -> None:
         """Check one entry and list it after the word's others."""

@@ -32,7 +32,9 @@ def test_bit_rows_are_the_unit_cost_rows(a, b, data):
     shift = 0 if data is None else data.draw(st.integers(0, len(b)))
     width = len(b) - shift
     expected = list(_cost_rows(a, b[shift:], AlignConfig()))
-    got = list(_bit_rows(a, _column_masks(b), width, shift))
+    masks = _column_masks(b)
+    got = [_bit_rows((), masks, width, shift)]
+    _bit_rows(a, masks, width, shift, out=got)
     assert len(got) == len(a) + 1
     for i, row in enumerate(got):
         assert all(0 <= bits < 1 << width for bits in row)
@@ -42,6 +44,25 @@ def test_bit_rows_are_the_unit_cost_rows(a, b, data):
         assert [same >> (j - 1) & 1 for j in range(1, width + 1)] == [
             int(expected[i][j] == expected[i - 1][j - 1]) for j in range(1, width + 1)
         ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequence, sequence, sequence, st.integers(0, 150))
+@example((), (), (), 0)
+@example((), ("A", "B"), ("A", "C"), 1)
+@example(("B", "C"), (), ("A", "C"), 0)
+# 88 columns from column 2: wider than one 64-bit machine word
+@example(("A", "B", "C"), ("C", "A"), ("A", "B", "C") * 30, 2)
+def test_bit_rows_carry_on_from_the_row_they_returned(a, b, cols, shift):
+    # the law the variant resolver's cost rests on: a pass over b that starts
+    # from the last row of a pass over a gives the rows of one pass over a + b
+    shift = min(shift, len(cols))
+    masks, width = _column_masks(cols), len(cols) - shift
+    first, second, whole = [], [], []
+    carried = _bit_rows(b, masks, width, shift, row=_bit_rows(a, masks, width, shift, out=first), out=second)
+    assert carried == _bit_rows(a + b, masks, width, shift, out=whole)
+    assert first + second == whole
+    assert len(whole) == len(a) + len(b)
 
 
 def bits(x):

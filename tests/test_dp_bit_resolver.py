@@ -9,8 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import old_dp_resolver as old
 from pronvar import dpalign, errors
-from pronvar.dpalign import AlignConfig, _exact, _resolve_reference, extract_variants_dp
-from pronvar.phonecore import PhoneInventory, PhoneSequence, ReferenceDictionary, SegmentedUtterance, WordSpan
+from pronvar.dpalign import (
+    AlignConfig,
+    _bit_rows,
+    _checked_reference,
+    _column_masks,
+    _exact,
+    _resolve_reference,
+    extract_variants_dp,
+)
+from pronvar.phonecore import AnySymbol, PhoneInventory, PhoneSequence, ReferenceDictionary, SegmentedUtterance, WordSpan
 from test_dp_traceback import utterance
 from test_dpalign import costs, longer, ref_words
 
@@ -68,6 +76,20 @@ def test_extraction_is_the_cell_row_resolver_and_loop(case):
     assert _resolve_reference(hyp, ref, d, exact)[0] == old._resolve_reference(hyp, ref, d, exact)[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(hyp_phones, ref_words, unit_costs)
+@example(EDGE_HYP, EDGE_WORDS, AlignConfig())
+@example(UNEQUAL_TIE_HYP, [(("A",), [("A", "B"), ("B",)]), (("C",), [("C",), ("C", "C", "C")])], AlignConfig())
+def test_the_resolver_rows_are_one_bit_row_pass_over_the_resolved_phones(phones, words, cfg):
+    # these are the rows the final ops are traced through
+    hyp, ref, d = utterance(phones, words)
+    resolved, rows = _resolve_reference(hyp, ref, d, _exact(cfg))
+    masks, width = _column_masks(hyp.phones), len(hyp.phones)
+    expected = [_bit_rows((), masks, width)]
+    _bit_rows(resolved.phones, masks, width, out=expected)
+    assert rows is None or rows == expected
+
+
 @pytest.mark.parametrize(
     "prons, chosen",
     [
@@ -109,6 +131,36 @@ def test_a_phone_outside_the_inventory_is_reported_as_before(given_phones, prons
     with pytest.raises(errors.InventoryMismatch) as was:
         old.extract_variants_dp([hyp], [ref], d, cfg)
     assert str(new.value) == str(was.value)
+
+
+def walked_reference(hyp, ref):
+    """``_checked_reference`` as it was before its set test: one ``in`` per phone."""
+    for symbol in ref:
+        if symbol not in hyp.inventory:
+            raise errors.InventoryMismatch(f"reference phone {symbol!r} not in the hypothesis inventory")
+    return tuple(ref)
+
+
+KNOWN = ("A", "B", "A", "C")
+
+
+# a phone outside a PhoneInventory, and phones that break the symbol rule AnySymbol applies
+@pytest.mark.parametrize(
+    "inventory, unknown",
+    [(lambda: PhoneInventory.from_phones("ABC"), "Z"), (AnySymbol, "A|B"), (AnySymbol, "É"), (AnySymbol, "K AE")],
+)
+@pytest.mark.parametrize("at", range(len(KNOWN) + 1))
+def test_the_set_test_names_the_first_missing_phone_as_the_walk_does(inventory, unknown, at):
+    one = (*KNOWN[:at], unknown, *KNOWN[at:])
+    # a second missing phone follows the first, which is the one named
+    for ref in (one, (*one, "Q|")):
+        for hyp in (PhoneSequence("u", ("A",), inventory()), PhoneSequence("u", KNOWN, inventory())):
+            with pytest.raises(errors.InventoryMismatch) as fast:
+                _checked_reference(hyp, ref)
+            with pytest.raises(errors.InventoryMismatch) as walk:
+                walked_reference(hyp, ref)
+            assert str(fast.value) == str(walk.value) == f"reference phone {unknown!r} not in the hypothesis inventory"
+            assert _checked_reference(hyp, KNOWN) == walked_reference(hyp, KNOWN) == KNOWN
 
 
 def test_the_bit_rows_resolve_only_at_unit_costs_times_a_gap():

@@ -442,6 +442,44 @@ def test_lexicon_round_trip(entries):
     assert parse_lexicon(emit_lexicon(lex)) == lex
 
 
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ({"a": [[1]]}, ValueError),
+        ({"a": [["A B"]]}, ValueError),
+        ({"a": [["#"]]}, errors.ReservedSymbol),
+        ({"a": [["A|B"]]}, errors.ReservedSymbol),
+        ({"a": [["É"]]}, ValueError),
+        # the file would hold a comment line
+        ({"#a": [["A"]]}, ValueError),
+    ],
+)
+def test_a_dictionary_phone_or_word_its_file_cannot_hold_is_rejected(entries, error):
+    with pytest.raises(error):
+        ReferenceDictionary(entries)
+
+
+#: words and phones, good and bad: whitespace, reserved and non-ASCII characters, a comment mark, a non-str
+DICTIONARY_TOKENS = ["cat", "K", "AE", "a'b", "É", "K AE", "A|B", "#", "#a", "a#", "", "\t", 1]
+dictionary_entries = st.dictionaries(
+    st.sampled_from(DICTIONARY_TOKENS),
+    st.lists(st.lists(st.sampled_from(DICTIONARY_TOKENS), max_size=3), max_size=3),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionary_entries)
+@example({"cat": [["K", "AE"], ["K"]], "a#": [["AE"]]})
+@example({"#a": [["K"]]})
+def test_a_dictionary_the_constructor_accepts_round_trips(entries):
+    try:
+        dictionary = ReferenceDictionary(entries)
+    except (errors.PronvarError, ValueError):
+        return
+    assert parse_dictionary_file(emit_dictionary(dictionary)) == dictionary
+
+
 @given(st.lists(st.lists(st.sampled_from(["AA", "K", "T"]), max_size=5), max_size=5))
 def test_phone_file_round_trip(phone_lists):
     inventory = PhoneInventory.from_phones(["AA", "K", "T"])
