@@ -14,8 +14,9 @@ the row :func:`_bit_rows` returns, every span end of one start at once.
 :func:`nw_align` keeps the whole matrix to backtrack the ops. It collects
 the bit rows through ``out`` at unit costs times one gap cost, while float
 sums of that cost are exact, as at the default costs, and takes
-:func:`_cost_rows` otherwise. Native word boundaries are projected through
-the ops to carve the hypothesis into per-word variants.
+:func:`_cost_rows` otherwise. :func:`project_boundaries` carves the
+hypothesis into per-word variants at the native word boundaries, projected
+through the ops; :func:`nw_align` and it are the way to get the ops.
 
 Dictionary alternatives are costed in exact integer costs. At unit costs
 times one gap, each alternative costs two :func:`_bit_rows` calls with no
@@ -25,6 +26,12 @@ through the rest of the utterance and returns the final row, whose cost two
 backward rows of :func:`_cost_rows`. Where the resolver's forward rows
 already form the final matrix and float sums of the costs are exact, the
 ops are traced back through those rows instead.
+
+:func:`extract_variants_dp` builds no ops at unit costs times one gap while
+those sums are exact. It takes the resolver's bit rows, or fills them itself
+when no word has alternatives, and reads each word's cut off one backward
+walk through them (:func:`_bit_steps`), the walk whose ops
+:func:`_trace_bits` gives :func:`nw_align`.
 """
 
 import math
@@ -267,37 +274,80 @@ def _bit_distance(rows: list[tuple[int, int, int]]) -> int:
     return len(rows) - 1 + plus.bit_count() - minus.bit_count()
 
 
+def _bit_steps(
+    hyp: Sequence[str], ref: Sequence[str], rows: list[tuple[int, int, int]]
+) -> Iterator[tuple[int, bool]]:
+    """The backward walk of :func:`_trace` through the :func:`_bit_rows` of ``ref`` against ``hyp``.
+
+    At unit costs a cell is its diagonal neighbour's cost or one more, and
+    that neighbour's when the phones match. So from the last cell back, the
+    diagonal is taken when the phones match or the cell's ``same`` bit is
+    clear; else the delete when its ``plus`` bit is set, else the insert.
+    The left edge inserts, and the top edge deletes what is left.
+
+    Yields one ``(j, diagonal)`` per row, from row ``len(ref)`` up to row 1:
+    the column j at which the walk leaves the row, and whether it leaves by
+    the diagonal, to column j - 1 of the row above, or by an insert, to
+    column j. The walk deletes the hypothesis phones of the columns it
+    passes in a row on its way to j, and at row 0 those left of the column
+    it reaches.
+    """
+    j = len(hyp)
+    for i in range(len(ref), 0, -1):
+        plus, _, same = rows[i]
+        y = ref[i - 1]
+        while j:
+            bit = 1 << (j - 1)
+            if y == hyp[j - 1] or not same & bit:
+                yield j, True
+                j -= 1
+                break
+            if not plus & bit:
+                yield j, False
+                break
+            j -= 1
+        else:
+            yield 0, False
+
+
 def _trace_bits(hyp: Sequence[str], ref: Sequence[str], rows: list[tuple[int, int, int]]) -> tuple[EditOp, ...]:
     """:func:`_trace` through the :func:`_bit_rows` of ``ref`` against ``hyp``.
 
-    At unit costs a cell is its diagonal neighbour's cost or one more, and
-    that neighbour's when the phones match. So the diagonal is taken when
-    the phones match or the cell's ``same`` bit is clear; else the delete
-    when its ``plus`` bit is set, else the insert.
+    The ops of :func:`_bit_steps`' walk, for :func:`nw_align`: the deletes of
+    the columns the walk passes, and the step that leaves each row.
     """
     ops: list[EditOp] = []
     i, j = len(ref), len(hyp)
-    while i > 0 and j > 0:
-        plus, _, same = rows[i]
-        bit = 1 << (j - 1)
-        if ref[i - 1] == hyp[j - 1]:
-            ops.append(EditOp(MATCH, j - 1, i - 1))
-        elif not same & bit:
-            ops.append(EditOp(SUBSTITUTE, j - 1, i - 1))
-        elif plus & bit:
-            ops.append(EditOp(DELETE, j - 1))
-            j -= 1
-            continue
+    for col, diagonal in _bit_steps(hyp, ref, rows):
+        ops.extend(EditOp(DELETE, k) for k in range(j - 1, col - 1, -1))
+        if diagonal:
+            ops.append(EditOp(MATCH if ref[i - 1] == hyp[col - 1] else SUBSTITUTE, col - 1, i - 1))
+            j = col - 1
         else:
             ops.append(EditOp(INSERT, None, i - 1))
-            i -= 1
-            continue
-        i, j = i - 1, j - 1
-    # the top edge deletes what is left of the hypothesis, the left edge inserts the reference
+            j = col
+        i -= 1
     ops.extend(EditOp(DELETE, k) for k in reversed(range(j)))
-    ops.extend(EditOp(INSERT, None, k) for k in reversed(range(i)))
     ops.reverse()
     return tuple(ops)
+
+
+def _bit_spans(
+    hyp: tuple[str, ...], ref_seg: SegmentedUtterance, rows: list[tuple[int, int, int]]
+) -> list[tuple[str, tuple[str, ...]]]:
+    """:func:`project_boundaries` of :func:`_trace_bits`' alignment, read off :func:`_bit_steps`.
+
+    ``rows`` are the bit rows of ``ref_seg.phones`` against ``hyp``. Word k
+    starts at reference phone ``s = ends[k - 1]``, and is cut after the
+    hypothesis phones taken when the alignment reaches row s, the column at
+    which the walk back leaves that row. So the walk is read up to the first
+    word's end, and no op is built.
+    """
+    ref, ends = ref_seg.phones, ref_seg.ends
+    # cols[i] is the column at which the walk leaves row len(ref) - i
+    cols = [j for j, _ in islice(_bit_steps(hyp, ref, rows), len(ref) - ends[0] + 1)]
+    cuts = (0, *(cols[len(ref) - s] for s in ends[:-1]), len(hyp))
+    return [(span.word, hyp[a:b]) for span, (a, b) in zip(ref_seg.words, pairwise(cuts))]
 
 
 def _trace(
@@ -528,16 +578,22 @@ def extract_variants_dp(
     """Align every utterance and emit one (word, span) pair per non-empty span.
 
     Hypotheses and references are paired by utterance id; output order
-    follows the hypothesis order.
+    follows the hypothesis order. The spans are those of
+    :func:`project_boundaries` of :func:`nw_align`'s alignment of the
+    resolved reference.
 
-    Where the resolver returns its rows, the ops are traced back through
-    them instead of :func:`nw_align` filling the matrix again in floats.
-    That gives :func:`nw_align`'s alignment when no float sum rounds: a cell
-    sums at most ``len(hyp) + len(ref)`` costs, so while that many of the
-    largest scaled cost stay within 2**53, every float the DP adds is the
-    exact integer over a power of two, and its comparisons are the
-    integers' comparisons. Bit rows are traced by :func:`_trace_bits`, and
-    their distance ``d`` costs ``d`` gaps.
+    Where the resolver returns its rows, they are reused instead of
+    :func:`nw_align` filling the matrix again in floats. That gives
+    :func:`nw_align`'s alignment when no float sum rounds: a cell sums at
+    most ``len(hyp) + len(ref)`` costs, so while that many of the largest
+    scaled cost stay within 2**53, every float the DP adds is the exact
+    integer over a power of two, and its comparisons are the integers'
+    comparisons. Within that bound at unit costs times one gap, the bit rows
+    are filled here when the resolver returns none, and each word's cut is
+    read off the walk back through them (:func:`_bit_spans`), with no op
+    built. At other costs the ops are traced back through the resolver's
+    cell rows (:func:`_trace`), or :func:`nw_align` aligns, and
+    :func:`project_boundaries` cuts.
     """
     exact = _exact(cfg)
     unit = _scaled_unit(exact)
@@ -546,14 +602,17 @@ def extract_variants_dp(
     empty = 0
     for hyp, ref_seg in pair_by_id(hyps, refs):
         resolved, rows = _resolve_reference(hyp, ref_seg, dictionary, exact)
-        ref = resolved.phones
-        if rows is not None and len(hyp.phones) + len(ref) <= longest_exact:
-            if unit:
-                ops, total = _trace_bits(hyp.phones, ref, rows), _bit_distance(rows) * exact.gap_penalty
-            else:
-                ops, total = _trace(hyp.phones, ref, rows, exact), rows[-1][-1]
-            alignment = Alignment(hyp.phones, ref, ops, total / exact.scale)
+        a, ref = hyp.phones, resolved.phones
+        if len(a) + len(ref) > longest_exact or (rows is None and not unit):
+            variants = project_boundaries(nw_align(hyp, ref, cfg), resolved)
+        elif not unit:
+            alignment = Alignment(a, ref, _trace(a, ref, rows, exact), rows[-1][-1] / exact.scale)
+            variants = project_boundaries(alignment, resolved)
         else:
-            alignment = nw_align(hyp, ref, cfg)
-        empty += _harvest(project_boundaries(alignment, resolved), pairs)
+            if rows is None:
+                masks = _column_masks(a)
+                rows = [_bit_rows((), masks, len(a))]
+                _bit_rows(_checked_reference(hyp, ref), masks, len(a), out=rows)
+            variants = _bit_spans(a, resolved, rows)
+        empty += _harvest(variants, pairs)
     return DpExtraction(tuple(pairs), empty)

@@ -102,8 +102,11 @@ def test_the_rows_are_reused_only_while_float_sums_are_exact():
         # 0.1 and 0.2 scale to integers above 2**51, too large for 8 phones
         (d, AlignConfig(0.0, 0.1, 0.2), 1),
         (d, AlignConfig(0.0, 3.0, 1e-300), 1),
-        # no alternatives: the resolver aligns nothing
-        (one_each, AlignConfig(), 1),
+        # no alternatives: the resolver aligns nothing, so at unit costs the
+        # extraction fills the bit rows itself and reads the cuts off them,
+        # and at other costs nw_align fills the matrix
+        (one_each, AlignConfig(), 0),
+        (one_each, AlignConfig(0.0, 0.5, 3.0), 1),
     ]
     for dictionary, cfg, calls in cases:
         with mock.patch.object(dpalign, "nw_align", wraps=dpalign.nw_align) as spy:
