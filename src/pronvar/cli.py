@@ -130,8 +130,9 @@ def _load(args, *inputs) -> list:
 
 
 def _checked(make, *args, **flags):
-    """Call a config constructor with flag values; a value it rejects is a usage error.
-    A keyword flag the user did not give (None) is left out, so the constructor's default holds."""
+    """Call a config constructor or library function with flag values; a value it rejects
+    is a usage error. A keyword flag the user did not give (None) is left out, so the
+    callee's default holds."""
     try:
         return make(*args, **{name: value for name, value in flags.items() if value is not None})
     except ValueError as err:
@@ -178,7 +179,7 @@ def _cmd_build(args) -> int:
     canonical = loaded.pop() if args.dict else None
     seeds = lexbuild.from_dictionary(canonical).pairs() if args.dict else ()
     lex = lexbuild.from_counted_pairs(chain(seeds, *loaded))
-    lex = _checked(lexbuild.prune, lex, args.min_count, args.max_variants, canonical)
+    lex = _checked(lexbuild.prune, lex, min_count=args.min_count, max_variants=args.max_variants, canonical=canonical)
     _write(args.out, emit_lexicon(lex))
     return 0
 
@@ -290,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="accumulate pairs into a counted, pruned lexicon")
     p.add_argument("--pairs", required=True, nargs="+", help="one or more pairs files")
-    p.add_argument("--min-count", type=_integer, default=0, help="drop variants seen fewer times")
-    p.add_argument("--max-variants", type=_integer, default=None, help="cap variants per word")
+    p.add_argument("--min-count", type=_integer, help="drop variants seen fewer times")
+    p.add_argument("--max-variants", type=_integer, help="cap variants per word")
     p.add_argument("--dict", help="seed and protect canonical pronunciations from this dictionary")
     p.add_argument("--inventory", help="validate phones against this inventory")
     p.add_argument("--out", required=True)
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utts", type=_integer, required=True, help="number of utterances")
     p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--attn", default="identity", help="attention maps: identity or jitter:K")
-    p.add_argument("--indel-prob", type=_decimal, default=0.0, help="per-phone insert/delete probability")
+    p.add_argument("--indel-prob", type=_decimal, help="per-phone insert/delete probability")
     p.add_argument("--inventory", help="validate phones against this inventory")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)

@@ -19,13 +19,16 @@ hypothesis into per-word variants at the native word boundaries, projected
 through the ops; :func:`nw_align` and it are the way to get the ops.
 
 Dictionary alternatives are costed in exact integer costs. At unit costs
-times one gap, each alternative costs two :func:`_bit_rows` calls with no
+times one gap, an alternative costs two :func:`_bit_rows` calls with no
 backward pass: one collects its rows, and one carries its last row on
-through the rest of the utterance and returns the final row, whose cost two
-``bit_count`` calls read. At other costs the cost comes from forward and
-backward rows of :func:`_cost_rows`. Where the resolver's forward rows
-already form the final matrix and float sums of the costs are exact, the
-ops are traced back through those rows instead.
+through the rest of the utterance, collecting those rows too, and returns
+the final row, whose cost two ``bit_count`` calls read. The winner's rows
+then run to the utterance's end, so after the first word with
+alternatives, the alternative equal to a word's given span, and a word
+with one pronunciation, cost no call. At other costs the cost comes from
+forward and backward rows of :func:`_cost_rows`. Where the resolver's
+forward rows already form the final matrix and float sums of the costs are
+exact, the ops are traced back through those rows instead.
 
 :func:`extract_variants_dp` builds no ops at unit costs times one gap while
 those sums are exact. It takes the resolver's bit rows, or fills them itself
@@ -491,25 +494,32 @@ def _resolve_reference(
     inventory first, then each alternative's as it is tried.
 
     The rows of the resolved prefix are kept, and each alternative's rows
-    continue them; the winner's extend the prefix. At unit costs times one
-    gap cost the rows are those of :func:`_bit_rows`, and an alternative
-    costs two calls of it with no backward pass: one collects the
-    alternative's rows through ``out``, and one carries its last row on
-    through the given spans after its word and returns the final row, whose
-    whole-utterance cost two ``bit_count`` calls read. The work is O(m) rows
-    per alternative for m reference phones, each a fixed number of ``int``
-    operations. At other costs the rows are those of :func:`_cost_rows`, and
-    the cost is split at the word's end (Hirschberg, 1975): it is ``min_i
-    F[i] + B[i]``, where ``F`` is the alternative's last row and ``B[i]``,
-    from one backward pass, is the cost of ``hyp[i:]`` against the given
-    spans after the word. The work is O(n·m·(1 + alternatives)) cells for n
-    hypothesis phones, not one full alignment per alternative.
+    continue them; the winner's replace those after the prefix. At unit
+    costs times one gap cost the rows are those of :func:`_bit_rows`, and an
+    alternative costs two calls of it with no backward pass: one collects
+    the alternative's rows through ``out``, and one carries its last row on
+    through the given spans after its word, collecting those rows too, and
+    returns the final row, whose whole-utterance cost two ``bit_count``
+    calls read. The winner's cost and rows are then those of the utterance
+    as it stands, resolved up to its word and given after it, to its end.
+    At each later word the alternative equal to the given span is that same
+    utterance, so it costs no call, and neither does a word with one
+    pronunciation. An utterance of W words, each listing A pronunciations
+    with the given span among them, costs 1 + 2A + 2(A - 1)(W - 1) calls,
+    not the 1 + 2AW of costing every alternative. The work is O(m) rows per
+    alternative costed, for m reference phones, each a fixed number of
+    ``int`` operations. At other costs the rows are those of
+    :func:`_cost_rows`, and the cost is split at the word's end (Hirschberg,
+    1975): it is ``min_i F[i] + B[i]``, where ``F`` is the alternative's
+    last row and ``B[i]``, from one backward pass, is the cost of
+    ``hyp[i:]`` against the given spans after the word. The work is
+    O(n·m·(1 + alternatives)) cells for n hypothesis phones, not one full
+    alignment per alternative.
 
-    Returns the resolved utterance and the resolved prefix's rows, which by
-    the end are every row of the resolved phones against the hypothesis: bit
-    rows at unit costs times one gap, else cell rows in the exact costs.
-    When no word has alternatives the utterance comes back as given, with no
-    rows.
+    Returns the resolved utterance and its rows, every row of the resolved
+    phones against the hypothesis: bit rows at unit costs times one gap,
+    else cell rows in the exact costs. When no word has alternatives the
+    utterance comes back as given, with no rows.
     """
     spans = list(ref_seg.words)
     choices = [dictionary.pronunciations(s.word) if s.word in dictionary else () for s in spans]
@@ -517,18 +527,20 @@ def _resolve_reference(
         return ref_seg, None
     given = _checked_reference(hyp, ref_seg.phones)
     hyp_phones = hyp.phones
-    if _scaled_unit(exact):
+    unit = _scaled_unit(exact)
+    if unit:
         masks, width = _column_masks(hyp_phones), len(hyp_phones)
         start = _bit_rows((), masks, width)
+        suffixes = [given[end:] for end in ref_seg.ends]
 
         def rows_of(phones, row, out):
             _bit_rows(phones, masks, width, 0, row, out)
 
-        def cost(wi, tried):
-            # the distance, less the rows before and after the word, which
-            # every alternative has
-            plus, minus, _ = _bit_rows(given[ref_seg.ends[wi] :], masks, width, 0, tried[-1])
-            return len(tried) + plus.bit_count() - minus.bit_count()
+        def cost(wi, at, tried):
+            # the carry rows go to tried too, so the final row is row
+            # at + len(tried) of the whole utterance
+            plus, minus, _ = _bit_rows(suffixes[wi], masks, width, 0, tried[-1], tried)
+            return at + len(tried) + plus.bit_count() - minus.bit_count()
 
     else:
         reversed_hyp = hyp_phones[::-1]
@@ -544,23 +556,36 @@ def _resolve_reference(
         def rows_of(phones, row, out):
             out.extend(islice(_cost_rows(phones, hyp_phones, exact, row), 1, None))
 
-        def cost(wi, tried):
+        def cost(wi, at, tried):
             return min(map(add, tried[-1], suffix_costs[wi]))
 
     rows = [start]
+    # at: how many resolved phones precede the word. total: once a winner's
+    # carry has run the rows to the end, the cost of the utterance as it stands
+    at, total = 0, None
     changed = False
     for wi, (span, variants) in enumerate(zip(spans, choices)):
         if len(variants) < 2:
-            rows_of(span.phones, rows[-1], rows)
+            if total is None:
+                rows_of(span.phones, rows[-1], rows)
+            at += len(span.phones)
             continue
         scored = []
         for pron in variants:
             _checked_reference(hyp, pron)
+            if total is not None and pron == span.phones:
+                # the utterance as it stands, whose rows are in place
+                scored.append((total, pron, None))
+                continue
             tried = []
-            rows_of(pron, rows[-1], tried)
-            scored.append((cost(wi, tried), pron, tried))
-        _, best, best_rows = min(scored, key=itemgetter(0))
-        rows.extend(best_rows)
+            rows_of(pron, rows[at], tried)
+            scored.append((cost(wi, at, tried), pron, tried))
+        best_cost, best, best_rows = min(scored, key=itemgetter(0))
+        if best_rows is not None:
+            rows[at + 1 :] = best_rows
+        if unit:
+            total = best_cost
+        at += len(best)
         if best != span.phones:
             spans[wi] = WordSpan(span.word, best)
             changed = True

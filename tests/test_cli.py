@@ -1044,6 +1044,40 @@ class TestFlagValues:
         assert main([command, *inputs, *flags, "--out", str(tmp_path / "o")]) == 0
         assert made == [expected]
 
+    @pytest.mark.parametrize(
+        "command, flags, expected",
+        [
+            ("build", [], {"min_count": 2, "max_variants": 1}),
+            ("build", ["--min-count", "0", "--max-variants", "3"], {"min_count": 0, "max_variants": 3}),
+            ("synth", [], {"indel_probability": 0.25}),
+            ("synth", ["--indel-prob", "0"], {"indel_probability": 0.0}),
+        ],
+    )
+    def test_a_flag_not_given_takes_the_library_default(self, tmp_path, monkeypatch, command, flags, expected):
+        # prune's and build_corpus's defaults are the CLI's: wrappers with other defaults must be followed
+        made = []
+        prune, build_corpus = cli.lexbuild.prune, cli.synthbench.build_corpus
+
+        def other_prune(lex, min_count=2, max_variants=1, canonical=None):
+            made.append({"min_count": min_count, "max_variants": max_variants})
+            return prune(lex, min_count, max_variants, canonical)
+
+        def other_build_corpus(*args, indel_probability=0.25, **kwargs):
+            made.append({"indel_probability": indel_probability})
+            return build_corpus(*args, indel_probability=indel_probability, **kwargs)
+
+        monkeypatch.setattr(cli.lexbuild, "prune", other_prune)
+        monkeypatch.setattr(cli.synthbench, "build_corpus", other_build_corpus)
+        d = write(tmp_path / "dict.txt", "cat\tK AE T\n")
+        inputs = {
+            "build": ["--pairs", write(tmp_path / "p.pairs", "cat\t1\tK AE T\n"), "--dict", d,
+                      "--out", str(tmp_path / "o")],
+            "synth": ["--dict", d, "--rules", write(tmp_path / "rules.txt", "AE\tAH\t0.5\n"), "--words", "1",
+                      "--utts", "1", "--seed", "1", "--out-dir", str(tmp_path / "x")],
+        }[command]  # fmt: skip
+        assert main([command, *inputs, *flags]) == 0
+        assert made == [expected]
+
     @pytest.mark.parametrize("value", ["2", "0.25", "-0", "1e-3", "1E1", "+.5"])
     def test_a_float_flag_reads_what_it_read_before(self, value):
         assert cli._decimal(value) == float(value)

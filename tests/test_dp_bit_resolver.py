@@ -54,6 +54,21 @@ EDGE_WORDS = [(("A",), [("C",), ("A",)]), (("B", "C"), None)]
 # 'B' and 'A B' both cost 1 against 'A', though they differ in length
 UNEQUAL_TIE_HYP = ("A",)
 
+# w1's given span 'C' is listed behind 'A', which costs as much against 'A B'
+GIVEN_TIED_HYP = ("A", "B")
+GIVEN_TIED_WORDS = [(("A",), [("A",), ("C",)]), (("C",), [("A",), ("C",)])]
+# w1's given span 'C' is listed behind 'B', which costs less
+GIVEN_BEATEN_WORDS = [(("A",), [("A",), ("C",)]), (("C",), [("B",), ("C",)])]
+# w2's one pronunciation lies between words with alternatives
+SINGLE_BETWEEN_HYP = ("A", "B", "C", "A", "B", "B")
+SINGLE_BETWEEN_WORDS = [
+    (("A",), [("A",), ("B", "B")]),
+    (("C",), [("B",), ("C",)]),
+    (("C",), [("C",)]),
+    (("A",), [("C",), ("A",)]),
+    (("B",), [("B",), ("A", "A")]),
+]
+
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -68,6 +83,10 @@ UNEQUAL_TIE_HYP = ("A",)
 @example((UNEQUAL_TIE_HYP, [(("A",), [("B",), ("A", "B")])], AlignConfig()))
 @example((UNEQUAL_TIE_HYP, [(("A",), [("A", "B"), ("B",)])], AlignConfig()))
 @example((UNEQUAL_TIE_HYP, [(("A",), [("A", "B"), ("B",)]), (("C",), [("C",), ("C", "C", "C")])], AlignConfig()))
+@example((GIVEN_TIED_HYP, GIVEN_TIED_WORDS, AlignConfig()))
+@example((GIVEN_TIED_HYP, GIVEN_BEATEN_WORDS, AlignConfig()))
+@example((SINGLE_BETWEEN_HYP, SINGLE_BETWEEN_WORDS, AlignConfig()))
+@example((SINGLE_BETWEEN_HYP, SINGLE_BETWEEN_WORDS, AlignConfig(0.0, 0.5, 0.5)))
 def test_extraction_is_the_cell_row_resolver_and_loop(case):
     phones, words, cfg = case
     hyp, ref, d = utterance(phones, words)
@@ -80,6 +99,10 @@ def test_extraction_is_the_cell_row_resolver_and_loop(case):
 @given(hyp_phones, ref_words, unit_costs)
 @example(EDGE_HYP, EDGE_WORDS, AlignConfig())
 @example(UNEQUAL_TIE_HYP, [(("A",), [("A", "B"), ("B",)]), (("C",), [("C",), ("C", "C", "C")])], AlignConfig())
+@example(GIVEN_TIED_HYP, GIVEN_TIED_WORDS, AlignConfig())
+@example(GIVEN_TIED_HYP, GIVEN_BEATEN_WORDS, AlignConfig())
+@example(SINGLE_BETWEEN_HYP, SINGLE_BETWEEN_WORDS, AlignConfig())
+@example(SINGLE_BETWEEN_HYP, SINGLE_BETWEEN_WORDS, AlignConfig(0.0, 0.5, 0.5))
 def test_the_resolver_rows_are_one_bit_row_pass_over_the_resolved_phones(phones, words, cfg):
     # these are the rows the final ops are traced through
     hyp, ref, d = utterance(phones, words)
@@ -187,3 +210,29 @@ def test_the_ops_come_from_the_bit_rows_while_sums_of_the_gap_are_exact(gap, cal
     with mock.patch.object(dpalign, "nw_align", wraps=dpalign.nw_align) as spy:
         extract_variants_dp([hyp], [ref], d, AlignConfig(0.0, gap, gap))
     assert spy.call_count == calls
+
+
+ONE_PHONE = [("A",), ("B",), ("C",)]
+
+
+# an alternative costed takes rows for its own phone and the given phones after its word
+@pytest.mark.parametrize(
+    "words, calls, rows",
+    [
+        # 1 + 2·3 + 2·2·2 calls: the given spans of w1 and w2 cost none
+        ([(("A",), ONE_PHONE)] * 3, 15, 3 * 3 + 2 * 2 + 2 * 1),
+        ([(("C",), ONE_PHONE)] * 3, 15, 3 * 3 + 2 * 2 + 2 * 1),
+        # w1's given span is not listed, so each of its alternatives is costed
+        ([(("A",), ONE_PHONE), (("A", "A"), ONE_PHONE), (("A",), ONE_PHONE)], 17, 3 * 4 + 3 * 2 + 2 * 1),
+        # w1's rows come from w0's winner's carry
+        ([(("A",), ONE_PHONE), (("B",), [("B",)]), (("A",), ONE_PHONE)], 11, 3 * 3 + 2 * 1),
+        # w1, the last word, carries no rows on, yet its carry call is made
+        ([(("A",), ONE_PHONE), (("B",), ONE_PHONE)], 11, 3 * 2 + 2 * 1),
+    ],
+)
+def test_a_given_span_after_the_first_resolved_word_costs_no_kernel_call(words, calls, rows):
+    hyp, ref, d = utterance(("A", "B", "C", "A"), words)
+    with mock.patch.object(dpalign, "_bit_rows", wraps=dpalign._bit_rows) as bit_rows:
+        extract_variants_dp([hyp], [ref], d, AlignConfig())
+    assert bit_rows.call_count == calls
+    assert sum(len(call.args[0]) for call in bit_rows.call_args_list) == rows
