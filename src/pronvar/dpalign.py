@@ -19,13 +19,17 @@ hypothesis into per-word variants at the native word boundaries, projected
 through the ops; :func:`nw_align` and it are the way to get the ops.
 
 Dictionary alternatives are costed in exact integer costs. At unit costs
-times one gap, an alternative costs two :func:`_bit_rows` calls with no
-backward pass: one collects its rows, and one carries its last row on
-through the rest of the utterance, collecting those rows too, and returns
-the final row, whose cost two ``bit_count`` calls read. The winner's rows
-then run to the utterance's end, so after the first word with
-alternatives, the alternative equal to a word's given span, and a word
-with one pronunciation, cost no call. At other costs the cost comes from
+times one gap, the bit rows of the given reference are filled first, so
+the rows of the utterance as it stands always run to its end, and the
+alternative equal to a word's given span, and a word with one
+pronunciation, cost no call. Another alternative collects its own rows in
+one :func:`_bit_rows` call, with no backward pass. After the word, it and
+the given span meet the same rest of the utterance, so its cost is at least
+the standing cost plus the least difference of the two rows there
+(:func:`_least_difference`). Only an alternative whose bound leaves
+it a chance to win makes a second call, which carries its last row on
+through the rest of the utterance and returns the final row, whose cost
+two ``bit_count`` calls read. At other costs the cost comes from
 forward and backward rows of :func:`_cost_rows`. Where the resolver's
 forward rows already form the final matrix and float sums of the costs are
 exact, the ops are traced back through those rows instead.
@@ -41,7 +45,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice, pairwise
-from operator import add, itemgetter
+from operator import add
 from typing import NamedTuple
 
 from .errors import (
@@ -193,6 +197,26 @@ def _bit_rows(
         if out is not None:
             out.append((plus, minus, same))
     return plus, minus, same
+
+
+def _least_difference(row: tuple[int, int, int], other: tuple[int, int, int], gap: int) -> int:
+    """``min_j (row[j] - other[j])`` over the cells of two :func:`_bit_rows` rows of one width.
+
+    ``gap`` is the difference of their cells 0, the rows' distance apart.
+    The difference changes only at the bits where the rows' column deltas
+    differ, so those are walked from the lowest up.
+    """
+    plus, minus, _ = row
+    other_plus, other_minus, _ = other
+    least = gap
+    differ = (plus ^ other_plus) | (minus ^ other_minus)
+    while differ:
+        bit = differ & -differ
+        differ ^= bit
+        gap += bool(plus & bit) - bool(minus & bit) - bool(other_plus & bit) + bool(other_minus & bit)
+        if gap < least:
+            least = gap
+    return least
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str], cfg: AlignConfig = AlignConfig()) -> float:
@@ -495,25 +519,33 @@ def _resolve_reference(
 
     The rows of the resolved prefix are kept, and each alternative's rows
     continue them; the winner's replace those after the prefix. At unit
-    costs times one gap cost the rows are those of :func:`_bit_rows`, and an
-    alternative costs two calls of it with no backward pass: one collects
-    the alternative's rows through ``out``, and one carries its last row on
+    costs times one gap cost the rows are those of :func:`_bit_rows`, filled
+    for the given reference before the first word. They are then always the
+    rows of the utterance as it stands, resolved up to the word and given
+    after it, to its end, and ``total`` is its cost. So the alternative
+    equal to the given span costs ``total`` and no call, and a word with one
+    pronunciation makes no call either. Any other alternative X first
+    collects its own rows through ``out``. Its cost is ``min_j F_X[j] +
+    B[j]``, where ``F_X`` is its last row and ``B[j]`` the cost of
+    ``hyp[j:]`` against the given spans after the word, and ``total`` is
+    ``min_j F_S[j] + B[j]`` with ``F_S`` the row after the given span S. So
+    X costs at least ``total + min_j (F_X[j] - F_S[j])``, which
+    :func:`_least_difference` reads off the two rows. When that bound
+    reaches the least cost of the alternatives listed before X, or exceeds
+    ``total`` while S is listed after X, X cannot win, as a tie goes to the
+    one listed first, and its carry is skipped. Only an alternative that
+    could still win makes a second call, which carries its last row on
     through the given spans after its word, collecting those rows too, and
-    returns the final row, whose whole-utterance cost two ``bit_count``
-    calls read. The winner's cost and rows are then those of the utterance
-    as it stands, resolved up to its word and given after it, to its end.
-    At each later word the alternative equal to the given span is that same
-    utterance, so it costs no call, and neither does a word with one
-    pronunciation. An utterance of W words, each listing A pronunciations
-    with the given span among them, costs 1 + 2A + 2(A - 1)(W - 1) calls,
-    not the 1 + 2AW of costing every alternative. The work is O(m) rows per
-    alternative costed, for m reference phones, each a fixed number of
-    ``int`` operations. At other costs the rows are those of
-    :func:`_cost_rows`, and the cost is split at the word's end (Hirschberg,
-    1975): it is ``min_i F[i] + B[i]``, where ``F`` is the alternative's
-    last row and ``B[i]``, from one backward pass, is the cost of
-    ``hyp[i:]`` against the given spans after the word. The work is
-    O(n·m·(1 + alternatives)) cells for n hypothesis phones, not one full
+    returns the final row, whose exact cost two ``bit_count`` calls read.
+    The skip only drops alternatives that lose, so the winner, its rows and
+    the order of the inventory checks are those of costing every alternative
+    in full. The work is O(m) rows per alternative carried, for m reference
+    phones, each a fixed number of ``int`` operations. At other costs the
+    rows are those of :func:`_cost_rows`, and the cost is split at the
+    word's end (Hirschberg, 1975): it is ``min_i F[i] + B[i]``, where ``F``
+    is the alternative's last row and ``B[i]``, from one backward pass, is
+    the cost of ``hyp[i:]`` against the given spans after the word. The work
+    is O(n·m·(1 + alternatives)) cells for n hypothesis phones, not one full
     alignment per alternative.
 
     Returns the resolved utterance and its rows, every row of the resolved
@@ -530,7 +562,9 @@ def _resolve_reference(
     unit = _scaled_unit(exact)
     if unit:
         masks, width = _column_masks(hyp_phones), len(hyp_phones)
-        start = _bit_rows((), masks, width)
+        rows = [_bit_rows((), masks, width)]
+        _bit_rows(given, masks, width, 0, rows[0], rows)
+        total = _bit_distance(rows)
         suffixes = [given[end:] for end in ref_seg.ends]
 
         def rows_of(phones, row, out):
@@ -551,7 +585,8 @@ def _resolve_reference(
             backward.append(_last_row(span.phones[::-1], reversed_hyp, exact, backward[-1]))
         suffix_costs = [row[::-1] for row in reversed(backward)]
 
-        start = _last_row((), hyp_phones, exact)
+        rows = [_last_row((), hyp_phones, exact)]
+        total = None
 
         def rows_of(phones, row, out):
             out.extend(islice(_cost_rows(phones, hyp_phones, exact, row), 1, None))
@@ -559,10 +594,9 @@ def _resolve_reference(
         def cost(wi, at, tried):
             return min(map(add, tried[-1], suffix_costs[wi]))
 
-    rows = [start]
-    # at: how many resolved phones precede the word. total: once a winner's
-    # carry has run the rows to the end, the cost of the utterance as it stands
-    at, total = 0, None
+    # at: how many resolved phones precede the word. total: at unit costs,
+    # whose rows run to the end, the cost of the utterance as it stands
+    at = 0
     changed = False
     for wi, (span, variants) in enumerate(zip(spans, choices)):
         if len(variants) < 2:
@@ -570,17 +604,26 @@ def _resolve_reference(
                 rows_of(span.phones, rows[-1], rows)
             at += len(span.phones)
             continue
-        scored = []
+        # the cost an alternative must beat to win: the least so far, or,
+        # while the given span (which costs total) is yet to come, total + 1,
+        # since costs are integers and the one listed first wins a tie
+        best_cost = total + 1 if total is not None and span.phones in variants else math.inf
         for pron in variants:
             _checked_reference(hyp, pron)
             if total is not None and pron == span.phones:
                 # the utterance as it stands, whose rows are in place
-                scored.append((total, pron, None))
-                continue
-            tried = []
-            rows_of(pron, rows[at], tried)
-            scored.append((cost(wi, at, tried), pron, tried))
-        best_cost, best, best_rows = min(scored, key=itemgetter(0))
+                pron_cost, tried = total, None
+            else:
+                tried = []
+                rows_of(pron, rows[at], tried)
+                if total is not None:
+                    standing = rows[at + len(span.phones)]
+                    bound = total + _least_difference(tried[-1], standing, len(pron) - len(span.phones))
+                    if bound >= best_cost:
+                        continue
+                pron_cost = cost(wi, at, tried)
+            if pron_cost < best_cost:
+                best_cost, best, best_rows = pron_cost, pron, tried
         if best_rows is not None:
             rows[at + 1 :] = best_rows
         if unit:

@@ -2,6 +2,7 @@
 gap, against the cell-row resolver and extraction loop it replaced
 (``old_dp_resolver``)."""
 
+from operator import sub
 from unittest import mock
 
 import pytest
@@ -15,7 +16,10 @@ from pronvar.dpalign import (
     _checked_reference,
     _column_masks,
     _exact,
+    _last_row,
+    _least_difference,
     _resolve_reference,
+    edit_distance,
     extract_variants_dp,
 )
 from pronvar.phonecore import AnySymbol, PhoneInventory, PhoneSequence, ReferenceDictionary, SegmentedUtterance, WordSpan
@@ -68,6 +72,21 @@ SINGLE_BETWEEN_WORDS = [
     (("A",), [("C",), ("A",)]),
     (("B",), [("B",), ("A", "A")]),
 ]
+# w0's given span 'C' is listed behind 'B', which costs as much against 'A B'
+# and wins the tie; listed ahead of it, 'C' keeps it
+BOUND_TIE_HYP = ("A", "B")
+GIVEN_AFTER_TIE_WORDS = [(("C",), [("B",), ("C",)]), (("B",), None)]
+GIVEN_BEFORE_TIE_WORDS = [(("C",), [("C",), ("B",)]), (("B",), None)]
+# 'C' bounds at 1, the cost of the given 'B' listed ahead of it, against 'A'
+BOUND_AT_GIVEN_WORDS = [(("B",), [("B",), ("C",)])]
+# at w1, 'C' bounds at 1, the cost of 'B' listed ahead of it, against 'A B C A'
+BOUND_AT_BEST_HYP = ("A", "B", "C", "A")
+BOUND_AT_BEST_WORDS = [(("A",), [("A",), ("B",), ("C",)])] * 3
+# w0's given span is not listed, so its first alternative is bounded by nothing
+UNLISTED_WORDS = [(("A", "A"), [("C",), ("A",), ("B",)]), (("C",), None)]
+# alternatives 1, 2 and 5 phones long for w0's given span of 3
+LENGTHS_HYP = ("A", "B", "C", "A", "B")
+LENGTHS_WORDS = [(("A", "B", "C"), [("A",), ("A", "B"), ("A", "B", "C", "A", "B"), ("A", "B", "C")]), (("A",), None)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -87,6 +106,12 @@ SINGLE_BETWEEN_WORDS = [
 @example((GIVEN_TIED_HYP, GIVEN_BEATEN_WORDS, AlignConfig()))
 @example((SINGLE_BETWEEN_HYP, SINGLE_BETWEEN_WORDS, AlignConfig()))
 @example((SINGLE_BETWEEN_HYP, SINGLE_BETWEEN_WORDS, AlignConfig(0.0, 0.5, 0.5)))
+@example((BOUND_TIE_HYP, GIVEN_AFTER_TIE_WORDS, AlignConfig()))
+@example((BOUND_TIE_HYP, GIVEN_BEFORE_TIE_WORDS, AlignConfig()))
+@example((UNEQUAL_TIE_HYP, BOUND_AT_GIVEN_WORDS, AlignConfig()))
+@example((BOUND_AT_BEST_HYP, BOUND_AT_BEST_WORDS, AlignConfig()))
+@example((BOUND_AT_BEST_HYP, UNLISTED_WORDS, AlignConfig()))
+@example((LENGTHS_HYP, LENGTHS_WORDS, AlignConfig()))
 def test_extraction_is_the_cell_row_resolver_and_loop(case):
     phones, words, cfg = case
     hyp, ref, d = utterance(phones, words)
@@ -103,6 +128,12 @@ def test_extraction_is_the_cell_row_resolver_and_loop(case):
 @example(GIVEN_TIED_HYP, GIVEN_BEATEN_WORDS, AlignConfig())
 @example(SINGLE_BETWEEN_HYP, SINGLE_BETWEEN_WORDS, AlignConfig())
 @example(SINGLE_BETWEEN_HYP, SINGLE_BETWEEN_WORDS, AlignConfig(0.0, 0.5, 0.5))
+@example(BOUND_TIE_HYP, GIVEN_AFTER_TIE_WORDS, AlignConfig())
+@example(BOUND_TIE_HYP, GIVEN_BEFORE_TIE_WORDS, AlignConfig())
+@example(UNEQUAL_TIE_HYP, BOUND_AT_GIVEN_WORDS, AlignConfig())
+@example(BOUND_AT_BEST_HYP, BOUND_AT_BEST_WORDS, AlignConfig())
+@example(BOUND_AT_BEST_HYP, UNLISTED_WORDS, AlignConfig())
+@example(LENGTHS_HYP, LENGTHS_WORDS, AlignConfig())
 def test_the_resolver_rows_are_one_bit_row_pass_over_the_resolved_phones(phones, words, cfg):
     # these are the rows the final ops are traced through
     hyp, ref, d = utterance(phones, words)
@@ -111,6 +142,39 @@ def test_the_resolver_rows_are_one_bit_row_pass_over_the_resolved_phones(phones,
     expected = [_bit_rows((), masks, width)]
     _bit_rows(resolved.phones, masks, width, out=expected)
     assert rows is None or rows == expected
+
+
+@st.composite
+def swapped_word(draw):
+    """A reference's words, the index of one of them and an alternative of 1-5 phones for it."""
+    words = draw(ref_words)
+    alt = st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=5).map(tuple)
+    return words, draw(st.integers(0, len(words) - 1)), draw(alt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyp_phones, swapped_word())
+@example(BOUND_TIE_HYP, ([(("C",), None), (("B",), None)], 0, ("B",)))
+@example(LENGTHS_HYP, ([(("A", "B", "C"), None), (("A",), None)], 0, ("A", "B", "C", "A", "B")))
+@example(BOUND_AT_BEST_HYP, ([(("A",), None), (("A", "A"), None)], 1, ("B", "A")))
+def test_the_row_difference_bounds_an_alternative_from_below(phones, case):
+    words, wi, alt = case
+    hyp, ref, _ = utterance(phones, words)
+    given_phones, span = ref.phones, ref.words[wi].phones
+    at = ref.ends[wi] - len(span)
+    masks, width = _column_masks(hyp.phones), len(hyp.phones)
+    rows = [_bit_rows((), masks, width)]
+    _bit_rows(given_phones, masks, width, 0, rows[0], rows)
+    least = _least_difference(_bit_rows(alt, masks, width, 0, rows[at]), rows[at + len(span)], len(alt) - len(span))
+    # the cells of the same two rows, from the cell-row kernel
+    unit = _exact(AlignConfig())
+    alt_cells = _last_row((*given_phones[:at], *alt), hyp.phones, unit)
+    given_cells = _last_row(given_phones[: at + len(span)], hyp.phones, unit)
+    assert least == min(map(sub, alt_cells, given_cells))
+    # the given reference's cost plus the least difference never exceeds the
+    # cost with the alternative swapped in
+    swapped = (*given_phones[:at], *alt, *given_phones[at + len(span) :])
+    assert edit_distance(hyp.phones, given_phones) + least <= edit_distance(hyp.phones, swapped)
 
 
 @pytest.mark.parametrize(
@@ -215,19 +279,39 @@ def test_the_ops_come_from_the_bit_rows_while_sums_of_the_gap_are_exact(gap, cal
 ONE_PHONE = [("A",), ("B",), ("C",)]
 
 
-# an alternative costed takes rows for its own phone and the given phones after its word
+# Against the hypothesis 'A B C A'. Two calls fill the given reference's rows
+# (the top edge, then its phones). At a word with alternatives, the given span
+# makes no call; any other alternative makes one for its own row, and one
+# more, the carry through the given phones after its word, only if its bound
+# is below the cost it must beat.
 @pytest.mark.parametrize(
     "words, calls, rows",
     [
-        # 1 + 2·3 + 2·2·2 calls: the given spans of w1 and w2 cost none
-        ([(("A",), ONE_PHONE)] * 3, 15, 3 * 3 + 2 * 2 + 2 * 1),
-        ([(("C",), ONE_PHONE)] * 3, 15, 3 * 3 + 2 * 2 + 2 * 1),
-        # w1's given span is not listed, so each of its alternatives is costed
-        ([(("A",), ONE_PHONE), (("A", "A"), ONE_PHONE), (("A",), ONE_PHONE)], 17, 3 * 4 + 3 * 2 + 2 * 1),
-        # w1's rows come from w0's winner's carry
-        ([(("A",), ONE_PHONE), (("B",), [("B",)]), (("A",), ONE_PHONE)], 11, 3 * 3 + 2 * 1),
-        # w1, the last word, carries no rows on, yet its carry call is made
-        ([(("A",), ONE_PHONE), (("B",), ONE_PHONE)], 11, 3 * 2 + 2 * 1),
+        # total 2. w0: B and C bound at 2, the given A's cost, and make one
+        # call each. w1: B bounds at 1, carries 'A' and wins at 1; C bounds at
+        # 1. w2: B bounds at 1; C bounds at 0 and carries nothing, at 1
+        ([(("A",), ONE_PHONE)] * 3, 2 + 2 + 3 + 3, 3 + 2 + 3 + 2),
+        # total 3. w0: A carries 'C C' and wins at 2; B bounds at 2. w1: A
+        # carries 'C' at 2, then B at 1, which wins. w2: A carries nothing and
+        # wins at 1, a tie with the given C, listed after it; B bounds at 1
+        ([(("C",), ONE_PHONE)] * 3, 2 + 3 + 4 + 3, 3 + 4 + 4 + 2),
+        # total 2. w0 as in the first case. w1's given span is not listed: A
+        # carries 'A' at 2, B carries 'A' and wins at 1, and C bounds at 1.
+        # w2 as in the first case
+        ([(("A",), ONE_PHONE), (("A", "A"), ONE_PHONE), (("A",), ONE_PHONE)], 2 + 2 + 5 + 3, 4 + 2 + 5 + 2),
+        # total 1. w0: B and C bound at 1. w1 has one pronunciation and makes
+        # no call. w2 as in the first case
+        ([(("A",), ONE_PHONE), (("B",), [("B",)]), (("A",), ONE_PHONE)], 2 + 2 + 3, 3 + 2 + 2),
+        # total 2. w0: B and C bound at 2. w1: A carries nothing and wins at
+        # 2, a tie with the given B, listed after it; C bounds at 2
+        ([(("A",), ONE_PHONE), (("B",), ONE_PHONE)], 2 + 2 + 3, 2 + 2 + 2),
+        # total 1. w1: B's row after 'A B' is the given A's but for one more
+        # in its last cell, so it bounds at 1, loses, and makes one call
+        ([(("A", "B"), None), (("A",), [("A",), ("B",)])], 2 + 1, 3 + 1),
+        # total 1. w1: C's row after 'A B' is the given A's but for one less
+        # in the cell before the last, so it bounds at 0 and carries nothing,
+        # yet it costs 1 and loses
+        ([(("A", "B"), None), (("A",), [("A",), ("C",)])], 2 + 2, 3 + 1),
     ],
 )
 def test_a_given_span_after_the_first_resolved_word_costs_no_kernel_call(words, calls, rows):
