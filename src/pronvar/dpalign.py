@@ -18,20 +18,18 @@ sums of that cost are exact, as at the default costs, and takes
 hypothesis into per-word variants at the native word boundaries, projected
 through the ops; :func:`nw_align` and it are the way to get the ops.
 
-Dictionary alternatives are costed in exact integer costs. At unit costs
-times one gap, the bit rows of the given reference are filled first, so
+Dictionary alternatives are costed in exact integer costs, by one rule on
+either kernel's rows. The rows of the given reference are filled first, so
 the rows of the utterance as it stands always run to its end, and the
 alternative equal to a word's given span, and a word with one
-pronunciation, cost no call. Another alternative collects its own rows in
-one :func:`_bit_rows` call, with no backward pass. After the word, it and
-the given span meet the same rest of the utterance, so its cost is at least
-the standing cost plus the least difference of the two rows there
-(:func:`_least_difference`). Only an alternative whose bound leaves
-it a chance to win makes a second call, which carries its last row on
-through the rest of the utterance and returns the final row, whose cost
-two ``bit_count`` calls read. At other costs the cost comes from
-forward and backward rows of :func:`_cost_rows`. Where the resolver's
-forward rows already form the final matrix and float sums of the costs are
+pronunciation, cost no call. Another alternative fills its own rows. After
+the word, it and the given span meet the same rest of the utterance, so its
+cost is at least the standing cost plus the least difference of the two
+rows there. Only an alternative whose bound leaves it a chance to win
+carries its last row on through the rest of the utterance, and its cost is
+the final cell. On bit rows :func:`_least_difference` reads that
+difference and two ``bit_count`` calls the final cell. Where the
+resolver's cell rows form the final matrix and float sums of the costs are
 exact, the ops are traced back through those rows instead.
 
 :func:`extract_variants_dp` builds no ops at unit costs times one gap while
@@ -45,7 +43,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice, pairwise
-from operator import add
+from operator import sub
 from typing import NamedTuple
 
 from .errors import (
@@ -290,15 +288,15 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
         masks = _column_masks(a)
         rows = [_bit_rows((), masks, len(a))]
         _bit_rows(b, masks, len(a), out=rows)
-        return Alignment(a, b, _trace_bits(a, b, rows), _bit_distance(rows) * gap)
+        return Alignment(a, b, _trace_bits(a, b, rows), _bit_distance(rows[-1], len(b)) * gap)
     score = list(_cost_rows(b, a, cfg))
     return Alignment(a, b, _trace(a, b, score, cfg), score[-1][-1])
 
 
-def _bit_distance(rows: list[tuple[int, int, int]]) -> int:
-    """The last cell of ``rows``, every :func:`_bit_rows` row from the top edge on."""
-    plus, minus, _ = rows[-1]
-    return len(rows) - 1 + plus.bit_count() - minus.bit_count()
+def _bit_distance(row: tuple[int, int, int], i: int) -> int:
+    """The last cell of ``row``, row ``i`` of :func:`_bit_rows` from the top edge."""
+    plus, minus, _ = row
+    return i + plus.bit_count() - minus.bit_count()
 
 
 def _bit_steps(
@@ -517,36 +515,29 @@ def _resolve_reference(
     The given reference's phones are checked against the hypothesis
     inventory first, then each alternative's as it is tried.
 
-    The rows of the resolved prefix are kept, and each alternative's rows
-    continue them; the winner's replace those after the prefix. At unit
-    costs times one gap cost the rows are those of :func:`_bit_rows`, filled
-    for the given reference before the first word. They are then always the
-    rows of the utterance as it stands, resolved up to the word and given
-    after it, to its end, and ``total`` is its cost. So the alternative
-    equal to the given span costs ``total`` and no call, and a word with one
-    pronunciation makes no call either. Any other alternative X first
-    collects its own rows through ``out``. Its cost is ``min_j F_X[j] +
-    B[j]``, where ``F_X`` is its last row and ``B[j]`` the cost of
-    ``hyp[j:]`` against the given spans after the word, and ``total`` is
-    ``min_j F_S[j] + B[j]`` with ``F_S`` the row after the given span S. So
-    X costs at least ``total + min_j (F_X[j] - F_S[j])``, which
-    :func:`_least_difference` reads off the two rows. When that bound
-    reaches the least cost of the alternatives listed before X, or exceeds
-    ``total`` while S is listed after X, X cannot win, as a tie goes to the
-    one listed first, and its carry is skipped. Only an alternative that
-    could still win makes a second call, which carries its last row on
-    through the given spans after its word, collecting those rows too, and
-    returns the final row, whose exact cost two ``bit_count`` calls read.
-    The skip only drops alternatives that lose, so the winner, its rows and
-    the order of the inventory checks are those of costing every alternative
-    in full. The work is O(m) rows per alternative carried, for m reference
-    phones, each a fixed number of ``int`` operations. At other costs the
-    rows are those of :func:`_cost_rows`, and the cost is split at the
-    word's end (Hirschberg, 1975): it is ``min_i F[i] + B[i]``, where ``F``
-    is the alternative's last row and ``B[i]``, from one backward pass, is
-    the cost of ``hyp[i:]`` against the given spans after the word. The work
-    is O(n·m·(1 + alternatives)) cells for n hypothesis phones, not one full
-    alignment per alternative.
+    The rows of the given reference are filled before the first word, so
+    the rows are always those of the utterance as it stands, resolved up to
+    the word and given after it, to its end, and ``total`` is its cost.
+    The alternative equal to the given span costs ``total`` and no call,
+    and a word with one pronunciation makes no call either. Any other
+    alternative X first fills its own rows after the resolved prefix. Its
+    cost is ``min_j F_X[j] + B[j]``, where ``F_X`` is its last row and
+    ``B[j]`` the cost of ``hyp[j:]`` against the given spans after the word,
+    and ``total`` is ``min_j F_S[j] + B[j]`` with ``F_S`` the row after the
+    given span S. So X costs at least ``total + min_j (F_X[j] - F_S[j])``.
+    When that bound reaches the least cost of the alternatives listed before
+    X, or exceeds ``total`` while S is listed after X, X cannot win, as a tie
+    goes to the one listed first, and its carry is skipped. Otherwise its
+    last row is carried on through the given spans after its word, and the
+    final cell is its cost. The skip only drops alternatives that lose, so
+    the winner, its rows and the order of the inventory checks are those of
+    costing every alternative in full. The winner's rows replace those after
+    the prefix.
+
+    The rows are those of :func:`_bit_rows` at unit costs times one gap
+    cost, where :func:`_least_difference` reads the bound and two
+    ``bit_count`` calls the final cell, and else the cells of
+    :func:`_cost_rows`.
 
     Returns the resolved utterance and its rows, every row of the resolved
     phones against the hypothesis: bit rows at unit costs times one gap,
@@ -559,75 +550,60 @@ def _resolve_reference(
         return ref_seg, None
     given = _checked_reference(hyp, ref_seg.phones)
     hyp_phones = hyp.phones
-    unit = _scaled_unit(exact)
-    if unit:
+    # each kernel's own rows (appended to out, the last returned), least
+    # difference of two rows, and the last cell of row i
+    if _scaled_unit(exact):
         masks, width = _column_masks(hyp_phones), len(hyp_phones)
         rows = [_bit_rows((), masks, width)]
-        _bit_rows(given, masks, width, 0, rows[0], rows)
-        total = _bit_distance(rows)
-        suffixes = [given[end:] for end in ref_seg.ends]
 
         def rows_of(phones, row, out):
-            _bit_rows(phones, masks, width, 0, row, out)
+            return _bit_rows(phones, masks, width, 0, row, out)
 
-        def cost(wi, at, tried):
-            # the carry rows go to tried too, so the final row is row
-            # at + len(tried) of the whole utterance
-            plus, minus, _ = _bit_rows(suffixes[wi], masks, width, 0, tried[-1], tried)
-            return at + len(tried) + plus.bit_count() - minus.bit_count()
+        least_difference, last_cell = _least_difference, _bit_distance
 
     else:
-        reversed_hyp = hyp_phones[::-1]
-        # backward[wi][j]: cost of the last j hypothesis phones against the
-        # given spans after word wi
-        backward = [_last_row((), hyp_phones, exact)]
-        for span in reversed(spans[1:]):
-            backward.append(_last_row(span.phones[::-1], reversed_hyp, exact, backward[-1]))
-        suffix_costs = [row[::-1] for row in reversed(backward)]
-
         rows = [_last_row((), hyp_phones, exact)]
-        total = None
 
         def rows_of(phones, row, out):
             out.extend(islice(_cost_rows(phones, hyp_phones, exact, row), 1, None))
+            return out[-1]
 
-        def cost(wi, at, tried):
-            return min(map(add, tried[-1], suffix_costs[wi]))
+        def least_difference(row, other, _):
+            return min(map(sub, row, other))
 
-    # at: how many resolved phones precede the word. total: at unit costs,
-    # whose rows run to the end, the cost of the utterance as it stands
+        def last_cell(row, _):
+            return row[-1]
+
+    total = last_cell(rows_of(given, rows[0], rows), len(given))
+    suffixes = [given[end:] for end in ref_seg.ends]
+    # at: how many resolved phones precede the word
     at = 0
     changed = False
     for wi, (span, variants) in enumerate(zip(spans, choices)):
         if len(variants) < 2:
-            if total is None:
-                rows_of(span.phones, rows[-1], rows)
             at += len(span.phones)
             continue
         # the cost an alternative must beat to win: the least so far, or,
         # while the given span (which costs total) is yet to come, total + 1,
         # since costs are integers and the one listed first wins a tie
-        best_cost = total + 1 if total is not None and span.phones in variants else math.inf
+        best_cost = total + 1 if span.phones in variants else math.inf
+        standing = rows[at + len(span.phones)]
         for pron in variants:
             _checked_reference(hyp, pron)
-            if total is not None and pron == span.phones:
+            if pron == span.phones:
                 # the utterance as it stands, whose rows are in place
                 pron_cost, tried = total, None
             else:
                 tried = []
-                rows_of(pron, rows[at], tried)
-                if total is not None:
-                    standing = rows[at + len(span.phones)]
-                    bound = total + _least_difference(tried[-1], standing, len(pron) - len(span.phones))
-                    if bound >= best_cost:
-                        continue
-                pron_cost = cost(wi, at, tried)
+                own = rows_of(pron, rows[at], tried)
+                if total + least_difference(own, standing, len(pron) - len(span.phones)) >= best_cost:
+                    continue
+                pron_cost = last_cell(rows_of(suffixes[wi], own, tried), at + len(pron) + len(suffixes[wi]))
             if pron_cost < best_cost:
                 best_cost, best, best_rows = pron_cost, pron, tried
         if best_rows is not None:
             rows[at + 1 :] = best_rows
-        if unit:
-            total = best_cost
+        total = best_cost
         at += len(best)
         if best != span.phones:
             spans[wi] = WordSpan(span.word, best)

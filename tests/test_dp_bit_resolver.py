@@ -112,6 +112,12 @@ LENGTHS_WORDS = [(("A", "B", "C"), [("A",), ("A", "B"), ("A", "B", "C", "A", "B"
 @example((BOUND_AT_BEST_HYP, BOUND_AT_BEST_WORDS, AlignConfig()))
 @example((BOUND_AT_BEST_HYP, UNLISTED_WORDS, AlignConfig()))
 @example((LENGTHS_HYP, LENGTHS_WORDS, AlignConfig()))
+# the same ties on cell rows, in the exact costs 0, 3 and 2
+@example((BOUND_TIE_HYP, GIVEN_AFTER_TIE_WORDS, AlignConfig(0.0, 1.5, 1.0)))
+@example((BOUND_TIE_HYP, GIVEN_BEFORE_TIE_WORDS, AlignConfig(0.0, 1.5, 1.0)))
+@example((UNEQUAL_TIE_HYP, BOUND_AT_GIVEN_WORDS, AlignConfig(0.0, 1.5, 1.0)))
+@example((BOUND_AT_BEST_HYP, BOUND_AT_BEST_WORDS, AlignConfig(0.0, 1.5, 1.0)))
+@example((BOUND_AT_BEST_HYP, UNLISTED_WORDS, AlignConfig(0.0, 1.5, 1.0)))
 def test_extraction_is_the_cell_row_resolver_and_loop(case):
     phones, words, cfg = case
     hyp, ref, d = utterance(phones, words)
@@ -153,11 +159,11 @@ def swapped_word(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(hyp_phones, swapped_word())
-@example(BOUND_TIE_HYP, ([(("C",), None), (("B",), None)], 0, ("B",)))
-@example(LENGTHS_HYP, ([(("A", "B", "C"), None), (("A",), None)], 0, ("A", "B", "C", "A", "B")))
-@example(BOUND_AT_BEST_HYP, ([(("A",), None), (("A", "A"), None)], 1, ("B", "A")))
-def test_the_row_difference_bounds_an_alternative_from_below(phones, case):
+@given(hyp_phones, swapped_word(), other_costs)
+@example(BOUND_TIE_HYP, ([(("C",), None), (("B",), None)], 0, ("B",)), AlignConfig(0.0, 1.5, 1.0))
+@example(LENGTHS_HYP, ([(("A", "B", "C"), None), (("A",), None)], 0, ("A", "B", "C", "A", "B")), AlignConfig(0.0, 1.0, 0.5))
+@example(BOUND_AT_BEST_HYP, ([(("A",), None), (("A", "A"), None)], 1, ("B", "A")), AlignConfig(0.5, 1.0, 1.0))
+def test_the_row_difference_bounds_an_alternative_from_below(phones, case, cfg):
     words, wi, alt = case
     hyp, ref, _ = utterance(phones, words)
     given_phones, span = ref.phones, ref.words[wi].phones
@@ -175,6 +181,12 @@ def test_the_row_difference_bounds_an_alternative_from_below(phones, case):
     # cost with the alternative swapped in
     swapped = (*given_phones[:at], *alt, *given_phones[at + len(span) :])
     assert edit_distance(hyp.phones, given_phones) + least <= edit_distance(hyp.phones, swapped)
+    # at other costs, the same bound on the cell rows in exact costs
+    exact = _exact(cfg)
+    alt_cells = _last_row((*given_phones[:at], *alt), hyp.phones, exact)
+    given_cells = _last_row(given_phones[: at + len(span)], hyp.phones, exact)
+    given_cost, swapped_cost = (_last_row(phones, hyp.phones, exact)[-1] for phones in (given_phones, swapped))
+    assert given_cost + min(map(sub, alt_cells, given_cells)) <= swapped_cost
 
 
 @pytest.mark.parametrize(
@@ -320,3 +332,27 @@ def test_a_given_span_after_the_first_resolved_word_costs_no_kernel_call(words, 
         extract_variants_dp([hyp], [ref], d, AlignConfig())
     assert bit_rows.call_count == calls
     assert sum(len(call.args[0]) for call in bit_rows.call_args_list) == rows
+
+
+# Against 'A B C A' at the exact costs 0, 3 and 2, counting the rows each
+# _cost_rows call fills. Two calls fill the given reference's rows (the top
+# edge, then its phones); the rule is the one the bit rows follow above.
+@pytest.mark.parametrize(
+    "words, calls, rows",
+    [
+        # total 5. w0: B and C bound at 5, the given A's cost, and make one
+        # call each. w1: B bounds at 2, carries 'A' and wins at 2; C bounds at
+        # 2. w2: B bounds at 2; C bounds at -1 and carries nothing, at 2
+        ([(("A",), ONE_PHONE)] * 3, 2 + 2 + 3 + 3, 3 + 2 + 3 + 2),
+        # total 5. w0's given span is not listed, and each alternative bounds
+        # at 3: C carries 'C' at 7, A carries 'C' and wins at 4, and B carries
+        # 'C' at 4, a tie with A, listed before it
+        ([(("A", "A"), [("C",), ("A",), ("B",)]), (("C",), None)], 2 + 6, 3 + 6),
+    ],
+)
+def test_the_cell_rows_skip_the_carry_of_an_alternative_that_cannot_win(words, calls, rows):
+    hyp, ref, d = utterance(("A", "B", "C", "A"), words)
+    with mock.patch.object(dpalign, "_cost_rows", wraps=dpalign._cost_rows) as cell_rows:
+        extract_variants_dp([hyp], [ref], d, AlignConfig(0.0, 1.5, 1.0))
+    assert cell_rows.call_count == calls
+    assert sum(len(call.args[0]) for call in cell_rows.call_args_list) == rows
