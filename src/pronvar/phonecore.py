@@ -178,28 +178,16 @@ class AnySymbol:
     def _has_all(self, symbols: Iterable[str]) -> bool:
         """Whether every one of ``symbols`` passed already, in one set test; ``False``
         says only that some symbol is still to be checked."""
-        try:
-            return self._seen.issuperset(symbols)
-        except TypeError:
-            # an unhashable symbol, which require rejects
-            return False
+        return self._seen.issuperset(symbols)
 
     def require(self, symbols: Iterable[str], context: str) -> None:
         """Raise the phone-symbol rule's error for the first of ``symbols`` that breaks it:
         a ``ValueError``, which a parser makes a format error naming its line, or :class:`ReservedSymbol`.
         Unlike :meth:`PhoneInventory.require`'s, it names no ``context``. A symbol that passed is remembered."""
-        try:
-            for symbol in symbols:
-                if symbol not in self._seen:
-                    _check_symbol(symbol)
-                    self._seen.add(symbol)
-        except TypeError:
-            # an unhashable symbol, which is no str
-            raise _bad("phone symbol", symbol, None) from None
-
-
-#: the shared symbol-rule cache of the records and the parsers that take no inventory
-_SYMBOLS = AnySymbol()
+        for symbol in symbols:
+            if symbol not in self._seen:
+                _check_symbol(symbol)
+                self._seen.add(symbol)
 
 
 @dataclass(frozen=True)
@@ -326,15 +314,10 @@ class Lexicon:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, Mapping[tuple[str, ...], int]] | None = None):
-        """Check and store ``entries`` as :func:`parse_lexicon` would read them. The parsers check
-        phones against their inventory, so :meth:`_add` leaves the phone-symbol rule to this loop."""
         self._entries: dict[str, dict[tuple[str, ...], int]] = {}
         for word, variants in (entries or {}).items():
             for pron, count in variants.items():
-                pron = tuple(pron)
-                if not _SYMBOLS._has_all(pron):
-                    _SYMBOLS.require(pron, "")
-                self._add(word, pron, count)
+                self._add(word, tuple(pron), count)
 
     def _add(self, word: str, pron: tuple[str, ...], count: int) -> None:
         """Check one entry and store it; a pronunciation the word has already is an error."""
@@ -518,7 +501,7 @@ def emit_segmented_file(utterances: Iterable[SegmentedUtterance]) -> str:
     return "".join(lines)
 
 
-def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol = _SYMBOLS) -> ReferenceDictionary:
+def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()) -> ReferenceDictionary:
     """Parse a reference pronunciation dictionary.
 
     Repeated word lines accumulate alternative pronunciations in file
@@ -567,7 +550,7 @@ def _read_lexicon_lines(
         raise _on_line(err, lineno) from None
 
 
-def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol = _SYMBOLS) -> "Lexicon":
+def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()) -> "Lexicon":
     """Parse a counted lexicon; duplicate (word, pronunciation) lines are an error.
 
     With no ``inventory``, every phone must still follow the phone-symbol rule.
@@ -578,7 +561,7 @@ def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol = _SYMBOLS) -
 
 
 def parse_pairs_file(
-    text: str, inventory: PhoneInventory | AnySymbol = _SYMBOLS
+    text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()
 ) -> list[tuple[str, tuple[str, ...], int]]:
     """Read aligner output pairs: lexicon-format lines, each checked as a lexicon entry,
     duplicates allowed.

@@ -3,7 +3,6 @@ import math
 import re
 import sys
 from itertools import accumulate
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -227,33 +226,10 @@ class TestLexiconType:
         with pytest.raises(ValueError, match=r"^bad count True for 'cat'$"):
             Lexicon({"cat": {("K", "AE", "T"): True}})
 
-    @pytest.mark.parametrize(
-        "pron, error",
-        [
-            # emit_lexicon would write two phones
-            (("A B",), ValueError),
-            # emit_lexicon could not join it
-            ((1,), ValueError),
-            ((["A"],), ValueError),
-            # no parser reads these back
-            (("É",), ValueError),
-            (("K\udc80",), ValueError),
-            (("#",), errors.ReservedSymbol),
-            (("K", "A|B"), errors.ReservedSymbol),
-        ],
-    )
-    def test_rejects_a_phone_its_file_cannot_hold(self, pron, error):
-        # a stand-in mapping, as a dict cannot key an unhashable phone
-        variants = SimpleNamespace(items=lambda: [(pron, 1)])
-        with pytest.raises(error):
-            Lexicon({"cat": variants})
-
 
 # one- to three-character tokens over characters of every UTF-8 length, from both
 # sides of the surrogate block, where UTF-16 order departs from code-point order
 LEXICON_TOKENS = st.text(alphabet="aBzé\u00ff\u0100\u4e2d\ue000\ufffd\U0001f600\U0010fffd", min_size=1, max_size=3)
-# phones follow the phone-symbol rule, which admits ASCII only
-PHONE_TOKENS = st.text(alphabet="aBz", min_size=1, max_size=3)
 
 
 class TestEmitLexicon:
@@ -279,9 +255,9 @@ class TestEmitLexicon:
         lex = Lexicon({"x": {("K",): 1, ("T",): 4}, "y": {("D",): 2}})
         assert emit_lexicon(lex) == emit_lexicon(lex)
 
-    @pytest.mark.parametrize("entries", [{"a\ud800": {("K",): 1}}, {"a\udc80b": {("K",): 1}}])
+    @pytest.mark.parametrize("entries", [{"a\ud800": {("K",): 1}}, {"a": {("K\udc80",): 1}}])
     def test_a_lone_surrogate_cannot_be_written(self, entries):
-        # a library-built lexicon can hold one in a word; it has no UTF-8 bytes
+        # a library-built lexicon can hold one; it has no UTF-8 bytes
         with pytest.raises(UnicodeEncodeError):
             emit_lexicon(Lexicon(entries))
 
@@ -289,7 +265,7 @@ class TestEmitLexicon:
     @given(
         st.dictionaries(
             LEXICON_TOKENS,
-            st.dictionaries(st.lists(PHONE_TOKENS, min_size=1, max_size=3).map(tuple), st.integers(0, 2), min_size=1, max_size=4),
+            st.dictionaries(st.lists(LEXICON_TOKENS, min_size=1, max_size=3).map(tuple), st.integers(0, 2), min_size=1, max_size=4),
             max_size=6,
         )
     )
@@ -502,24 +478,6 @@ def test_a_dictionary_the_constructor_accepts_round_trips(entries):
     except (errors.PronvarError, ValueError):
         return
     assert parse_dictionary_file(emit_dictionary(dictionary)) == dictionary
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.dictionaries(
-        st.sampled_from(DICTIONARY_TOKENS),
-        st.dictionaries(st.lists(st.sampled_from(DICTIONARY_TOKENS), max_size=3).map(tuple), st.integers(0, 2), max_size=3),
-        max_size=4,
-    )
-)
-@example({"w": {("A B",): 1}})
-@example({"w": {(1,): 1}})
-def test_a_lexicon_the_constructor_accepts_round_trips(entries):
-    try:
-        lexicon = Lexicon(entries)
-    except (errors.PronvarError, ValueError):
-        return
-    assert parse_lexicon(emit_lexicon(lexicon)) == lexicon
 
 
 @given(st.lists(st.lists(st.sampled_from(["AA", "K", "T"]), max_size=5), max_size=5))
