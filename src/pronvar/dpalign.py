@@ -1,41 +1,42 @@
 """Global alignment of non-native phone sequences against native references.
 
+Costs are compared exactly: :func:`_exact` scales them to integers by one
+common denominator, the cells sum those integers, and a total is divided
+by the denominator once (:func:`_total`), to the nearest float or, past
+the float range, ``math.inf``.
+
 Two kernels compute the rows of one alignment matrix. :func:`_cost_rows`
-takes any :class:`AlignConfig` costs, one step per cell. :func:`_bit_rows`
-takes unit costs and computes a whole row as bit vectors in a few ``int``
-operations, from the top edge or carried on from any row it gave. It
-returns its last row, and appends every row after the start to an ``out``
-list when given one. Both kernels give the same cells, so which one runs
-never changes an output.
+takes any costs, one step per cell. :func:`_bit_rows` takes unit costs
+and computes a whole row as bit vectors in a few ``int`` operations, from
+the top edge or carried on from any row it gave. It returns its last row,
+and appends every row after the start to an ``out`` list when given one.
+Both kernels give the same cells, so which one runs never changes an
+output.
 
 :func:`edit_distance` keeps one row of :func:`_cost_rows` and returns the
 cost. :mod:`pronvar.attnalign` scores word spans, always at unit costs, from
 the row :func:`_bit_rows` returns, every span end of one start at once.
-:func:`nw_align` keeps the whole matrix to backtrack the ops. It collects
-the bit rows through ``out`` at unit costs times one gap cost, while float
-sums of that cost are exact, as at the default costs, and takes
-:func:`_cost_rows` otherwise. :func:`project_boundaries` carves the
-hypothesis into per-word variants at the native word boundaries, projected
-through the ops; :func:`nw_align` and it are the way to get the ops.
+:func:`nw_align` keeps the whole matrix to backtrack the ops, in bit rows
+at unit costs times one gap cost and in cell rows otherwise.
+:func:`project_boundaries` carves the hypothesis into per-word variants at
+the native word boundaries, projected through the ops; :func:`nw_align` and
+it are the way to get the ops.
 
-Dictionary alternatives are costed in exact integer costs, by one rule on
-either kernel's rows. The rows of the given reference are filled first, so
-the rows of the utterance as it stands always run to its end, and the
-alternative equal to a word's given span, and a word with one
-pronunciation, cost no call. Another alternative fills its own rows. After
-the word, it and the given span meet the same rest of the utterance, so its
-cost is at least the standing cost plus the least difference of the two
-rows there. Only an alternative whose bound leaves it a chance to win
-carries its last row on through the rest of the utterance, and its cost is
-the final cell. On bit rows :func:`_least_difference` reads that
-difference and two ``bit_count`` calls the final cell. Where the
-resolver's cell rows form the final matrix and float sums of the costs are
-exact, the ops are traced back through those rows instead.
+Dictionary alternatives are costed by one rule on either kernel's rows.
+The rows of the given reference are filled first, so the rows of the
+utterance as it stands always run to its end, and the alternative equal to
+a word's given span, and a word with one pronunciation, cost no call.
+Another alternative fills its own rows. After the word, it and the given
+span meet the same rest of the utterance, so its cost is at least the
+standing cost plus the least difference of the two rows there. Only an
+alternative whose bound leaves it a chance to win carries its last row on
+through the rest of the utterance, and its cost is the final cell. On bit
+rows :func:`_least_difference` reads that difference and two ``bit_count``
+calls the final cell.
 
-:func:`extract_variants_dp` builds no ops at unit costs times one gap while
-those sums are exact. It takes the resolver's bit rows, or fills them itself
-when no word has alternatives, and reads each word's cut off one backward
-walk through them (:func:`_bit_steps`), the walk whose ops
+:func:`extract_variants_dp` reuses the resolver's rows. At unit costs times
+one gap it builds no ops, and reads each word's cut off one backward walk
+through the bit rows (:func:`_bit_steps`), the walk whose ops
 :func:`_trace_bits` gives :func:`nw_align`.
 """
 
@@ -115,16 +116,16 @@ class Alignment:
 
 
 def _cost_rows(
-    a: Sequence[str], b: Sequence[str], cfg: AlignConfig | _ExactCosts, row: list[float] | None = None
-) -> Iterator[list[float]]:
-    """Cost-matrix rows 0..len(a) of ``a`` (rows) against ``b`` (columns).
+    a: Sequence[str], b: Sequence[str], exact: _ExactCosts, row: list[int] | None = None
+) -> Iterator[list[int]]:
+    """Cost-matrix rows 0..len(a) of ``a`` (rows) against ``b`` (columns), in ``exact``'s costs.
 
     Row 0 is ``row`` when given, the last row of a matrix whose rows aligned
     what precedes ``a``; by default it is the top edge. The edges are running
     sums of the gap penalty; an inner cell is the least of diagonal (match or
     substitute), up (delete) and left (insert).
     """
-    match, mismatch, gap = cfg.match_score, cfg.mismatch_score, cfg.gap_penalty
+    match, mismatch, gap = exact.match_score, exact.mismatch_score, exact.gap_penalty
     if row is None:
         row = [0]
         for _ in b:
@@ -218,21 +219,22 @@ def _least_difference(row: tuple[int, int, int], other: tuple[int, int, int], ga
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str], cfg: AlignConfig = AlignConfig()) -> float:
-    """Least cost of aligning ``a`` with ``b``, bit for bit :func:`nw_align`'s total.
+    """Least cost of aligning ``a`` with ``b``, :func:`nw_align`'s total.
 
-    Keeps one row. The longer sequence is the outer loop: one gap cost serves
-    both directions, so the swapped matrix is the exact transpose.
+    Keeps one row of exact costs and rounds its last cell once, to
+    ``math.inf`` past the float range (:func:`_total`). The longer sequence
+    is the outer loop: one gap cost serves both directions, so the swapped
+    matrix is the exact transpose.
     """
     if len(a) < len(b):
         a, b = b, a
-    return _last_row(a, b, cfg)[-1]
+    exact = _exact(cfg)
+    return _total(_last_row(a, b, exact)[-1], exact)
 
 
-def _last_row(
-    a: Sequence[str], b: Sequence[str], cfg: AlignConfig | _ExactCosts, row: list[float] | None = None
-) -> list[float]:
+def _last_row(a: Sequence[str], b: Sequence[str], exact: _ExactCosts, row: list[int] | None = None) -> list[int]:
     """The last of :func:`_cost_rows`, keeping one row at a time."""
-    for row in _cost_rows(a, b, cfg, row):
+    for row in _cost_rows(a, b, exact, row):
         pass
     return row
 
@@ -240,16 +242,23 @@ def _last_row(
 def _exact(cfg: AlignConfig) -> _ExactCosts:
     """``cfg``'s costs scaled to integers by one common denominator, and the denominator.
 
-    Sums of the scaled costs are exact, so alignment costs compare as they
-    would in real arithmetic, where float sums can round a tie apart. Unit
-    costs come out as the integers 0 and 1. The denominator is a power of
-    two; for tiny costs such as ``1e-300`` it is so large that the scaled
-    integers have no float value, which is why they are not an
-    :class:`AlignConfig`.
+    Sums of the scaled costs are exact, where float sums can round a tie
+    apart. Unit costs come out as the integers 0 and 1. The denominator is a
+    power of two, too large for a float at tiny costs such as ``1e-300``, so
+    the scaled costs are not an :class:`AlignConfig`.
     """
     ratios = [c.as_integer_ratio() for c in (cfg.match_score, cfg.mismatch_score, cfg.gap_penalty)]
     scale = math.lcm(*(d for _, d in ratios))
     return _ExactCosts(*(n * (scale // d) for n, d in ratios), scale)
+
+
+def _total(cost: int, exact: _ExactCosts) -> float:
+    """``cost``, in ``exact``'s integers, as the nearest float: ``math.inf`` past the float
+    range (``-math.inf`` below it, which a negative match score can reach)."""
+    try:
+        return cost / exact.scale
+    except OverflowError:
+        return math.inf if cost > 0 else -math.inf
 
 
 def _checked_reference(hyp: PhoneSequence, ref: Sequence[str]) -> tuple[str, ...]:
@@ -270,27 +279,28 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
 
     Backtracking ties are broken deterministically: diagonal
     (match/substitute) first, then delete (gap in the reference), then
-    insert.
-
-    At unit costs times one gap cost ``g`` (``match_score == 0`` and
-    ``mismatch_score == gap_penalty``), while float sums of ``g`` are exact,
-    the rows come from :func:`_bit_rows` and the ops are traced from their
-    bits (:func:`_trace_bits`). A cell sums at most ``len(hyp) + len(ref)``
-    gaps, so that holds while that many times ``g``'s integer numerator is
-    at most 2**53, as at the default costs. The ops and the bits of the
-    total are those of the :func:`_cost_rows` fill, which every other cost
-    setting takes.
+    insert. Costs are compared exactly, and the total is rounded once, to
+    ``math.inf`` past the float range (:func:`_total`).
     """
     a = hyp.phones
     b = _checked_reference(hyp, ref)
-    gap = cfg.gap_penalty
-    if cfg.match_score == 0 and cfg.mismatch_score == gap and gap.as_integer_ratio()[0] * (len(a) + len(b)) <= 2**53:
-        masks = _column_masks(a)
-        rows = [_bit_rows((), masks, len(a))]
-        _bit_rows(b, masks, len(a), out=rows)
-        return Alignment(a, b, _trace_bits(a, b, rows), _bit_distance(rows[-1], len(b)) * gap)
-    score = list(_cost_rows(b, a, cfg))
-    return Alignment(a, b, _trace(a, b, score, cfg), score[-1][-1])
+    exact = _exact(cfg)
+    rows = _filled_rows(a, b, exact)
+    if not _scaled_unit(exact):
+        return Alignment(a, b, _trace(a, b, rows, exact), _total(rows[-1][-1], exact))
+    cost = _bit_distance(rows[-1], len(b)) * exact.gap_penalty
+    return Alignment(a, b, _trace_bits(a, b, rows), _total(cost, exact))
+
+
+def _filled_rows(hyp: Sequence[str], ref: Sequence[str], exact: _ExactCosts) -> list:
+    """Every row of ``ref`` against ``hyp``: those of :func:`_bit_rows` at unit costs
+    times one gap cost (:func:`_scaled_unit`), else those of :func:`_cost_rows`."""
+    if not _scaled_unit(exact):
+        return list(_cost_rows(ref, hyp, exact))
+    masks = _column_masks(hyp)
+    rows = [_bit_rows((), masks, len(hyp))]
+    _bit_rows(ref, masks, len(hyp), out=rows)
+    return rows
 
 
 def _bit_distance(row: tuple[int, int, int], i: int) -> int:
@@ -375,17 +385,15 @@ def _bit_spans(
     return [(span.word, hyp[a:b]) for span, (a, b) in zip(ref_seg.words, pairwise(cuts))]
 
 
-def _trace(
-    hyp: Sequence[str], ref: Sequence[str], score: list[list[float]], cfg: AlignConfig | _ExactCosts
-) -> tuple[EditOp, ...]:
+def _trace(hyp: Sequence[str], ref: Sequence[str], score: list[list[int]], exact: _ExactCosts) -> tuple[EditOp, ...]:
     """The ops of :func:`nw_align`, traced back through ``score``.
 
     ``score`` holds the rows of :func:`_cost_rows` of ``ref`` against ``hyp``
-    under ``cfg``'s costs. From the last cell back, the diagonal (match or
+    in ``exact``'s costs. From the last cell back, the diagonal (match or
     substitute) is taken when it gives the cell's cost, else the delete of a
     hypothesis phone, else the insert of a reference phone.
     """
-    match, mismatch, gap = cfg.match_score, cfg.mismatch_score, cfg.gap_penalty
+    match, mismatch, gap = exact.match_score, exact.mismatch_score, exact.gap_penalty
     ops: list[EditOp] = []
     i, j = len(ref), len(hyp)
     while i > 0 or j > 0:
@@ -534,15 +542,9 @@ def _resolve_reference(
     costing every alternative in full. The winner's rows replace those after
     the prefix.
 
-    The rows are those of :func:`_bit_rows` at unit costs times one gap
-    cost, where :func:`_least_difference` reads the bound and two
-    ``bit_count`` calls the final cell, and else the cells of
-    :func:`_cost_rows`.
-
-    Returns the resolved utterance and its rows, every row of the resolved
-    phones against the hypothesis: bit rows at unit costs times one gap,
-    else cell rows in the exact costs. When no word has alternatives the
-    utterance comes back as given, with no rows.
+    Returns the resolved utterance and its rows, the :func:`_filled_rows` of
+    the resolved phones against the hypothesis. When no word has
+    alternatives the utterance comes back as given, with no rows.
     """
     spans = list(ref_seg.words)
     choices = [dictionary.pronunciations(s.word) if s.word in dictionary else () for s in spans]
@@ -624,39 +626,25 @@ def extract_variants_dp(
     Hypotheses and references are paired by utterance id; output order
     follows the hypothesis order. The spans are those of
     :func:`project_boundaries` of :func:`nw_align`'s alignment of the
-    resolved reference.
-
-    Where the resolver returns its rows, they are reused instead of
-    :func:`nw_align` filling the matrix again in floats. That gives
-    :func:`nw_align`'s alignment when no float sum rounds: a cell sums at
-    most ``len(hyp) + len(ref)`` costs, so while that many of the largest
-    scaled cost stay within 2**53, every float the DP adds is the exact
-    integer over a power of two, and its comparisons are the integers'
-    comparisons. Within that bound at unit costs times one gap, the bit rows
-    are filled here when the resolver returns none, and each word's cut is
-    read off the walk back through them (:func:`_bit_spans`), with no op
-    built. At other costs the ops are traced back through the resolver's
-    cell rows (:func:`_trace`), or :func:`nw_align` aligns, and
-    :func:`project_boundaries` cuts.
+    resolved reference, in costs compared exactly. Its matrix is the
+    resolver's rows, or the :func:`_filled_rows` when no word has
+    alternatives. At unit costs times one gap each word's cut is read off
+    the walk back through the bit rows (:func:`_bit_spans`), with no op
+    built; at other costs the ops are traced back through the cell rows.
     """
     exact = _exact(cfg)
     unit = _scaled_unit(exact)
-    longest_exact = 2**53 // max(abs(exact.match_score), abs(exact.mismatch_score), exact.gap_penalty)
     pairs: list[tuple[str, tuple[str, ...]]] = []
     empty = 0
     for hyp, ref_seg in pair_by_id(hyps, refs):
         resolved, rows = _resolve_reference(hyp, ref_seg, dictionary, exact)
         a, ref = hyp.phones, resolved.phones
-        if len(a) + len(ref) > longest_exact or (rows is None and not unit):
-            variants = project_boundaries(nw_align(hyp, ref, cfg), resolved)
-        elif not unit:
-            alignment = Alignment(a, ref, _trace(a, ref, rows, exact), rows[-1][-1] / exact.scale)
-            variants = project_boundaries(alignment, resolved)
-        else:
-            if rows is None:
-                masks = _column_masks(a)
-                rows = [_bit_rows((), masks, len(a))]
-                _bit_rows(_checked_reference(hyp, ref), masks, len(a), out=rows)
+        if rows is None:
+            rows = _filled_rows(a, _checked_reference(hyp, ref), exact)
+        if unit:
             variants = _bit_spans(a, resolved, rows)
+        else:
+            alignment = Alignment(a, ref, _trace(a, ref, rows, exact), _total(rows[-1][-1], exact))
+            variants = project_boundaries(alignment, resolved)
         empty += _harvest(variants, pairs)
     return DpExtraction(tuple(pairs), empty)

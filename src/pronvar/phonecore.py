@@ -132,11 +132,14 @@ class PhoneInventory:
         return cls(phones, ("EN",) * len(phones))
 
     def __contains__(self, symbol: object) -> bool:
-        return symbol in self._index
+        return self._has_all((symbol,))
 
     def _has_all(self, symbols: Iterable[str]) -> bool:
         """Whether every one of ``symbols`` is in the inventory, in one set test."""
-        return self._index.issuperset(symbols)
+        try:
+            return self._index.issuperset(symbols)
+        except TypeError:
+            return False
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.phones)
@@ -147,8 +150,12 @@ class PhoneInventory:
     def require(self, symbols: Iterable[str], context: str) -> None:
         """Raise :class:`UnknownPhone` for the first symbol outside the inventory."""
         for symbol in symbols:
-            if symbol not in self._index:
-                raise UnknownPhone(symbol, context)
+            try:
+                if symbol in self._index:
+                    continue
+            except TypeError:  # unhashable, so no phone
+                pass
+            raise UnknownPhone(symbol, context)
 
 
 def derive_inventory(*token_streams: Iterable[str]) -> PhoneInventory:
@@ -167,8 +174,6 @@ class AnySymbol:
     _seen: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __contains__(self, symbol: str) -> bool:
-        if symbol in self._seen:
-            return True
         try:
             self.require((symbol,), "")
         except (PronvarError, ValueError):
@@ -178,16 +183,23 @@ class AnySymbol:
     def _has_all(self, symbols: Iterable[str]) -> bool:
         """Whether every one of ``symbols`` passed already, in one set test; ``False``
         says only that some symbol is still to be checked."""
-        return self._seen.issuperset(symbols)
+        try:
+            return self._seen.issuperset(symbols)
+        except TypeError:
+            return False
 
     def require(self, symbols: Iterable[str], context: str) -> None:
         """Raise the phone-symbol rule's error for the first of ``symbols`` that breaks it:
         a ``ValueError``, which a parser makes a format error naming its line, or :class:`ReservedSymbol`.
         Unlike :meth:`PhoneInventory.require`'s, it names no ``context``. A symbol that passed is remembered."""
         for symbol in symbols:
-            if symbol not in self._seen:
-                _check_symbol(symbol)
-                self._seen.add(symbol)
+            try:
+                if symbol in self._seen:
+                    continue
+            except TypeError:  # unhashable: the rule rejects it below
+                pass
+            _check_symbol(symbol)
+            self._seen.add(symbol)
 
 
 @dataclass(frozen=True)

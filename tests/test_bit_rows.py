@@ -1,6 +1,8 @@
 """The bit-parallel unit-cost rows (``dpalign._bit_rows``) against the cell-by-cell
-kernel, and ``nw_align`` on them against the code it replaced (``old_dpalign``)."""
+kernel, and ``nw_align`` on them against the code it replaced (``old_dpalign``), run
+in exact costs."""
 
+import math
 import struct
 from unittest import mock
 
@@ -10,7 +12,7 @@ import old_dpalign as old
 from pronvar import dpalign
 from pronvar.cli import main
 from pronvar.dpalign import AlignConfig, _bit_rows, _column_masks, _cost_rows, nw_align
-from test_dpalign import abc_seq
+from test_dpalign import abc_seq, in_fractions, rounded
 
 phones = st.sampled_from(["A", "B", "C"])
 # mostly short, sometimes wider than one 64-bit machine word
@@ -69,41 +71,41 @@ def bits(x):
     return struct.pack("<d", x)
 
 
-#: gap costs g for (0, g, g): dyadic ones that sum exactly, and ones that do not
+#: gap costs g for (0, g, g): dyadic ones, whose float sums are exact, ones
+#: whose float sums round, and ones whose sums pass the float range
 gaps = st.one_of(
-    st.sampled_from([1.0, 0.5, 3.0, 2.0**-40, 5e-324, 0.1, 0.3, 1e-300]),
+    st.sampled_from([1.0, 0.5, 3.0, 2.0**-40, 5e-324, 0.1, 0.3, 1e-300, float(2**53 // 5), 2.0**1022]),
     st.floats(min_value=5e-324, max_value=1e6, allow_nan=False, allow_infinity=False),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(sequence, sequence, gaps)
-# the largest lengths at which these gaps still sum exactly, and one more
-@example(("A", "B", "A"), ("C", "A"), float(2**53 // 5))
 @example(("A", "B", "A"), ("C", "A", "B"), float(2**53 // 5))
-@example(("A",), (), 1e-300)
 @example(("A",), ("B",), 1e-300)
+# four edits: past the float range
+@example(("A", "B", "A", "A"), ("C", "C", "C", "C"), 2.0**1022)
 def test_nw_align_at_unit_costs_times_a_gap_is_the_old_nw_align(hyp, ref, gap):
     cfg = AlignConfig(0.0, gap, gap)
-    new, was = nw_align(abc_seq(hyp), ref, cfg), old.nw_align(abc_seq(hyp), ref, cfg)
+    new, was = nw_align(abc_seq(hyp), ref, cfg), old.nw_align(abc_seq(hyp), ref, in_fractions(cfg))
     assert new.ops == was.ops
-    assert bits(new.total_cost) == bits(was.total_cost)
-    assert new == was
+    assert bits(new.total_cost) == bits(rounded(was.total_cost))
 
 
-def test_the_bit_rows_run_only_while_sums_of_the_gap_are_exact():
+def test_the_bit_rows_run_at_every_gap():
     cases = [
-        # 1e-300's integer numerator times 1 is below 2**53, times 2 above it
-        (("A",), (), 1e-300, 0),
-        (("A",), ("B",), 1e-300, 1),
-        (("A", "B", "A"), ("C", "A"), float(2**53 // 5), 0),
-        (("A", "B", "A"), ("C", "A", "B"), float(2**53 // 5), 1),
-        (("A", "B"), ("B",), 1.0, 0),
+        # 1e-300's and 2**53 // 5's integer numerators times n + m pass 2**53, and
+        # four gaps of 2**1022 pass the float range
+        (("A",), ("B",), 1e-300, 1e-300),
+        (("A", "B", "A"), ("C", "A", "B"), float(2**53 // 5), float(2 * (2**53 // 5))),
+        (("A", "B"), ("B",), 1.0, 1.0),
+        (("A", "B", "A", "A"), ("C", "C", "C", "C"), 2.0**1022, math.inf),
     ]
-    for hyp, ref, gap, calls in cases:
+    for hyp, ref, gap, total in cases:
         with mock.patch.object(dpalign, "_cost_rows", wraps=dpalign._cost_rows) as spy:
-            nw_align(abc_seq(hyp), ref, AlignConfig(0.0, gap, gap))
-        assert spy.call_count == calls, (hyp, ref, gap)
+            alignment = nw_align(abc_seq(hyp), ref, AlignConfig(0.0, gap, gap))
+        assert not spy.called, (hyp, ref, gap)
+        assert alignment.total_cost == total
 
 
 def test_align_dp_fills_cell_by_cell_only_off_unit_costs(tmp_path):

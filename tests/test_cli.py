@@ -160,6 +160,20 @@ class TestAlignDp:
         assert main([*argv, "--out", str(out)]) == 0
         assert out.read_text() == "w\t1\tA\nv\t1\tB A A A\n"
 
+    def test_costs_scaled_past_the_float_range_give_the_same_pairs(self, tmp_path, capsys):
+        # at --mismatch 2**1023 --gap 2**1022 a sum of four gaps is past the largest float
+        d = write(tmp_path / "dict.txt", "w\tB A B\nv\tC\n")
+        hyp = write(tmp_path / "hyp.txt", "u1\tC B\n")
+        ref = write(tmp_path / "ref.txt", "u1\tB A B # C\tw v\n")
+        argv = ["align-dp", "--hyp", hyp, "--ref", ref, "--dict", d, "--match", "0"]
+        written = []
+        for mismatch, gap in (("2", "1"), ("8.98846567431158e+307", "4.49423283715579e+307")):
+            out = tmp_path / f"{gap}.pairs"
+            assert main([*argv, "--mismatch", mismatch, "--gap", gap, "--out", str(out)]) == 0
+            written.append(out.read_text())
+        assert written == ["v\t1\tC B\n"] * 2
+        assert capsys.readouterr().err == ""
+
 
 class TestAlignAttn:
     def test_harvests_pairs_with_sidecars(self, corpus_dir):

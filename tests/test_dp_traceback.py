@@ -1,7 +1,8 @@
-"""align-dp's final alignment, traced back through the resolver's rows where
-float sums are exact, against the code it replaced (``old_dpalign``)."""
+"""align-dp's final alignment, traced back through the resolver's rows, against
+the code it replaced (``old_dpalign``), run in exact costs."""
 
 import struct
+from dataclasses import astuple
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from test_dpalign import (
     longer,
     ref_words,
     resolve_reference_by_full_alignment,
+    rounded,
 )
 
 
@@ -34,12 +36,16 @@ def test_the_transposed_fill_is_the_old_fill_bit_for_bit(hyp, ref, cfg):
     assert bits(zip(*_cost_rows(ref, hyp, cfg))) == bits(_cost_rows(hyp, ref, cfg))
 
 
+#: the non-dyadic costs times 2**1021, whose sums pass the float range
+huge_costs = costs.map(lambda cfg: AlignConfig(*(c * 2.0**1021 for c in astuple(cfg))))
+
+
 @settings(max_examples=300, deadline=None)
-@given(longer, longer, costs)
+@given(longer, longer, st.one_of(costs, huge_costs))
 def test_nw_align_is_the_old_nw_align(hyp, ref, cfg):
-    new, was = nw_align(abc_seq(hyp), ref, cfg), old.nw_align(abc_seq(hyp), ref, cfg)
-    assert new == was
-    assert bits([[new.total_cost]]) == bits([[was.total_cost]])
+    new, was = nw_align(abc_seq(hyp), ref, cfg), old.nw_align(abc_seq(hyp), ref, in_fractions(cfg))
+    assert new.ops == was.ops
+    assert bits([[new.total_cost]]) == bits([[rounded(was.total_cost)]])
 
 
 def utterance(hyp_phones, words):
@@ -90,28 +96,20 @@ BOUNDARY_WORDS = [(("A",), [("A",), ("B",)]), (("C",), None)]
 def test_extraction_is_the_old_resolve_then_align_loop(case):
     hyp_phones, words, cfg = case
     hyp, ref, d = utterance(hyp_phones, words)
-    assert extract_variants_dp([hyp], [ref], d, cfg) == old.extract_variants_dp([hyp], [ref], d, cfg)
+    assert extract_variants_dp([hyp], [ref], d, cfg) == old.extract_variants_dp([hyp], [ref], d, in_fractions(cfg))
 
 
-def test_the_rows_are_reused_only_while_float_sums_are_exact():
+def test_the_rows_are_reused_at_every_cost():
+    # with no alternatives the resolver fills no rows, and the extraction
+    # fills them itself; nw_align never fills the matrix again
     hyp, ref, d = utterance(TIE_HYP, TIE_WORDS)
     one_each = ReferenceDictionary({"w0": [("A",)], "w1": [("B",)]})
-    cases = [
-        (d, AlignConfig(), 0),
-        (d, AlignConfig(0.0, 0.5, 3.0), 0),
-        # 0.1 and 0.2 scale to integers above 2**51, too large for 8 phones
-        (d, AlignConfig(0.0, 0.1, 0.2), 1),
-        (d, AlignConfig(0.0, 3.0, 1e-300), 1),
-        # no alternatives: the resolver aligns nothing, so at unit costs the
-        # extraction fills the bit rows itself and reads the cuts off them,
-        # and at other costs nw_align fills the matrix
-        (one_each, AlignConfig(), 0),
-        (one_each, AlignConfig(0.0, 0.5, 3.0), 1),
-    ]
-    for dictionary, cfg, calls in cases:
-        with mock.patch.object(dpalign, "nw_align", wraps=dpalign.nw_align) as spy:
-            extract_variants_dp([hyp], [ref], dictionary, cfg)
-        assert spy.call_count == calls, cfg
+    for dictionary in (d, one_each):
+        for cfg in (AlignConfig(), AlignConfig(0.0, 0.5, 3.0), AlignConfig(0.0, 0.1, 0.2)):
+            with mock.patch.object(dpalign, "nw_align", wraps=dpalign.nw_align) as spy:
+                got = extract_variants_dp([hyp], [ref], dictionary, cfg)
+            assert not spy.called, cfg
+            assert got == old.extract_variants_dp([hyp], [ref], dictionary, in_fractions(cfg))
 
 
 def test_tiny_costs_give_the_exact_oracle_pairs(tmp_path):

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import old_dpalign
 from pronvar import errors
 from pronvar.dpalign import (
     INSERT,
@@ -431,6 +433,28 @@ dyadic_costs = st.builds(
 def in_fractions(cfg):
     """``cfg`` with the exact values of its float costs, so the oracle's sums do not round."""
     return AlignConfig(Fraction(cfg.match_score), Fraction(cfg.mismatch_score), Fraction(cfg.gap_penalty))
+
+
+def rounded(total):
+    """An exact total as the package gives it: the nearest float, and infinite past the float range."""
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(longer, longer, costs)
+# a cell of 18 edits at 1e307 is past the largest float, and a float fill
+# took other ops here; the exact total, 1.8e308, is past the float range too
+@example(tuple("CCBCCACCBCBBBACACBBAAAAC"), tuple("AAAABAAABACAAABABCCACCBA"), AlignConfig(0.0, 1e307, 1e307))
+# four matches at -2**1023 are below the float range: the total is -inf
+@example(("A",) * 4, ("A",) * 4, AlignConfig(-(2.0**1023), 0.0, 1.0))
+def test_exact_ties_at_non_dyadic_costs_are_the_exact_oracle(a, b, cfg):
+    was = old_dpalign.nw_align(abc_seq(a), b, in_fractions(cfg))
+    new = nw_align(abc_seq(a), b, cfg)
+    assert new.ops == was.ops
+    assert new.total_cost == edit_distance(a, b, cfg) == rounded(was.total_cost)
 
 
 @settings(max_examples=300, deadline=None)

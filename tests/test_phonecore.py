@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pronvar import errors
 from pronvar.attnalign import AttentionMap, parse_attention_file, parse_bounds_file
+from pronvar.dpalign import nw_align
 from pronvar.phonecore import (
     RESERVED_CHARS,
     AnySymbol,
@@ -16,6 +17,7 @@ from pronvar.phonecore import (
     PhoneInventory,
     PhoneSequence,
     ReferenceDictionary,
+    SegmentedUtterance,
     WordSpan,
     _check_symbol,
     _check_word,
@@ -416,6 +418,30 @@ def test_a_tab_inside_the_last_field_is_a_format_error(parse, text, message):
 def test_a_token_that_is_not_a_str_is_a_value_error(build, message):
     # it used to raise AttributeError from str.split
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PhoneSequence("u", (["A"],), AnySymbol()), ValueError, "bad phone symbol ['A']"),
+        (
+            lambda: PhoneSequence("u", (["A"],), PhoneInventory.from_phones(["A"])),
+            errors.UnknownPhone,
+            "unknown phone ['A'] in utterance 'u'",
+        ),
+        (lambda: SegmentedUtterance("u", [("w", (["A"],))], AnySymbol()), ValueError, "bad phone symbol ['A']"),
+        (
+            lambda: nw_align(PhoneSequence("u", ("A",), AnySymbol()), (["A"],)),
+            errors.InventoryMismatch,
+            "reference phone ['A'] not in the hypothesis inventory",
+        ),
+    ],
+    ids=["sequence-any-symbol", "sequence-inventory", "segmented-any-symbol", "nw-align-reference"],
+)
+def test_an_unhashable_phone_is_an_error_of_the_phone_rule(build, error, message):
+    # it used to raise TypeError from the set lookup
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 
 
