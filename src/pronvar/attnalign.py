@@ -56,7 +56,7 @@ from .phonecore import (
     SegmentedUtterance,
     _check_real,
     _check_word,
-    _decimals,
+    _decimal_lines,
     _last_field,
     _natural,
     _on_line,
@@ -237,7 +237,8 @@ def parse_attention_file(text: str, inventory: PhoneInventory | AnySymbol) -> li
     Each record is ``utt_id R C`` on the first line, R row phones on the
     second, C column phones on the third, then R lines of C weights. R and
     C are ASCII digits with a value of at least 1; a weight row is float
-    fields (:func:`pronvar.phonecore._decimals`). :class:`AttentionMap`
+    fields (:func:`pronvar.phonecore._decimals`, read a record at a time by
+    :func:`pronvar.phonecore._decimal_lines`). :class:`AttentionMap`
     checks the weights against the axes. An error names the record's first
     line, unless it is met on a weight row that is not float fields, on a
     column-phone line of the wrong length, or on an axis line holding a
@@ -273,7 +274,7 @@ def _attention_maps(text: str, inventory: PhoneInventory | AnySymbol) -> Iterato
                 except (ReservedSymbol, ValueError) as err:  # a symbol that breaks the rule names its line
                     raise _on_line(err, axis_lineno) from None
 
-            weights = tuple(_decimals(wline, wlineno, "weight row") for wlineno, wline in record[3:])
+            weights = _decimal_lines(record[3:], "weight row")
             yield AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
@@ -480,6 +481,11 @@ def _best_per_boundary(
     sorts before the state's entry from any path with a worse (``g``,
     clamps, ranks). The first pop of each state thus carries its best
     prefix, and a completion's key is the winner's order itself.
+
+    The loop writes :func:`_clamp` and ``h`` out as conditionals, since a pop
+    walks all 2n+1 offsets. The steps stay in offset order and each is scored
+    when pushed, so ``score`` is asked for the same spans, in the same order,
+    as by the loop that called them (``tests/old_attention.py``).
     """
     length = base.length
     n = min(radius, length)
@@ -508,8 +514,12 @@ def _best_per_boundary(
             steps = {length: (False, 0)}
         else:
             steps = {}
-            for rank, wanted in enumerate(targets[i] + o for o in offsets):
-                cut = _clamp(wanted, prev, length)
+            target = targets[i]
+            for rank, offset in enumerate(offsets):
+                wanted = target + offset
+                # _clamp, written out: a call per offset costs more than the clamp itself
+                cut = wanted if wanted > prev else prev + 1
+                cut = cut if cut < length else length
                 if cut == wanted or cut not in steps:
                     steps[cut] = (cut != wanted, rank)
         done, lo_next, hi_next = settled[i + 1], lo[i + 1], hi[i + 1]
@@ -518,8 +528,9 @@ def _best_per_boundary(
                 continue
             step = g + score(i, prev, cut)
             rest = length - cut
-            estimate = step + max(lo_next - rest, rest - hi_next, 0)
-            heappush(heap, (estimate, clamps + clamped, (*ranks, rank), cut, step))
+            # h = max(lo_next - rest, rest - hi_next, 0), by conditionals as in _clamp
+            h = lo_next - rest if rest < lo_next else rest - hi_next if rest > hi_next else 0
+            heappush(heap, (step + h, clamps + clamped, (*ranks, rank), cut, step))
 
     # replay the winner's offsets; zip leaves out the rank of the step to the end
     cuts, repaired = _repair([t + offsets[r] for t, r in zip(targets, ranks)], length)

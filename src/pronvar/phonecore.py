@@ -232,6 +232,10 @@ class SegmentedUtterance:
     concatenated, and ``ends``, the running sums of the span lengths, are derived from the
     spans and left out of ``==``, ``hash`` and ``repr``: word k is ``phones[ends[k - 1]:ends[k]]``,
     from 0 for k = 0.
+
+    Each rule is tested once for the whole record: no span length is 0, the words joined
+    split back into the words, and the inventory holds every phone, in one set test. A record
+    that fails any of these is checked again span by span, which raises its first error.
     """
 
     utterance_id: str
@@ -242,17 +246,28 @@ class SegmentedUtterance:
 
     def __post_init__(self):
         _check_word(self.utterance_id, what="utterance id")
-        spans = tuple(WordSpan(w, tuple(p)) for w, p in self.words)
+        # tuple.__new__ builds each span without WordSpan's Python-level __new__
+        spans = tuple([tuple.__new__(WordSpan, (w, tuple(p))) for w, p in self.words])
         object.__setattr__(self, "words", spans)
         if not spans:
             raise ValueError(f"utterance {self.utterance_id!r} has no words")
-        for i, span in enumerate(spans):
-            _check_word(span.word)
-            if not span.phones:
-                raise EmptySpan(self.utterance_id, i)
-            self.inventory.require(span.phones, f"utterance {self.utterance_id!r}")
-        object.__setattr__(self, "phones", tuple(chain.from_iterable(span.phones for span in spans)))
-        object.__setattr__(self, "ends", tuple(accumulate(len(span.phones) for span in spans)))
+        words, prons = zip(*spans)
+        lengths = tuple(map(len, prons))
+        phones = tuple(chain.from_iterable(prons))
+        # join takes only strs, and the joined words split back into themselves
+        # exactly when each is one token, so this passes exactly when every _check_word does
+        try:
+            passed = 0 not in lengths and " ".join(words).split() == list(words) and self.inventory._has_all(phones)
+        except TypeError:
+            passed = False
+        if not passed:  # span by span, for the first error
+            for i, span in enumerate(spans):
+                _check_word(span.word)
+                if not span.phones:
+                    raise EmptySpan(self.utterance_id, i)
+                self.inventory.require(span.phones, f"utterance {self.utterance_id!r}")
+        object.__setattr__(self, "phones", phones)
+        object.__setattr__(self, "ends", tuple(accumulate(lengths)))
 
 
 class ReferenceDictionary:
@@ -438,16 +453,35 @@ def _natural(token: str, what: str, least: int) -> int:
     raise _bad(what, token, None)
 
 
+def _decimal_chars(text: str) -> bool:
+    """The character rule of float fields: ASCII with no ``_`` and no letter but ``e``/``E``.
+    Besides ``e``, ``float()`` reads letters only in ``nan``, ``inf`` and ``infinity``, and
+    each holds an ``n``. A rule on characters alone, so text that passes it passes on each line."""
+    return text.isascii() and "_" not in text and "n" not in text and "N" not in text
+
+
 def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
-    """Read whitespace-separated float fields: ASCII with no ``_`` and no letter but
-    ``e``/``E``; ``1e999`` reads as inf, for the caller to reject. Besides ``e``,
-    ``float()`` reads letters only in ``nan``, ``inf`` and ``infinity``, and each holds an ``n``."""
-    if text.isascii() and "_" not in text and "n" not in text.lower():
+    """Read one line of whitespace-separated float fields that follow :func:`_decimal_chars`;
+    ``1e999`` reads as inf, for the caller to reject. :func:`_decimal_lines` reads a record's
+    lines through this one when their joined test fails, so the error names the first bad line."""
+    if _decimal_chars(text):
         try:
             return tuple(map(float, text.split()))
         except ValueError:
             pass
     raise _bad(what, text, line)
+
+
+def _decimal_lines(lines: Sequence[tuple[int, str]], what: str) -> tuple[tuple[float, ...], ...]:
+    """:func:`_decimals` of each of ``lines``, ``(line number, text)`` pairs, with the
+    character rule tested once on the record's lines joined. If that test or any ``float()``
+    fails, the lines are read again through :func:`_decimals`, for its error on the first bad line."""
+    if _decimal_chars("".join([text for _, text in lines])):
+        try:
+            return tuple([tuple(map(float, text.split())) for _, text in lines])
+        except ValueError:
+            pass
+    return tuple(_decimals(text, lineno, what) for lineno, text in lines)
 
 
 def parse_phone_file(text: str, inventory: PhoneInventory | AnySymbol) -> list[PhoneSequence]:
@@ -489,12 +523,15 @@ def parse_segmented_file(text: str, inventory: PhoneInventory | AnySymbol) -> li
                 raise DuplicateUtteranceId(utt_id)
             seen.add(utt_id)
 
-            spans: list[list[str]] = [[]]
-            for token in fields[0].split():
-                if token == "#":
-                    spans.append([])
-                else:
-                    spans[-1].append(token)
+            # the tokens cut at each "#" by slices: a Python step per word, not per phone
+            tokens = tuple(fields[0].split())
+            spans = []
+            start = 0
+            for _ in range(tokens.count("#")):
+                end = tokens.index("#", start)
+                spans.append(tokens[start:end])
+                start = end + 1
+            spans.append(tokens[start:])
             words = fields[1].split()
             if len(spans) != len(words):
                 raise SpanWordMismatch(utt_id, len(spans), len(words))

@@ -5,6 +5,8 @@
 * The global search from when it worked out each word's pronunciation-length
   range itself and kept a words x columns table of span floors
   (``_span_floors`` and ``_best_global_shift``).
+* The per-boundary search from when its loop called ``_clamp`` for each
+  offset and ``max`` for each step's estimate (``_best_per_boundary``).
 
 Verbatim. The maps are built by the old record check, ``old_parsers.AttentionMap``;
 the rest is the package's own.
@@ -13,11 +15,12 @@ the rest is the package's own.
 import math
 import random
 from collections.abc import Iterable, Sequence
+from heapq import heappop, heappush
 from itertools import pairwise
 from operator import itemgetter
 
 from old_parsers import AttentionMap
-from pronvar.attnalign import AttnConfig, Segmentation, SpanScore, _repair, split_by_attention
+from pronvar.attnalign import AttnConfig, Segmentation, SpanScore, _clamp, _offset_order, _repair, split_by_attention
 from pronvar.errors import RowMismatch
 from pronvar.phonecore import SegmentedUtterance
 
@@ -150,3 +153,88 @@ def _best_global_shift(
             if key < best_key:
                 best, best_key = candidate, key
     return best, best_key[0]
+
+
+def _best_per_boundary(
+    base: Segmentation, radius: int, ranges: Sequence[tuple[int, int]], score: SpanScore
+) -> tuple[Segmentation, float]:
+    """Exact best independent per-cut shift of ``base``, by a bounded best-first search.
+
+    Over every tuple of offsets from :func:`_offset_order`, one per cut,
+    applied left to right with the :func:`_repair` clamp, the winner has
+    the least total distance, then the fewest clamped cuts, then the
+    earliest position in zero-first lexicographic order. Offsets past the
+    column count clamp to the cut of a shorter offset, which comes first
+    and repairs no more, so the radius is capped there.
+
+    A state is (cut i, previous clamped cut). A step from it places cut i,
+    or, after the last cut, ends the last word at the sequence end. ``h`` of
+    a state whose last cut is at ``prev`` is the distance of the ``rest =
+    length - prev`` columns still to split from ``[lo, hi]``, the sums of
+    ``ranges`` (each word's shortest and longest pronunciation length) over
+    the words still to place: ``max(lo - rest, rest - hi, 0)``. It scores
+    nothing and never exceeds the distance still to come, since a span
+    scores at least its length's distance from its word's range, and the
+    distance of a sum from a summed range is at most the sum of the
+    distances. The heap orders entries by (estimate, clamps so far, ranks),
+    where the estimate is the exact prefix distance ``g`` plus ``h`` and the
+    ranks are the offsets' positions in :func:`_offset_order`: the winner's
+    order, with ``g + h`` for the total. A step is scored when it is
+    pushed, unless the state it reaches is settled by then. From each state,
+    each cut is pushed once, with the best (clamp, rank) of the offsets that
+    land on it: no clamp, then the lowest rank.
+
+    Why the first completion popped is the winner. ``h`` is consistent: by
+    the same sum rule, ``h`` is at most a step's score plus ``h`` of the
+    state it reaches. So along a path the estimate and the clamps never
+    fall, and a prefix's ranks sort before any longer tuple they begin: an
+    entry sorts no later than its path's entries further on. A best path to
+    a state runs through best paths to the states before it, so until the
+    state is settled that path has an entry in the heap, and the entry
+    sorts before the state's entry from any path with a worse (``g``,
+    clamps, ranks). The first pop of each state thus carries its best
+    prefix, and a completion's key is the winner's order itself.
+    """
+    length = base.length
+    n = min(radius, length)
+    targets = base.cuts
+    k = len(targets)
+
+    # lo[i], hi[i]: the summed shortest and longest pronunciation lengths of words i..k
+    lo, hi = [0] * (k + 2), [0] * (k + 2)
+    for i in reversed(range(k + 1)):
+        lo[i], hi[i] = lo[i + 1] + ranges[i][0], hi[i + 1] + ranges[i][1]
+
+    offsets = _offset_order(n)
+    settled: list[set[int]] = [set() for _ in range(k + 2)]
+    # (g + h, clamps, ranks, prev, g): state (len(ranks), prev) at prefix distance g;
+    # the first entry is popped alone, so its estimate is never compared
+    heap = [(0, 0, (), 0, 0)]
+    while True:
+        _, clamps, ranks, prev, g = heappop(heap)
+        i = len(ranks)
+        if i > k:
+            break
+        if prev in settled[i]:
+            continue
+        settled[i].add(prev)
+        if i == k:  # the last word's span runs to the end
+            steps = {length: (False, 0)}
+        else:
+            steps = {}
+            for rank, wanted in enumerate(targets[i] + o for o in offsets):
+                cut = _clamp(wanted, prev, length)
+                if cut == wanted or cut not in steps:
+                    steps[cut] = (cut != wanted, rank)
+        done, lo_next, hi_next = settled[i + 1], lo[i + 1], hi[i + 1]
+        for cut, (clamped, rank) in steps.items():
+            if cut in done:
+                continue
+            step = g + score(i, prev, cut)
+            rest = length - cut
+            estimate = step + max(lo_next - rest, rest - hi_next, 0)
+            heappush(heap, (estimate, clamps + clamped, (*ranks, rank), cut, step))
+
+    # replay the winner's offsets; zip leaves out the rank of the step to the end
+    cuts, repaired = _repair([t + offsets[r] for t, r in zip(targets, ranks)], length)
+    return Segmentation(cuts, length, repaired=repaired), g

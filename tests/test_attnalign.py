@@ -754,3 +754,29 @@ def test_bounded_per_boundary_matches_the_full_dp(case, radius):
 def test_bounded_per_boundary_opens_no_more_passes(case, radius):
     (_, bounded), (_, full) = per_boundary_both_ways(case, radius)
     assert bounded <= full  # every pass opened is one the full search opens
+
+
+@settings(max_examples=300, deadline=None)
+@given(loose_cases, st.integers(0, 6))
+@example(placed_cuts("BBB", [("A",), ("A",)], [3]), 2)
+@example(placed_cuts("ABA", [("B",), ("A",), ("B",)], [1, 2]), 1)
+@example(placed_cuts("BA", [("A",), ("C",)], [2]), 2)
+def test_per_boundary_asks_what_its_loop_with_calls_asked(case, radius):
+    # the loop with _clamp and h in place against its old self, which calls
+    # _clamp and max: the same winner, and the same spans asked in the same order
+    amap, ref, dictionary = case
+    prons = [dictionary.pronunciations(w.word) if w.word in dictionary else (w.phones,) for w in ref.words]
+    ranges = [(min(map(len, p)), max(map(len, p))) for p in prons]
+    base = place_boundaries(amap, ref)
+    found = []
+    for search in (_best_per_boundary, old._best_per_boundary):
+        scorer = _span_scorer(amap.col_phones, prons)
+        asked = []
+
+        def score(word, start, end, scorer=scorer, asked=asked):
+            asked.append((word, start, end))
+            return scorer(word, start, end)
+
+        best, total = search(base, radius, ranges, score)
+        found.append((best.cuts, best.length, best.repaired, total, asked))
+    assert found[0] == found[1]

@@ -387,7 +387,9 @@ class TestExtractVariantsDp:
 
 
 def resolve_reference_by_full_alignment(hyp, ref_seg, dictionary, cfg):
-    """The resolver as it was before the cost-only kernel, kept as the oracle."""
+    """The resolver as it was before the cost-only kernel, kept as the oracle. It costs each
+    candidate with ``old_dpalign.nw_align``, whose total stays exact in exact costs: the
+    package's rounds it to a float, where exact totals that differ can tie."""
     spans = list(ref_seg.words)
     changed = False
     for wi, span in enumerate(spans):
@@ -402,7 +404,7 @@ def resolve_reference_by_full_alignment(hyp, ref_seg, dictionary, cfg):
             candidate = [p for s in spans[:wi] for p in s.phones]
             candidate.extend(pron)
             candidate.extend(p for s in spans[wi + 1 :] for p in s.phones)
-            cost = nw_align(hyp, candidate, cfg).total_cost
+            cost = old_dpalign.nw_align(hyp, candidate, cfg).total_cost
             if best_cost is None or cost < best_cost:
                 best, best_cost = pron, cost
         if best != span.phones:
@@ -469,6 +471,13 @@ def test_exact_ties_at_non_dyadic_costs_are_the_exact_oracle(a, b, cfg):
     ("A", "B", "A", "A", "A"),
     [(("A",), [("A",), ("B", "B")]), (("B",), [("B",)])],
     (AlignConfig(0.0, 0.1, 0.2), in_fractions(AlignConfig(0.0, 0.1, 0.2))),
+)
+# exactly, 'A A B' costs 0.5 + 2**-55 and 'A A' 0.5, so 'A' wins w1; both
+# totals round to 0.5 as floats, where the tie would keep 'A B' by file order
+@example(
+    ["B"],
+    [(("A",), [("A",)]), (("A", "A"), [("A", "A"), ("A", "B"), ("A",)])],
+    (AlignConfig(0.1, 0.3, 0.2), in_fractions(AlignConfig(0.1, 0.3, 0.2))),
 )
 def test_resolved_reference_matches_the_full_alignment_oracle(hyp_phones, words, configs):
     # dyadic costs sum exactly in floats, so there the float oracle is the

@@ -446,6 +446,10 @@ def test_rules_parser_against_its_old_self(case):
 
 @settings(max_examples=200, deadline=None)
 @given(attention_files())
+# a record's weight rows pass the character rule together, and a later row then fails float()
+@example(("u0 1 1\nK\nK\n1\n\nu1 2 2\nK K\nK K\n1 0\n1..0 0\n", 9, "given"))
+# one row holds "_", so the record's rows fail the character rule together and are read one by one
+@example(("u0 2 2\nK K\nK K\n1 0\n0 1_0\n", 5, "given"))
 def test_attention_parser_against_its_old_self(case):
     check("attention", *case)
 

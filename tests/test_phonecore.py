@@ -487,9 +487,11 @@ def test_a_dictionary_phone_or_word_its_file_cannot_hold_is_rejected(entries, er
 
 #: words and phones, good and bad: whitespace, reserved and non-ASCII characters, a comment mark, a non-str
 DICTIONARY_TOKENS = ["cat", "K", "AE", "a'b", "É", "K AE", "A|B", "#", "#a", "a#", "", "\t", 1]
+#: and any short text
+dictionary_tokens = st.one_of(st.sampled_from(DICTIONARY_TOKENS), st.text(max_size=3))
 dictionary_entries = st.dictionaries(
-    st.sampled_from(DICTIONARY_TOKENS),
-    st.lists(st.lists(st.sampled_from(DICTIONARY_TOKENS), max_size=3), max_size=3),
+    dictionary_tokens,
+    st.lists(st.lists(dictionary_tokens, max_size=3), max_size=3),
     max_size=4,
 )
 

@@ -1,0 +1,128 @@
+"""Records built from arbitrary values.
+
+* Each call of ``PhoneSequence`` or ``SegmentedUtterance`` either builds a
+  record that round-trips through its emitter and parser, or raises a
+  ``ValueError`` or a ``PronvarError``. The containers are drawn as the
+  annotations name them, iterables of pairs and of tokens: a value that is no
+  iterable there raises ``TypeError`` (ROADMAP item 9). Their tokens are
+  arbitrary. ``ReferenceDictionary``'s test is in ``test_phonecore.py``.
+* ``SegmentedUtterance``, which tests each rule once for the whole record,
+  against its old self, which tested each span on its own: the same record,
+  or the same error class and message.
+"""
+
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
+
+from hypothesis import example, given, settings, strategies as st
+
+from pronvar import errors
+from pronvar.errors import EmptySpan
+from pronvar.phonecore import (
+    AnySymbol,
+    PhoneInventory,
+    PhoneSequence,
+    SegmentedUtterance,
+    WordSpan,
+    _check_word,
+    emit_phone_file,
+    emit_segmented_file,
+    parse_phone_file,
+    parse_segmented_file,
+)
+
+
+@dataclass(frozen=True)
+class SpanBySpanUtterance:
+    """``SegmentedUtterance`` as it was before it tested each rule once per record, verbatim."""
+
+    utterance_id: str
+    words: tuple[WordSpan, ...]
+    inventory: PhoneInventory | AnySymbol
+    phones: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_word(self.utterance_id, what="utterance id")
+        spans = tuple(WordSpan(w, tuple(p)) for w, p in self.words)
+        object.__setattr__(self, "words", spans)
+        if not spans:
+            raise ValueError(f"utterance {self.utterance_id!r} has no words")
+        for i, span in enumerate(spans):
+            _check_word(span.word)
+            if not span.phones:
+                raise EmptySpan(self.utterance_id, i)
+            self.inventory.require(span.phones, f"utterance {self.utterance_id!r}")
+        object.__setattr__(self, "phones", tuple(chain.from_iterable(span.phones for span in spans)))
+        object.__setattr__(self, "ends", tuple(accumulate(len(span.phones) for span in spans)))
+
+
+PHONES = ("K", "AE", "T")
+#: tokens good and bad: inventory phones, a phone outside the inventory that
+#: follows the phone-symbol rule, reserved and non-ASCII characters, whitespace,
+#: the empty token, and values that are not a str, one of them unhashable
+TOKENS = (*PHONES, "ZZ", "#", "A|B", "É", "K T", "a\tb", "", " ", 1, None, b"K", ["K"])
+tokens = st.one_of(st.sampled_from(TOKENS), st.text(max_size=3))
+ids = st.one_of(st.just("u"), tokens)
+#: phones of the inventory, or tokens of any kind, so that records of several words are built too
+phone_lists = st.one_of(st.lists(st.sampled_from(PHONES), min_size=1, max_size=3), st.lists(tokens, max_size=3))
+#: (word, phones) pairs; the empty list of phones is an empty span
+word_spans = st.lists(st.tuples(st.one_of(st.sampled_from(("the", "cat")), tokens), phone_lists), max_size=4)
+
+
+def inventory_of(name):
+    """A new inventory of each kind, so no cache of symbols passed is shared between calls."""
+    return AnySymbol() if name == "any" else PhoneInventory.from_phones(PHONES)
+
+
+inventories = st.sampled_from(("any", "given"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids, phone_lists, inventories)
+def test_a_phone_sequence_round_trips_or_is_rejected(utt_id, phones, inventory):
+    inventory = inventory_of(inventory)
+    try:
+        sequence = PhoneSequence(utt_id, phones, inventory)
+    except (errors.PronvarError, ValueError):
+        return
+    assert parse_phone_file(emit_phone_file([sequence]), inventory) == [sequence]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids, word_spans, inventories)
+def test_a_segmented_utterance_round_trips_or_is_rejected(utt_id, words, inventory):
+    inventory = inventory_of(inventory)
+    try:
+        utterance = SegmentedUtterance(utt_id, words, inventory)
+    except (errors.PronvarError, ValueError):
+        return
+    (parsed,) = parse_segmented_file(emit_segmented_file([utterance]), inventory)
+    assert parsed == utterance
+    assert (parsed.phones, parsed.ends) == (utterance.phones, utterance.ends)
+
+
+def built(record, utt_id, words, inventory):
+    """The record as plain values, each span with its type, or the error's class and message."""
+    try:
+        utterance = record(utt_id, words, inventory)
+    except Exception as err:  # the old check's class and message, whatever they are
+        return type(err), str(err)
+    spans = [(type(span), *span) for span in utterance.words]
+    return utterance.utterance_id, spans, utterance.inventory, utterance.phones, utterance.ends
+
+
+@settings(max_examples=500, deadline=None)
+@given(ids, word_spans, inventories)
+@example("u", [("the", ["K"]), ("a b", [])], "given")  # the first error is the word's, not the later span's
+@example("u", [("the", ["K", "ZZ"]), ("", ["K"])], "given")  # an unknown phone before a bad word
+@example("u", [("the", ["K"]), ("cat", ["#"])], "any")  # a reserved symbol
+@example("u", [(["the"], ["K"])], "any")  # an unhashable word, which str.join does not take
+@example("u", [("the", [["K"]])], "given")  # an unhashable phone
+@example("u", [], "given")  # no words
+def test_segmented_utterance_against_its_old_self(utt_id, words, inventory):
+    old_inventory = inventory_of(inventory)
+    old = built(SpanBySpanUtterance, utt_id, words, old_inventory)
+    assert built(SegmentedUtterance, utt_id, words, inventory_of(inventory)) == old
+    # once more on the old check's inventory: an AnySymbol now holds the symbols that passed
+    assert built(SegmentedUtterance, utt_id, words, old_inventory) == old
