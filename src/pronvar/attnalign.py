@@ -96,7 +96,10 @@ class AttnConfig:
 
 @dataclass(frozen=True)
 class AttentionMap:
-    """Weights pairing native rows with non-native columns, all finite, >= 0."""
+    """Weights pairing native rows with non-native columns, all finite, >= 0, each a ``float`` or
+    an ``int``: :func:`emit_attention_file` writes it with ``repr`` and :func:`parse_attention_file`
+    reads it back with ``float()``, so an ``int`` past 2**53 reads back rounded. Other reals, such
+    as ``True`` or ``Fraction(1, 2)``, are not checked and do not round-trip."""
 
     utterance_id: str
     col_phones: tuple[str, ...]

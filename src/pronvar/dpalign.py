@@ -11,16 +11,18 @@ and computes a whole row as bit vectors in a few ``int`` operations, from
 the top edge or carried on from any row it gave. It returns its last row,
 and appends every row after the start to an ``out`` list when given one.
 Both kernels give the same cells, so which one runs never changes an
-output.
+output. :func:`_kernel` chooses once per hypothesis: the bit rows at unit
+costs times one gap cost, the cell rows otherwise. The code after it runs
+one path on either kernel's rows, cells and backward walk.
 
 :func:`edit_distance` keeps one row of :func:`_cost_rows` and returns the
 cost. :mod:`pronvar.attnalign` scores word spans, always at unit costs, from
 the row :func:`_bit_rows` returns, every span end of one start at once.
-:func:`nw_align` keeps the whole matrix to backtrack the ops, in bit rows
-at unit costs times one gap cost and in cell rows otherwise.
-:func:`project_boundaries` carves the hypothesis into per-word variants at
-the native word boundaries, projected through the ops; :func:`nw_align` and
-it are the way to get the ops.
+:func:`nw_align` keeps the whole matrix and builds the ops (:func:`_trace`)
+from one backward walk from the last cell, which each kernel reads off its
+rows (:func:`_cell_steps`, :func:`_bit_steps`). :func:`project_boundaries`
+carves the hypothesis into per-word variants at the native word boundaries,
+projected through the ops of any alignment.
 
 Dictionary alternatives are costed by one rule on either kernel's rows.
 The rows of the given reference are filled first, so the rows of the
@@ -34,14 +36,13 @@ through the rest of the utterance, and its cost is the final cell. On bit
 rows :func:`_least_difference` reads that difference and two ``bit_count``
 calls the final cell.
 
-:func:`extract_variants_dp` reuses the resolver's rows. At unit costs times
-one gap it builds no ops, and reads each word's cut off one backward walk
-through the bit rows (:func:`_bit_steps`), the walk whose ops
-:func:`_trace_bits` gives :func:`nw_align`.
+:func:`extract_variants_dp` reuses the resolver's rows. It builds no ops,
+and reads each word's cut off the same backward walk (:func:`_spans`), so
+its spans are :func:`project_boundaries` of :func:`nw_align`'s ops.
 """
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice, pairwise
 from operator import sub
@@ -274,6 +275,51 @@ def _checked_reference(hyp: PhoneSequence, ref: Sequence[str]) -> tuple[str, ...
     return tuple(ref)
 
 
+def _scaled_unit(exact: _ExactCosts) -> bool:
+    """Whether the costs are unit costs times one gap cost, which :func:`_bit_rows` computes."""
+    return exact.match_score == 0 and exact.mismatch_score == exact.gap_penalty
+
+
+class _Kernel(NamedTuple):
+    """A kernel's rows against one hypothesis (:func:`_kernel`), cells in :func:`_exact`'s integers.
+    ``fill(phones, row, out)`` appends the rows of ``phones`` after ``row`` to ``out`` and returns
+    the last; ``least_difference(row, other, shift)`` is ``min_j (row[j] - other[j])`` for rows
+    ``shift`` apart; ``last_cell(row, i)`` is row i's last cell; ``steps(ref, rows)`` walks back
+    through ``rows``, those of ``ref`` from ``start``, the top edge."""
+
+    start: object
+    fill: Callable
+    least_difference: Callable
+    last_cell: Callable
+    steps: Callable
+
+
+def _kernel(hyp: Sequence[str], exact: _ExactCosts) -> _Kernel:
+    """The bit rows of ``hyp`` at unit costs times one gap cost, their cells times the gap;
+    the cell rows at any other costs."""
+    if _scaled_unit(exact):
+        masks, width, gap = _column_masks(hyp), len(hyp), exact.gap_penalty
+        return _Kernel(
+            _bit_rows((), masks, width),
+            lambda phones, row, out: _bit_rows(phones, masks, width, 0, row, out),
+            lambda row, other, shift: _least_difference(row, other, shift) * gap,
+            lambda row, i: (i + row[0].bit_count() - row[1].bit_count()) * gap,
+            lambda ref, rows: _bit_steps(hyp, ref, rows),
+        )
+
+    def fill(phones, row, out):
+        out.extend(islice(_cost_rows(phones, hyp, exact, row), 1, None))
+        return out[-1]
+
+    return _Kernel(
+        _last_row((), hyp, exact),
+        fill,
+        lambda row, other, _: min(map(sub, row, other)),
+        lambda row, _: row[-1],
+        lambda ref, rows: _cell_steps(hyp, ref, rows, exact),
+    )
+
+
 def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignConfig()) -> Alignment:
     """Minimum-cost global alignment of ``hyp`` against ``ref``.
 
@@ -285,40 +331,21 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
     a = hyp.phones
     b = _checked_reference(hyp, ref)
     exact = _exact(cfg)
-    rows = _filled_rows(a, b, exact)
-    if not _scaled_unit(exact):
-        return Alignment(a, b, _trace(a, b, rows, exact), _total(rows[-1][-1], exact))
-    cost = _bit_distance(rows[-1], len(b)) * exact.gap_penalty
-    return Alignment(a, b, _trace_bits(a, b, rows), _total(cost, exact))
+    kernel = _kernel(a, exact)
+    rows = [kernel.start]
+    cost = kernel.last_cell(kernel.fill(b, rows[0], rows), len(b))
+    return Alignment(a, b, _trace(a, b, kernel.steps(b, rows)), _total(cost, exact))
 
 
-def _filled_rows(hyp: Sequence[str], ref: Sequence[str], exact: _ExactCosts) -> list:
-    """Every row of ``ref`` against ``hyp``: those of :func:`_bit_rows` at unit costs
-    times one gap cost (:func:`_scaled_unit`), else those of :func:`_cost_rows`."""
-    if not _scaled_unit(exact):
-        return list(_cost_rows(ref, hyp, exact))
-    masks = _column_masks(hyp)
-    rows = [_bit_rows((), masks, len(hyp))]
-    _bit_rows(ref, masks, len(hyp), out=rows)
-    return rows
-
-
-def _bit_distance(row: tuple[int, int, int], i: int) -> int:
-    """The last cell of ``row``, row ``i`` of :func:`_bit_rows` from the top edge."""
-    plus, minus, _ = row
-    return i + plus.bit_count() - minus.bit_count()
-
-
-def _bit_steps(
-    hyp: Sequence[str], ref: Sequence[str], rows: list[tuple[int, int, int]]
+def _cell_steps(
+    hyp: Sequence[str], ref: Sequence[str], rows: list[list[int]], exact: _ExactCosts
 ) -> Iterator[tuple[int, bool]]:
-    """The backward walk of :func:`_trace` through the :func:`_bit_rows` of ``ref`` against ``hyp``.
+    """The backward walk of :func:`nw_align` through the :func:`_cost_rows` of ``ref`` against ``hyp``.
 
-    At unit costs a cell is its diagonal neighbour's cost or one more, and
-    that neighbour's when the phones match. So from the last cell back, the
-    diagonal is taken when the phones match or the cell's ``same`` bit is
-    clear; else the delete when its ``plus`` bit is set, else the insert.
-    The left edge inserts, and the top edge deletes what is left.
+    From the last cell back, the diagonal (match or substitute) is taken
+    when it gives the cell's cost, else the delete of a hypothesis phone,
+    else the insert of a reference phone. The left edge inserts, and the top
+    edge deletes what is left.
 
     Yields one ``(j, diagonal)`` per row, from row ``len(ref)`` up to row 1:
     the column j at which the walk leaves the row, and whether it leaves by
@@ -326,6 +353,33 @@ def _bit_steps(
     column j. The walk deletes the hypothesis phones of the columns it
     passes in a row on its way to j, and at row 0 those left of the column
     it reaches.
+    """
+    match, mismatch, gap = exact.match_score, exact.mismatch_score, exact.gap_penalty
+    j = len(hyp)
+    for i in range(len(ref), 0, -1):
+        row, above, y = rows[i], rows[i - 1], ref[i - 1]
+        while j:
+            if row[j] == above[j - 1] + (match if y == hyp[j - 1] else mismatch):
+                yield j, True
+                j -= 1
+                break
+            if row[j] != row[j - 1] + gap:
+                yield j, False
+                break
+            j -= 1
+        else:
+            yield 0, False
+
+
+def _bit_steps(
+    hyp: Sequence[str], ref: Sequence[str], rows: list[tuple[int, int, int]]
+) -> Iterator[tuple[int, bool]]:
+    """:func:`_cell_steps`' walk through the :func:`_bit_rows` of ``ref`` against ``hyp``.
+
+    At unit costs a cell is its diagonal neighbour's cost or one more, and
+    that neighbour's when the phones match. So the diagonal is taken when
+    the phones match or the cell's ``same`` bit is clear; else the delete
+    when its ``plus`` bit is set, else the insert.
     """
     j = len(hyp)
     for i in range(len(ref), 0, -1):
@@ -345,15 +399,12 @@ def _bit_steps(
             yield 0, False
 
 
-def _trace_bits(hyp: Sequence[str], ref: Sequence[str], rows: list[tuple[int, int, int]]) -> tuple[EditOp, ...]:
-    """:func:`_trace` through the :func:`_bit_rows` of ``ref`` against ``hyp``.
-
-    The ops of :func:`_bit_steps`' walk, for :func:`nw_align`: the deletes of
-    the columns the walk passes, and the step that leaves each row.
-    """
+def _trace(hyp: Sequence[str], ref: Sequence[str], steps: Iterable[tuple[int, bool]]) -> tuple[EditOp, ...]:
+    """The ops of :func:`nw_align` along ``steps``, a kernel's backward walk from the last
+    cell: the deletes of the columns the walk passes, and the step that leaves each row."""
     ops: list[EditOp] = []
     i, j = len(ref), len(hyp)
-    for col, diagonal in _bit_steps(hyp, ref, rows):
+    for col, diagonal in steps:
         ops.extend(EditOp(DELETE, k) for k in range(j - 1, col - 1, -1))
         if diagonal:
             ops.append(EditOp(MATCH if ref[i - 1] == hyp[col - 1] else SUBSTITUTE, col - 1, i - 1))
@@ -367,50 +418,22 @@ def _trace_bits(hyp: Sequence[str], ref: Sequence[str], rows: list[tuple[int, in
     return tuple(ops)
 
 
-def _bit_spans(
-    hyp: tuple[str, ...], ref_seg: SegmentedUtterance, rows: list[tuple[int, int, int]]
+def _spans(
+    hyp: tuple[str, ...], ref_seg: SegmentedUtterance, steps: Iterator[tuple[int, bool]]
 ) -> list[tuple[str, tuple[str, ...]]]:
-    """:func:`project_boundaries` of :func:`_trace_bits`' alignment, read off :func:`_bit_steps`.
+    """:func:`project_boundaries` of :func:`_trace`'s alignment, read off ``steps``.
 
-    ``rows`` are the bit rows of ``ref_seg.phones`` against ``hyp``. Word k
-    starts at reference phone ``s = ends[k - 1]``, and is cut after the
-    hypothesis phones taken when the alignment reaches row s, the column at
-    which the walk back leaves that row. So the walk is read up to the first
-    word's end, and no op is built.
+    ``steps`` is a kernel's backward walk through the rows of
+    ``ref_seg.phones`` against ``hyp``. Word k starts at reference phone
+    ``s = ends[k - 1]``, and is cut after the hypothesis phones taken when
+    the alignment reaches row s, the column at which the walk leaves that
+    row. So the walk is read up to the first word's end, and no op is built.
     """
     ref, ends = ref_seg.phones, ref_seg.ends
     # cols[i] is the column at which the walk leaves row len(ref) - i
-    cols = [j for j, _ in islice(_bit_steps(hyp, ref, rows), len(ref) - ends[0] + 1)]
+    cols = [j for j, _ in islice(steps, len(ref) - ends[0] + 1)]
     cuts = (0, *(cols[len(ref) - s] for s in ends[:-1]), len(hyp))
     return [(span.word, hyp[a:b]) for span, (a, b) in zip(ref_seg.words, pairwise(cuts))]
-
-
-def _trace(hyp: Sequence[str], ref: Sequence[str], score: list[list[int]], exact: _ExactCosts) -> tuple[EditOp, ...]:
-    """The ops of :func:`nw_align`, traced back through ``score``.
-
-    ``score`` holds the rows of :func:`_cost_rows` of ``ref`` against ``hyp``
-    in ``exact``'s costs. From the last cell back, the diagonal (match or
-    substitute) is taken when it gives the cell's cost, else the delete of a
-    hypothesis phone, else the insert of a reference phone.
-    """
-    match, mismatch, gap = exact.match_score, exact.mismatch_score, exact.gap_penalty
-    ops: list[EditOp] = []
-    i, j = len(ref), len(hyp)
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            same = ref[i - 1] == hyp[j - 1]
-            if score[i][j] == score[i - 1][j - 1] + (match if same else mismatch):
-                ops.append(EditOp(MATCH if same else SUBSTITUTE, j - 1, i - 1))
-                i, j = i - 1, j - 1
-                continue
-        if j > 0 and score[i][j] == score[i][j - 1] + gap:
-            ops.append(EditOp(DELETE, j - 1))
-            j -= 1
-            continue
-        ops.append(EditOp(INSERT, None, i - 1))
-        i -= 1
-    ops.reverse()
-    return tuple(ops)
 
 
 #: whether each op kind takes a hypothesis phone and a reference phone
@@ -501,17 +524,12 @@ def pair_by_id(left: Iterable, right: Iterable) -> Iterator[tuple]:
             raise MissingUtterance(utt_id)
 
 
-def _scaled_unit(exact: _ExactCosts) -> bool:
-    """Whether the costs are unit costs times one gap cost, which :func:`_bit_rows` computes."""
-    return exact.match_score == 0 and exact.mismatch_score == exact.gap_penalty
-
-
 def _resolve_reference(
     hyp: PhoneSequence,
     ref_seg: SegmentedUtterance,
     dictionary: ReferenceDictionary,
-    exact: _ExactCosts,
-) -> tuple[SegmentedUtterance, list | None]:
+    kernel: _Kernel,
+) -> tuple[SegmentedUtterance, list]:
     """Swap in the dictionary variant that aligns cheapest, word by word.
 
     Words are resolved left to right. Words with a single listed
@@ -542,41 +560,18 @@ def _resolve_reference(
     costing every alternative in full. The winner's rows replace those after
     the prefix.
 
-    Returns the resolved utterance and its rows, the :func:`_filled_rows` of
-    the resolved phones against the hypothesis. When no word has
-    alternatives the utterance comes back as given, with no rows.
+    Returns the resolved utterance and every row of its phones against the
+    hypothesis on ``kernel``. When no word has alternatives the utterance
+    comes back as given.
     """
     spans = list(ref_seg.words)
     choices = [dictionary.pronunciations(s.word) if s.word in dictionary else () for s in spans]
-    if all(len(variants) < 2 for variants in choices):
-        return ref_seg, None
     given = _checked_reference(hyp, ref_seg.phones)
-    hyp_phones = hyp.phones
-    # each kernel's own rows (appended to out, the last returned), least
-    # difference of two rows, and the last cell of row i
-    if _scaled_unit(exact):
-        masks, width = _column_masks(hyp_phones), len(hyp_phones)
-        rows = [_bit_rows((), masks, width)]
-
-        def rows_of(phones, row, out):
-            return _bit_rows(phones, masks, width, 0, row, out)
-
-        least_difference, last_cell = _least_difference, _bit_distance
-
-    else:
-        rows = [_last_row((), hyp_phones, exact)]
-
-        def rows_of(phones, row, out):
-            out.extend(islice(_cost_rows(phones, hyp_phones, exact, row), 1, None))
-            return out[-1]
-
-        def least_difference(row, other, _):
-            return min(map(sub, row, other))
-
-        def last_cell(row, _):
-            return row[-1]
-
-    total = last_cell(rows_of(given, rows[0], rows), len(given))
+    start, fill, least_difference, last_cell, _ = kernel
+    rows = [start]
+    total = last_cell(fill(given, start, rows), len(given))
+    if all(len(variants) < 2 for variants in choices):
+        return ref_seg, rows
     suffixes = [given[end:] for end in ref_seg.ends]
     # at: how many resolved phones precede the word
     at = 0
@@ -597,10 +592,10 @@ def _resolve_reference(
                 pron_cost, tried = total, None
             else:
                 tried = []
-                own = rows_of(pron, rows[at], tried)
+                own = fill(pron, rows[at], tried)
                 if total + least_difference(own, standing, len(pron) - len(span.phones)) >= best_cost:
                     continue
-                pron_cost = last_cell(rows_of(suffixes[wi], own, tried), at + len(pron) + len(suffixes[wi]))
+                pron_cost = last_cell(fill(suffixes[wi], own, tried), at + len(pron) + len(suffixes[wi]))
             if pron_cost < best_cost:
                 best_cost, best, best_rows = pron_cost, pron, tried
         if best_rows is not None:
@@ -626,25 +621,14 @@ def extract_variants_dp(
     Hypotheses and references are paired by utterance id; output order
     follows the hypothesis order. The spans are those of
     :func:`project_boundaries` of :func:`nw_align`'s alignment of the
-    resolved reference, in costs compared exactly. Its matrix is the
-    resolver's rows, or the :func:`_filled_rows` when no word has
-    alternatives. At unit costs times one gap each word's cut is read off
-    the walk back through the bit rows (:func:`_bit_spans`), with no op
-    built; at other costs the ops are traced back through the cell rows.
+    resolved reference, in costs compared exactly, read off the backward
+    walk through the resolver's rows (:func:`_spans`) with no op built.
     """
     exact = _exact(cfg)
-    unit = _scaled_unit(exact)
     pairs: list[tuple[str, tuple[str, ...]]] = []
     empty = 0
     for hyp, ref_seg in pair_by_id(hyps, refs):
-        resolved, rows = _resolve_reference(hyp, ref_seg, dictionary, exact)
-        a, ref = hyp.phones, resolved.phones
-        if rows is None:
-            rows = _filled_rows(a, _checked_reference(hyp, ref), exact)
-        if unit:
-            variants = _bit_spans(a, resolved, rows)
-        else:
-            alignment = Alignment(a, ref, _trace(a, ref, rows, exact), _total(rows[-1][-1], exact))
-            variants = project_boundaries(alignment, resolved)
-        empty += _harvest(variants, pairs)
+        kernel = _kernel(hyp.phones, exact)
+        resolved, rows = _resolve_reference(hyp, ref_seg, dictionary, kernel)
+        empty += _harvest(_spans(hyp.phones, resolved, kernel.steps(resolved.phones, rows)), pairs)
     return DpExtraction(tuple(pairs), empty)

@@ -211,7 +211,10 @@ class PhoneSequence:
     inventory: PhoneInventory | AnySymbol
 
     def __post_init__(self):
-        object.__setattr__(self, "phones", tuple(self.phones))
+        try:
+            object.__setattr__(self, "phones", tuple(self.phones))
+        except TypeError:
+            raise ValueError(f"utterance {self.utterance_id!r}: phones must be an iterable") from None
         _check_word(self.utterance_id, what="utterance id")
         self.inventory.require(self.phones, f"utterance {self.utterance_id!r}")
 
@@ -247,7 +250,10 @@ class SegmentedUtterance:
     def __post_init__(self):
         _check_word(self.utterance_id, what="utterance id")
         # tuple.__new__ builds each span without WordSpan's Python-level __new__
-        spans = tuple([tuple.__new__(WordSpan, (w, tuple(p))) for w, p in self.words])
+        try:
+            spans = tuple([tuple.__new__(WordSpan, (w, tuple(p))) for w, p in self.words])
+        except TypeError:
+            raise ValueError(f"utterance {self.utterance_id!r}: words must be (word, phones) pairs") from None
         object.__setattr__(self, "words", spans)
         if not spans:
             raise ValueError(f"utterance {self.utterance_id!r} has no words")
@@ -280,8 +286,11 @@ class ReferenceDictionary:
         :meth:`_add` leaves both rules to this loop."""
         self._entries: dict[str, tuple[tuple[str, ...], ...]] = {}
         for word, prons in entries.items():
+            try:
+                prons = [tuple(pron) for pron in prons]
+            except TypeError:
+                raise ValueError(f"the pronunciations of {word!r} must be phone sequences") from None
             for pron in prons:
-                pron = tuple(pron)
                 self._add(word, pron)
                 for symbol in pron:
                     _check_symbol(symbol)

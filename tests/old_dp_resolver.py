@@ -3,31 +3,63 @@ before the resolver ran on bit rows at unit costs, kept as the oracle.
 
 Verbatim: every cost setting resolves on the cell rows of ``_cost_rows``,
 with a backward pass and the Hirschberg split at each word's end, and the
-final ops are traced back through those rows with ``_trace``. The kernels,
-the reference check, the fallback ``nw_align`` and the projection are the
-package's own, which that change left as they were.
+final ops are traced back through those rows with ``_trace``, the cell-row
+traceback as it was then. The kernel ``_cost_rows``, the reference check, the
+fallback ``nw_align`` and the projection are the package's own.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import islice
 from operator import add, itemgetter
 
 from pronvar.dpalign import (
+    DELETE,
+    INSERT,
+    MATCH,
+    SUBSTITUTE,
     AlignConfig,
     Alignment,
     DpExtraction,
+    EditOp,
     _checked_reference,
     _cost_rows,
     _exact,
     _ExactCosts,
     _harvest,
     _last_row,
-    _trace,
     nw_align,
     pair_by_id,
     project_boundaries,
 )
 from pronvar.phonecore import PhoneSequence, ReferenceDictionary, SegmentedUtterance, WordSpan
+
+
+def _trace(hyp: Sequence[str], ref: Sequence[str], score: list[list[int]], exact: _ExactCosts) -> tuple[EditOp, ...]:
+    """The ops of :func:`nw_align`, traced back through ``score``.
+
+    ``score`` holds the rows of :func:`_cost_rows` of ``ref`` against ``hyp``
+    in ``exact``'s costs. From the last cell back, the diagonal (match or
+    substitute) is taken when it gives the cell's cost, else the delete of a
+    hypothesis phone, else the insert of a reference phone.
+    """
+    match, mismatch, gap = exact.match_score, exact.mismatch_score, exact.gap_penalty
+    ops: list[EditOp] = []
+    i, j = len(ref), len(hyp)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            same = ref[i - 1] == hyp[j - 1]
+            if score[i][j] == score[i - 1][j - 1] + (match if same else mismatch):
+                ops.append(EditOp(MATCH if same else SUBSTITUTE, j - 1, i - 1))
+                i, j = i - 1, j - 1
+                continue
+        if j > 0 and score[i][j] == score[i][j - 1] + gap:
+            ops.append(EditOp(DELETE, j - 1))
+            j -= 1
+            continue
+        ops.append(EditOp(INSERT, None, i - 1))
+        i -= 1
+    ops.reverse()
+    return tuple(ops)
 
 
 def _resolve_reference(

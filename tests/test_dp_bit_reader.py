@@ -1,6 +1,6 @@
-"""align-dp's word spans at unit costs, read off the bit-row traceback walk,
+"""align-dp's word spans, read off either kernel's backward walk (``_spans``),
 against the projection of the ops that walk traces (``project_boundaries`` of
-``_trace_bits``)."""
+``_trace``)."""
 
 from unittest import mock
 
@@ -11,13 +11,12 @@ from pronvar import dpalign
 from pronvar.dpalign import (
     AlignConfig,
     Alignment,
-    _bit_rows,
-    _bit_spans,
-    _column_masks,
     _exact,
     _harvest,
+    _kernel,
     _resolve_reference,
-    _trace_bits,
+    _spans,
+    _trace,
     extract_variants_dp,
     project_boundaries,
 )
@@ -31,18 +30,31 @@ words = st.lists(
     min_size=1,
     max_size=4,
 )
-unit_costs = st.sampled_from([AlignConfig(), AlignConfig(0.0, 0.5, 0.5), AlignConfig(0.0, 3.0, 3.0)])
+#: unit costs times one gap, on the bit rows, and other costs, on the cell rows
+COSTS = [
+    AlignConfig(),
+    AlignConfig(0.0, 0.5, 0.5),
+    AlignConfig(0.0, 3.0, 3.0),
+    AlignConfig(0.0, 1.5, 1.0),
+    AlignConfig(0.1, 0.7, 0.3),
+    AlignConfig(0.5, 1.0, 1.0),
+]
+all_costs = st.sampled_from(COSTS)
+#: the costs at which a substitute is no dearer than a delete and an insert,
+#: as the edge paths below assume
+EDGE_COSTS = [cfg for cfg in COSTS if cfg.mismatch_score <= 2 * cfg.gap_penalty]
 
 
-def bit_rows(hyp, ref):
-    masks = _column_masks(hyp)
-    rows = [_bit_rows((), masks, len(hyp))]
-    _bit_rows(ref, masks, len(hyp), out=rows)
-    return rows
+def filled(hyp, ref, cfg):
+    """``hyp``'s kernel at ``cfg``'s costs, and every row of ``ref`` on it."""
+    kernel = _kernel(hyp, _exact(cfg))
+    rows = [kernel.start]
+    kernel.fill(ref, rows[0], rows)
+    return kernel, rows
 
 
-def projected(hyp, ref_seg, rows):
-    ops = _trace_bits(hyp, ref_seg.phones, rows)
+def projected(hyp, ref_seg, kernel, rows):
+    ops = _trace(hyp, ref_seg.phones, kernel.steps(ref_seg.phones, rows))
     return project_boundaries(Alignment(hyp, ref_seg.phones, ops, 0.0), ref_seg)
 
 
@@ -58,35 +70,41 @@ EMPTY_SPANS = (("B", "B"), [(("A",), None), (("B", "B"), None), (("C", "A"), Non
 
 
 @settings(max_examples=500, deadline=None)
-@given(longer, words)
-@example(*EMPTY)
-@example(*ONE_WORD)
-@example(*TOP_EDGE)
-@example(*LEFT_EDGE)
-@example(*EMPTY_SPANS)
-def test_the_spans_are_the_projection_of_the_traced_ops(phones, ref_words):
+@given(longer, words, all_costs)
+@example(*EMPTY, AlignConfig())
+@example(*ONE_WORD, AlignConfig())
+@example(*TOP_EDGE, AlignConfig())
+@example(*LEFT_EDGE, AlignConfig())
+@example(*EMPTY_SPANS, AlignConfig())
+@example(*EMPTY, AlignConfig(0.0, 1.5, 1.0))
+@example(*TOP_EDGE, AlignConfig(0.1, 0.7, 0.3))
+@example(*LEFT_EDGE, AlignConfig(0.1, 0.7, 0.3))
+@example(*EMPTY_SPANS, AlignConfig(0.0, 1.5, 1.0))
+def test_the_spans_are_the_projection_of_the_traced_ops(phones, ref_words, cfg):
     hyp, ref, _ = utterance(phones, ref_words)
-    rows = bit_rows(hyp.phones, ref.phones)
-    assert _bit_spans(hyp.phones, ref, rows) == projected(hyp.phones, ref, rows)
+    kernel, rows = filled(hyp.phones, ref.phones, cfg)
+    assert _spans(hyp.phones, ref, kernel.steps(ref.phones, rows)) == projected(hyp.phones, ref, kernel, rows)
 
 
 @settings(max_examples=300, deadline=None)
-@given(longer, words, unit_costs)
+@given(longer, words, all_costs)
 @example(*EMPTY, AlignConfig())
 @example(*EMPTY_SPANS, AlignConfig(0.0, 3.0, 3.0))
+@example(*EMPTY_SPANS, AlignConfig(0.1, 0.7, 0.3))
 def test_extraction_harvests_the_projection_of_the_traced_ops(phones, ref_words, cfg):
-    # with and without dictionary alternatives: the resolver's rows, or rows
-    # the extraction fills itself
+    # with and without dictionary alternatives, on the resolver's rows
     hyp, ref, d = utterance(phones, ref_words)
-    resolved, rows = _resolve_reference(hyp, ref, d, _exact(cfg))
+    kernel = _kernel(hyp.phones, _exact(cfg))
+    resolved, rows = _resolve_reference(hyp, ref, d, kernel)
     pairs = []
-    empty = _harvest(projected(hyp.phones, resolved, rows or bit_rows(hyp.phones, resolved.phones)), pairs)
+    empty = _harvest(projected(hyp.phones, resolved, kernel, rows), pairs)
     with mock.patch.object(dpalign, "nw_align", wraps=dpalign.nw_align) as spy:
         extraction = extract_variants_dp([hyp], [ref], d, cfg)
     assert (extraction.pairs, extraction.empty_spans) == (tuple(pairs), empty)
     assert not spy.called
 
 
+@pytest.mark.parametrize("cfg", EDGE_COSTS)
 @pytest.mark.parametrize(
     "case, spans",
     [
@@ -97,12 +115,12 @@ def test_extraction_harvests_the_projection_of_the_traced_ops(phones, ref_words,
         (EMPTY_SPANS, [("w0", ()), ("w1", ("B", "B")), ("w2", ())]),
     ],
 )
-def test_edge_paths_cut_as_projected(case, spans):
+def test_edge_paths_cut_as_projected(case, spans, cfg):
     phones, ref_words = case
     hyp, ref, _ = utterance(phones, ref_words)
-    rows = bit_rows(hyp.phones, ref.phones)
-    assert _bit_spans(hyp.phones, ref, rows) == spans == projected(hyp.phones, ref, rows)
+    kernel, rows = filled(hyp.phones, ref.phones, cfg)
+    assert _spans(hyp.phones, ref, kernel.steps(ref.phones, rows)) == spans == projected(hyp.phones, ref, kernel, rows)
     one_each = ReferenceDictionary({span.word: [span.phones] for span in ref.words})
-    extraction = extract_variants_dp([abc_seq(phones)], [ref], one_each)
+    extraction = extract_variants_dp([abc_seq(phones)], [ref], one_each, cfg)
     assert extraction.pairs == tuple((word, span) for word, span in spans if span)
     assert extraction.empty_spans == sum(not span for _, span in spans)

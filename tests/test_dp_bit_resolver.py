@@ -16,6 +16,7 @@ from pronvar.dpalign import (
     _checked_reference,
     _column_masks,
     _exact,
+    _kernel,
     _last_row,
     _least_difference,
     _resolve_reference,
@@ -123,7 +124,7 @@ def test_extraction_is_the_cell_row_resolver_and_loop(case):
     hyp, ref, d = utterance(phones, words)
     assert extract_variants_dp([hyp], [ref], d, cfg) == old.extract_variants_dp([hyp], [ref], d, cfg)
     exact = _exact(cfg)
-    assert _resolve_reference(hyp, ref, d, exact)[0] == old._resolve_reference(hyp, ref, d, exact)[0]
+    assert _resolve_reference(hyp, ref, d, _kernel(hyp.phones, exact))[0] == old._resolve_reference(hyp, ref, d, exact)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,7 +144,7 @@ def test_extraction_is_the_cell_row_resolver_and_loop(case):
 def test_the_resolver_rows_are_one_bit_row_pass_over_the_resolved_phones(phones, words, cfg):
     # these are the rows the final ops are traced through
     hyp, ref, d = utterance(phones, words)
-    resolved, rows = _resolve_reference(hyp, ref, d, _exact(cfg))
+    resolved, rows = _resolve_reference(hyp, ref, d, _kernel(hyp.phones, _exact(cfg)))
     masks, width = _column_masks(hyp.phones), len(hyp.phones)
     expected = [_bit_rows((), masks, width)]
     _bit_rows(resolved.phones, masks, width, out=expected)
@@ -202,7 +203,7 @@ def test_the_row_difference_bounds_an_alternative_from_below(phones, case, cfg):
 def test_a_tie_goes_to_the_first_listed_pronunciation(prons, chosen, cfg):
     # each pronunciation costs one edit against 'A'
     hyp, ref, d = utterance(UNEQUAL_TIE_HYP, [(("A",), prons)])
-    resolved, _ = _resolve_reference(hyp, ref, d, _exact(cfg))
+    resolved, _ = _resolve_reference(hyp, ref, d, _kernel(hyp.phones, _exact(cfg)))
     assert resolved.words[0].phones == chosen
     assert resolved == old._resolve_reference(hyp, ref, d, _exact(cfg))[0]
 

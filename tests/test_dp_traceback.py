@@ -7,10 +7,20 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+import old_dp_resolver
 import old_dpalign as old
 from pronvar import dpalign
 from pronvar.cli import main
-from pronvar.dpalign import AlignConfig, _cost_rows, extract_variants_dp, nw_align, project_boundaries
+from pronvar.dpalign import (
+    AlignConfig,
+    _cell_steps,
+    _cost_rows,
+    _exact,
+    _trace,
+    extract_variants_dp,
+    nw_align,
+    project_boundaries,
+)
 from pronvar.phonecore import ReferenceDictionary, SegmentedUtterance, WordSpan
 from test_dpalign import (
     ABC,
@@ -46,6 +56,14 @@ def test_nw_align_is_the_old_nw_align(hyp, ref, cfg):
     new, was = nw_align(abc_seq(hyp), ref, cfg), old.nw_align(abc_seq(hyp), ref, in_fractions(cfg))
     assert new.ops == was.ops
     assert bits([[new.total_cost]]) == bits([[rounded(was.total_cost)]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(longer, longer, st.one_of(costs, huge_costs))
+def test_the_cell_row_walk_traces_the_ops_the_cell_row_traceback_did(hyp, ref, cfg):
+    exact = _exact(cfg)
+    rows = list(_cost_rows(ref, hyp, exact))
+    assert _trace(hyp, ref, _cell_steps(hyp, ref, rows, exact)) == old_dp_resolver._trace(hyp, ref, rows, exact)
 
 
 def utterance(hyp_phones, words):

@@ -14,6 +14,7 @@ from pronvar.dpalign import (
     EditOp,
     _cost_rows,
     _exact,
+    _kernel,
     _resolve_reference,
     edit_distance,
     extract_variants_dp,
@@ -371,7 +372,7 @@ class TestExtractVariantsDp:
         d = ReferenceDictionary({"w": [("A",), ("B", "B")], "v": [("Z",)]})
         message = "^reference phone 'Z' not in the hypothesis inventory$"
         with pytest.raises(errors.InventoryMismatch, match=message):
-            _resolve_reference(hyp, ref, d, _exact(AlignConfig()))
+            _resolve_reference(hyp, ref, d, _kernel(hyp.phones, _exact(AlignConfig())))
 
     @pytest.mark.parametrize("alternatives", [[("A",), ("B", "B")], [("Z",)]])
     def test_a_given_span_outside_the_inventory_is_an_error_whatever_the_dictionary_lists(self, alternatives):
@@ -487,7 +488,9 @@ def test_resolved_reference_matches_the_full_alignment_oracle(hyp_phones, words,
     ref = SegmentedUtterance("u", tuple(WordSpan(f"w{i}", p) for i, (p, _) in enumerate(words)), ABC)
     d = ReferenceDictionary({f"w{i}": prons for i, (_, prons) in enumerate(words) if prons is not None})
     hyp = abc_seq(hyp_phones)
-    assert _resolve_reference(hyp, ref, d, _exact(cfg))[0] == resolve_reference_by_full_alignment(hyp, ref, d, oracle_cfg)
+    assert _resolve_reference(hyp, ref, d, _kernel(hyp.phones, _exact(cfg)))[0] == resolve_reference_by_full_alignment(
+        hyp, ref, d, oracle_cfg
+    )
 
 
 def test_pair_by_id_duplicate_detection(seq):

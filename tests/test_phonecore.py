@@ -489,9 +489,11 @@ def test_a_dictionary_phone_or_word_its_file_cannot_hold_is_rejected(entries, er
 DICTIONARY_TOKENS = ["cat", "K", "AE", "a'b", "É", "K AE", "A|B", "#", "#a", "a#", "", "\t", 1]
 #: and any short text
 dictionary_tokens = st.one_of(st.sampled_from(DICTIONARY_TOKENS), st.text(max_size=3))
+#: values that are no iterable, in place of a pronunciation or of a word's list of them
+non_iterables = st.sampled_from([1, 2.5, None, True])
 dictionary_entries = st.dictionaries(
     dictionary_tokens,
-    st.lists(st.lists(dictionary_tokens, max_size=3), max_size=3),
+    st.one_of(st.lists(st.one_of(st.lists(dictionary_tokens, max_size=3), non_iterables), max_size=3), non_iterables),
     max_size=4,
 )
 
@@ -500,6 +502,8 @@ dictionary_entries = st.dictionaries(
 @given(dictionary_entries)
 @example({"cat": [["K", "AE"], ["K"]], "a#": [["AE"]]})
 @example({"#a": [["K"]]})
+@example({"w": [1]})
+@example({"w": None})
 def test_a_dictionary_the_constructor_accepts_round_trips(entries):
     try:
         dictionary = ReferenceDictionary(entries)

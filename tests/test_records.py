@@ -1,14 +1,16 @@
 """Records built from arbitrary values.
 
-* Each call of ``PhoneSequence`` or ``SegmentedUtterance`` either builds a
-  record that round-trips through its emitter and parser, or raises a
-  ``ValueError`` or a ``PronvarError``. The containers are drawn as the
-  annotations name them, iterables of pairs and of tokens: a value that is no
-  iterable there raises ``TypeError`` (ROADMAP item 9). Their tokens are
-  arbitrary. ``ReferenceDictionary``'s test is in ``test_phonecore.py``.
+* Each call of ``PhoneSequence``, ``SegmentedUtterance`` or ``AttentionMap``
+  either builds a record that round-trips through its emitter and parser, or
+  raises a ``ValueError`` or a ``PronvarError``. The containers are iterables
+  of pairs and of tokens, or values that are no iterable; their tokens are
+  arbitrary. ``AttentionMap`` checks no phone, so its phones are drawn from
+  the inventory, and its weights are ``float`` or ``int``, as it documents.
+  ``ReferenceDictionary``'s test is in ``test_phonecore.py``.
 * ``SegmentedUtterance``, which tests each rule once for the whole record,
   against its old self, which tested each span on its own: the same record,
-  or the same error class and message.
+  or the same error class and message. Its containers are iterables, since
+  the old self raised ``TypeError`` for one that is not.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +19,7 @@ from itertools import accumulate, chain
 from hypothesis import example, given, settings, strategies as st
 
 from pronvar import errors
+from pronvar.attnalign import AttentionMap, emit_attention_file, parse_attention_file
 from pronvar.errors import EmptySpan
 from pronvar.phonecore import (
     AnySymbol,
@@ -68,6 +71,17 @@ ids = st.one_of(st.just("u"), tokens)
 phone_lists = st.one_of(st.lists(st.sampled_from(PHONES), min_size=1, max_size=3), st.lists(tokens, max_size=3))
 #: (word, phones) pairs; the empty list of phones is an empty span
 word_spans = st.lists(st.tuples(st.one_of(st.sampled_from(("the", "cat")), tokens), phone_lists), max_size=4)
+#: values that are no iterable, in place of a container
+non_iterables = st.sampled_from((1, 2.5, None, True))
+#: the containers above, or a value that is no iterable in place of any of them
+any_phones = st.one_of(phone_lists, non_iterables)
+any_words = st.one_of(
+    st.lists(
+        st.one_of(st.tuples(st.one_of(st.sampled_from(("the", "cat")), tokens), any_phones), non_iterables),
+        max_size=4,
+    ),
+    non_iterables,
+)
 
 
 def inventory_of(name):
@@ -79,7 +93,8 @@ inventories = st.sampled_from(("any", "given"))
 
 
 @settings(max_examples=300, deadline=None)
-@given(ids, phone_lists, inventories)
+@given(ids, any_phones, inventories)
+@example("u", 1, "any")
 def test_a_phone_sequence_round_trips_or_is_rejected(utt_id, phones, inventory):
     inventory = inventory_of(inventory)
     try:
@@ -90,7 +105,9 @@ def test_a_phone_sequence_round_trips_or_is_rejected(utt_id, phones, inventory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ids, word_spans, inventories)
+@given(ids, any_words, inventories)
+@example("u", [("w", 1)], "any")
+@example("u", [1], "any")
 def test_a_segmented_utterance_round_trips_or_is_rejected(utt_id, words, inventory):
     inventory = inventory_of(inventory)
     try:
@@ -100,6 +117,37 @@ def test_a_segmented_utterance_round_trips_or_is_rejected(utt_id, words, invento
     (parsed,) = parse_segmented_file(emit_segmented_file([utterance]), inventory)
     assert parsed == utterance
     assert (parsed.phones, parsed.ends) == (utterance.phones, utterance.ends)
+
+
+#: weights as AttentionMap documents them: floats, mostly finite and >= 0, and the ints a float holds exactly
+weights = st.one_of(
+    st.floats(min_value=0, allow_infinity=False),
+    st.integers(0, 2**53),
+    st.floats(),
+    st.integers(-(2**53), 2**53),
+)
+
+
+@st.composite
+def attention_maps(draw):
+    """An id, column and row phones of the inventory, and weight rows, mostly of their shape."""
+    axis = st.lists(st.sampled_from(PHONES), min_size=1, max_size=3)
+    cols, rows = draw(axis), draw(axis)
+    shaped = st.lists(st.lists(weights, min_size=len(cols), max_size=len(cols)), min_size=len(rows), max_size=len(rows))
+    return draw(ids), cols, rows, draw(st.one_of(shaped, st.lists(st.lists(weights, max_size=3), max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(attention_maps(), inventories)
+@example(("u", ["K"], ["AE", "T"], [[0.5], [3]]), "given")
+@example(("u", ["K"], ["AE"], [[2**53]]), "any")
+@example(("u", [], ["AE"], [[]]), "any")
+def test_an_attention_map_round_trips_or_is_rejected(fields, inventory):
+    try:
+        amap = AttentionMap(*fields)
+    except (errors.PronvarError, ValueError):
+        return
+    assert parse_attention_file(emit_attention_file([amap]), inventory_of(inventory)) == [amap]
 
 
 def built(record, utt_id, words, inventory):
