@@ -41,7 +41,6 @@ from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
-    DuplicateUtteranceId,
     NegativeWeight,
     PronvarError,
     ReservedSymbol,
@@ -50,10 +49,12 @@ from .errors import (
 # bench/spans.py counts edit_distance here, though this module no longer calls it
 from .dpalign import _bit_rows, _column_masks, _harvest, edit_distance, pair_by_id
 from .phonecore import (
+    ANY_SYMBOL,
     AnySymbol,
     PhoneInventory,
     ReferenceDictionary,
     SegmentedUtterance,
+    _check_new_id,
     _check_real,
     _check_word,
     _decimal_lines,
@@ -98,8 +99,10 @@ class AttnConfig:
 class AttentionMap:
     """Weights pairing native rows with non-native columns, all finite, >= 0, each a ``float`` or
     an ``int``: :func:`emit_attention_file` writes it with ``repr`` and :func:`parse_attention_file`
-    reads it back with ``float()``, so an ``int`` past 2**53 reads back rounded. Other reals, such
-    as ``True`` or ``Fraction(1, 2)``, are not checked and do not round-trip."""
+    reads it back with ``float()``, so an ``int`` past 2**53 reads back rounded, and one past the
+    float range is not finite. Other reals, such as ``True`` or ``Fraction(1, 2)``, are not checked
+    and do not round-trip. Row and column phones follow the phone-symbol rule
+    (:data:`pronvar.phonecore.ANY_SYMBOL`), which a parsed map's inventory has checked already."""
 
     utterance_id: str
     col_phones: tuple[str, ...]
@@ -108,11 +111,17 @@ class AttentionMap:
 
     def __post_init__(self):
         _check_word(self.utterance_id, what="utterance id")
-        object.__setattr__(self, "col_phones", tuple(self.col_phones))
-        object.__setattr__(self, "row_phones", tuple(self.row_phones))
-        object.__setattr__(self, "weights", tuple(tuple(row) for row in self.weights))
+        try:
+            object.__setattr__(self, "col_phones", tuple(self.col_phones))
+            object.__setattr__(self, "row_phones", tuple(self.row_phones))
+            object.__setattr__(self, "weights", tuple(tuple(row) for row in self.weights))
+        except TypeError:
+            raise ValueError(f"attention map {self.utterance_id!r}: phones and weight rows must be iterables") from None
         if not self.row_phones or not self.col_phones:
             raise DimensionMismatch(self.utterance_id, "empty axis")
+        phones = self.row_phones + self.col_phones  # in the order the file holds them
+        if not ANY_SYMBOL._has_all(phones):
+            ANY_SYMBOL.require(phones, f"attention map {self.utterance_id!r}")
         if len(self.weights) != len(self.row_phones):
             raise DimensionMismatch(
                 self.utterance_id,
@@ -130,7 +139,11 @@ class AttentionMap:
             except (ArithmeticError, TypeError):
                 pass
             for c, w in enumerate(row):
-                if not math.isfinite(w):
+                try:
+                    finite = math.isfinite(w)
+                except OverflowError:  # an int past the float range
+                    finite = False
+                if not finite:
                     raise DimensionMismatch(self.utterance_id, f"non-finite weight at ({r}, {c})")
                 if w < 0:
                     raise NegativeWeight(self.utterance_id, r, c)
@@ -261,9 +274,7 @@ def _attention_maps(text: str, inventory: PhoneInventory | AnySymbol) -> Iterato
                 raise ValueError(f"expected 'utt_id R C', got {header!r}")
             utt_id = fields[0]
             n_rows, n_cols = (_natural(token, "dimension", 1) for token in fields[1:])
-            if utt_id in seen:
-                raise DuplicateUtteranceId(utt_id)
-            seen.add(utt_id)
+            _check_new_id(utt_id, seen)
             if len(record) != 3 + n_rows:
                 raise DimensionMismatch(utt_id, f"expected {n_rows} weight rows, found {len(record) - 3}")
 

@@ -24,7 +24,7 @@ from .attnalign import (
 from .dpalign import AlignConfig, extract_variants_dp
 from .errors import ConstraintError, InputFormatError, PronvarError
 from .phonecore import (
-    AnySymbol,
+    ANY_SYMBOL,
     _check_word,
     _decimals,
     _natural,
@@ -117,7 +117,8 @@ def _catching(path: str, parse, *args):
 
 def _load(args, *inputs) -> list:
     """Read every ``(path, parse)`` input, then parse each once, in turn, against one
-    inventory: --inventory when given, else :class:`AnySymbol`, the phone-symbol rule.
+    inventory: --inventory when given, else the phone-symbol rule's shared instance,
+    :data:`pronvar.phonecore.ANY_SYMBOL`, the parsers' default.
     The commands that take --inventory load through here: align-dp, align-attn, build, synth.
 
     A generator parser returns before it reads a record, so its errors come
@@ -125,7 +126,7 @@ def _load(args, *inputs) -> list:
     parser returns; a generator parser holds its own.
     """
     texts = [_read(path) for path, _ in inputs]
-    inv = _catching(args.inventory, parse_inventory) if args.inventory else AnySymbol()
+    inv = _catching(args.inventory, parse_inventory) if args.inventory else ANY_SYMBOL
     return [_parsed(path, texts.pop(0), parse, inv) for path, parse in inputs]
 
 

@@ -59,6 +59,7 @@ from .phonecore import (
     ReferenceDictionary,
     SegmentedUtterance,
     WordSpan,
+    _check_new_id,
     _check_real,
 )
 
@@ -513,9 +514,7 @@ def pair_by_id(left: Iterable, right: Iterable) -> Iterator[tuple]:
         right_map[item.utterance_id] = item
     seen: set[str] = set()
     for item in left:
-        if item.utterance_id in seen:
-            raise DuplicateUtteranceId(item.utterance_id)
-        seen.add(item.utterance_id)
+        _check_new_id(item.utterance_id, seen)
         if item.utterance_id not in right_map:
             raise MissingUtterance(item.utterance_id)
         yield item, right_map[item.utterance_id]

@@ -73,6 +73,13 @@ def _check_symbol(symbol: str, line: int | None = None) -> None:
         raise ReservedSymbol(symbol, line)
 
 
+def _check_new_id(utt_id: str, seen: set[str]) -> None:
+    """Check that ``utt_id`` is not among the ids ``seen`` before it in one collection, then add it to them."""
+    if utt_id in seen:
+        raise DuplicateUtteranceId(utt_id)
+    seen.add(utt_id)
+
+
 def _check_entry(word: str, pron: tuple[str, ...], count: int = 0, known: Container[str] = ()) -> None:
     """The rules of a dictionary or lexicon entry: a one-token word, a non-empty pronunciation,
     and a count that is an ``int`` of at least 0 (not a ``bool``, which is written ``True``).
@@ -168,8 +175,9 @@ class AnySymbol:
     """Every symbol the phone-symbol rule admits: the inventory that records and parsers
     check phones against when none is given. ``symbol in`` it answers whether ``symbol``
     follows the rule. Each distinct symbol is checked once; all instances are equal, and the
-    cache holds only symbols that passed, so one instance is the parsers' shared default.
-    It lists no phones, so code that draws from the list needs a :class:`PhoneInventory`."""
+    cache holds only symbols that passed, so one instance, :data:`ANY_SYMBOL`, is shared by
+    every check made with no inventory. It lists no phones, so code that draws from the list
+    needs a :class:`PhoneInventory`."""
 
     _seen: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
@@ -200,6 +208,11 @@ class AnySymbol:
                 pass
             _check_symbol(symbol)
             self._seen.add(symbol)
+
+
+#: The phone-symbol rule's one instance: the parsers' default inventory, the CLI's without
+#: --inventory, and the check of the records that take no inventory.
+ANY_SYMBOL = AnySymbol()
 
 
 @dataclass(frozen=True)
@@ -280,10 +293,9 @@ class ReferenceDictionary:
     """Canonical pronunciations per word, in file order, at least one each."""
 
     def __init__(self, entries: Mapping[str, Sequence[Sequence[str]]]):
-        """Check and list ``entries`` as :func:`parse_dictionary_file` would read them: each
-        phone must follow the phone-symbol rule, and a word may not start with ``#``, which
-        begins a comment line. The parsers check phones against their inventory, so
-        :meth:`_add` leaves both rules to this loop."""
+        """Check and list ``entries`` as :func:`parse_dictionary_file` would read them, through
+        :meth:`_add`: each phone must follow the phone-symbol rule (:data:`ANY_SYMBOL`), which
+        the parser checks against its inventory instead."""
         self._entries: dict[str, tuple[tuple[str, ...], ...]] = {}
         for word, prons in entries.items():
             try:
@@ -292,16 +304,16 @@ class ReferenceDictionary:
                 raise ValueError(f"the pronunciations of {word!r} must be phone sequences") from None
             for pron in prons:
                 self._add(word, pron)
-                for symbol in pron:
-                    _check_symbol(symbol)
+                ANY_SYMBOL.require(pron, f"dictionary word {word!r}")
             if word not in self._entries:
                 raise EmptyPronunciation(word)
-            if word.startswith("#"):
-                raise ValueError(f"word {word!r} starts with '#', which begins a comment line")
 
     def _add(self, word: str, pron: tuple[str, ...]) -> None:
-        """Check one entry and list it after the word's others."""
+        """Check one entry and list it after the word's others. A word may not start with
+        ``#``, which begins a comment line."""
         _check_entry(word, pron, 0, self._entries)
+        if word.startswith("#"):
+            raise ValueError(f"word {word!r} starts with '#', which begins a comment line")
         prons = self._entries.get(word, ())
         if pron in prons:
             raise DuplicateVariant(word)
@@ -503,9 +515,7 @@ def parse_phone_file(text: str, inventory: PhoneInventory | AnySymbol) -> list[P
                 continue
             utt_id, rest = _split_tab(raw)
             phones = _last_field(rest, "phone").split()
-            if utt_id in seen:
-                raise DuplicateUtteranceId(utt_id)
-            seen.add(utt_id)
+            _check_new_id(utt_id, seen)
             out.append(PhoneSequence(utt_id, phones, inventory))
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
@@ -528,9 +538,7 @@ def parse_segmented_file(text: str, inventory: PhoneInventory | AnySymbol) -> li
             fields = rest.split("\t")
             if len(fields) != 2:
                 raise ValueError(f"expected 3 tab-separated fields, got {len(fields) + 1}")
-            if utt_id in seen:
-                raise DuplicateUtteranceId(utt_id)
-            seen.add(utt_id)
+            _check_new_id(utt_id, seen)
 
             # the tokens cut at each "#" by slices: a Python step per word, not per phone
             tokens = tuple(fields[0].split())
@@ -559,7 +567,7 @@ def emit_segmented_file(utterances: Iterable[SegmentedUtterance]) -> str:
     return "".join(lines)
 
 
-def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()) -> ReferenceDictionary:
+def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol = ANY_SYMBOL) -> ReferenceDictionary:
     """Parse a reference pronunciation dictionary.
 
     Repeated word lines accumulate alternative pronunciations in file
@@ -608,7 +616,7 @@ def _read_lexicon_lines(
         raise _on_line(err, lineno) from None
 
 
-def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()) -> "Lexicon":
+def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol = ANY_SYMBOL) -> "Lexicon":
     """Parse a counted lexicon; duplicate (word, pronunciation) lines are an error.
 
     With no ``inventory``, every phone must still follow the phone-symbol rule.
@@ -619,7 +627,7 @@ def parse_lexicon(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()
 
 
 def parse_pairs_file(
-    text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()
+    text: str, inventory: PhoneInventory | AnySymbol = ANY_SYMBOL
 ) -> list[tuple[str, tuple[str, ...], int]]:
     """Read aligner output pairs: lexicon-format lines, each checked as a lexicon entry,
     duplicates allowed.

@@ -16,6 +16,7 @@ from .attnalign import AttentionMap, Segmentation, emit_bounds_file, parse_bound
 from .dpalign import AlignConfig
 from .errors import BadRule, MissingUtterance, PronvarError, SizeBound
 from .phonecore import (
+    ANY_SYMBOL,
     AnySymbol,
     Lexicon,
     PhoneInventory,
@@ -60,7 +61,7 @@ DEFAULT_RULES = (
 )
 
 
-def parse_rules_file(text: str, inventory: PhoneInventory | AnySymbol = AnySymbol()) -> tuple[ConfusionRule, ...]:
+def parse_rules_file(text: str, inventory: PhoneInventory | AnySymbol = ANY_SYMBOL) -> tuple[ConfusionRule, ...]:
     """Parse ``SRC<TAB>DST<TAB>p`` lines into confusion rules; ``p`` is one float field.
 
     With no ``inventory``, both phones must still follow the phone-symbol rule.

@@ -513,6 +513,14 @@ class TestBuildMergeStats:
         assert "doesn't\t0\tD AH Z N T" in text
         assert "cat\t0\tK AE T" in text
 
+    def test_build_with_a_dictionary_word_that_starts_with_a_comment_mark_exits_2(self, tmp_path, capsys):
+        # the line does not start with "#", but its word does: written back, it would read as a comment
+        pairs = write(tmp_path / "p.pairs", "cat\t1\tK AE T\n")
+        d = write(tmp_path / "dict.txt", " #x\tK AE\n")
+        assert main(["build", "--pairs", pairs, "--dict", d, "--out", str(tmp_path / "built.lex")]) == 2
+        assert "dict.txt: line 1: word '#x' starts with '#', which begins a comment line\n" in capsys.readouterr().err
+        assert not (tmp_path / "built.lex").exists()
+
     def test_build_with_dictionary_sums_every_pair_once(self, tmp_path, monkeypatch):
         text = "cat\t1\tK AH T\ndoesn't\t1\tD AH S N T\ncat\t2\tK AE T\n"
         pairs = write(tmp_path / "p.pairs", text)

@@ -11,6 +11,7 @@ from pronvar import errors
 from pronvar.attnalign import AttentionMap, parse_attention_file, parse_bounds_file
 from pronvar.dpalign import nw_align
 from pronvar.phonecore import (
+    ANY_SYMBOL,
     RESERVED_CHARS,
     AnySymbol,
     Lexicon,
@@ -512,6 +513,29 @@ def test_a_dictionary_the_constructor_accepts_round_trips(entries):
     assert parse_dictionary_file(emit_dictionary(dictionary)) == dictionary
 
 
+#: dictionary text: lines of the tokens above joined by tabs, some led by a blank
+dictionary_texts = st.lists(
+    st.tuples(
+        st.sampled_from(["", " "]),
+        st.lists(st.one_of(st.sampled_from(DICTIONARY_TOKENS[:-1]), st.text(max_size=3)), max_size=3),
+    ),
+    max_size=4,
+).map(lambda lines: "\n".join(lead + "\t".join(fields) for lead, fields in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionary_texts)
+@example(" #x\tK AE\n")  # its word starts with "#", so written back it would read as a comment
+@example("cat\tK AE\n#a\tK\na#\tAE")
+def test_a_dictionary_the_parser_accepts_round_trips(text):
+    try:
+        dictionary = parse_dictionary_file(text)
+    except errors.PronvarError as err:
+        assert err.line is not None
+        return
+    assert parse_dictionary_file(emit_dictionary(dictionary)) == dictionary
+
+
 @given(st.lists(st.lists(st.sampled_from(["AA", "K", "T"]), max_size=5), max_size=5))
 def test_phone_file_round_trip(phone_lists):
     inventory = PhoneInventory.from_phones(["AA", "K", "T"])
@@ -599,6 +623,9 @@ field_lines = st.lists(st.lists(st.sampled_from(FIELDS), max_size=3).map("\t".jo
 def test_a_parser_without_an_inventory_reads_as_with_a_fresh_any_symbol(name, text):
     parse = DEFAULT_INVENTORY_PARSERS[name]
     assert isinstance(inspect.signature(parse).parameters["inventory"].default, AnySymbol)
+    # the four defaults are one instance, shared
+    defaults = [inspect.signature(p).parameters["inventory"].default for p in DEFAULT_INVENTORY_PARSERS.values()]
+    assert all(default is ANY_SYMBOL for default in defaults)
     # the shared default has met earlier examples' symbols; a fresh instance has met none
     assert outcome(parse, text) == outcome(parse, text, AnySymbol())
 

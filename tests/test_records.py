@@ -4,8 +4,9 @@
   either builds a record that round-trips through its emitter and parser, or
   raises a ``ValueError`` or a ``PronvarError``. The containers are iterables
   of pairs and of tokens, or values that are no iterable; their tokens are
-  arbitrary. ``AttentionMap`` checks no phone, so its phones are drawn from
-  the inventory, and its weights are ``float`` or ``int``, as it documents.
+  arbitrary. ``AttentionMap``'s weights are ``float`` or ``int``, as it
+  documents, and a map whose phones are outside the inventory is rejected by
+  the parser that reads against it.
   ``ReferenceDictionary``'s test is in ``test_phonecore.py``.
 * ``SegmentedUtterance``, which tests each rule once for the whole record,
   against its old self, which tested each span on its own: the same record,
@@ -16,6 +17,7 @@
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pronvar import errors
@@ -119,22 +121,26 @@ def test_a_segmented_utterance_round_trips_or_is_rejected(utt_id, words, invento
     assert (parsed.phones, parsed.ends) == (utterance.phones, utterance.ends)
 
 
-#: weights as AttentionMap documents them: floats, mostly finite and >= 0, and the ints a float holds exactly
+#: weights as AttentionMap documents them: floats, mostly finite and >= 0, the ints a float
+#: holds exactly, and ints past the float range, which read back as inf
 weights = st.one_of(
     st.floats(min_value=0, allow_infinity=False),
     st.integers(0, 2**53),
     st.floats(),
     st.integers(-(2**53), 2**53),
+    st.integers(2**1024, 2**1100),
 )
 
 
 @st.composite
 def attention_maps(draw):
-    """An id, column and row phones of the inventory, and weight rows, mostly of their shape."""
-    axis = st.lists(st.sampled_from(PHONES), min_size=1, max_size=3)
-    cols, rows = draw(axis), draw(axis)
-    shaped = st.lists(st.lists(weights, min_size=len(cols), max_size=len(cols)), min_size=len(rows), max_size=len(rows))
-    return draw(ids), cols, rows, draw(st.one_of(shaped, st.lists(st.lists(weights, max_size=3), max_size=3)))
+    """An id, column and row phones, and weight rows, mostly of their shape; any of the
+    three containers, or a weight row, may be a value that is no iterable."""
+    cols, rows = draw(any_phones), draw(any_phones)
+    shape = [len(axis) if isinstance(axis, list) else 1 for axis in (rows, cols)]
+    shaped = st.lists(st.lists(weights, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0])
+    unshaped = st.lists(st.one_of(st.lists(weights, max_size=3), non_iterables), max_size=3)
+    return draw(ids), cols, rows, draw(st.one_of(shaped, unshaped, non_iterables))
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,12 +148,24 @@ def attention_maps(draw):
 @example(("u", ["K"], ["AE", "T"], [[0.5], [3]]), "given")
 @example(("u", ["K"], ["AE"], [[2**53]]), "any")
 @example(("u", [], ["AE"], [[]]), "any")
+@example(("u", ["K T"], ["AE"], [[1.0]]), "any")  # two phones on the column line
+@example(("u", ["ZZ"], ["AE"], [[1.0]]), "given")  # a phone outside the inventory
+@example(("u", ["K"], ["AE"], [[10**400]]), "any")  # an int past the float range
+@example(("u", 1, ["AE"], [[1.0]]), "any")
+@example(("u", ["K"], ["AE"], 1), "any")
+@example(("u", ["K"], ["AE"], [1]), "any")
 def test_an_attention_map_round_trips_or_is_rejected(fields, inventory):
     try:
         amap = AttentionMap(*fields)
     except (errors.PronvarError, ValueError):
         return
-    assert parse_attention_file(emit_attention_file([amap]), inventory_of(inventory)) == [amap]
+    inventory = inventory_of(inventory)
+    text = emit_attention_file([amap])
+    if not all(phone in inventory for phone in amap.row_phones + amap.col_phones):
+        with pytest.raises(errors.UnknownPhone):
+            parse_attention_file(text, inventory)
+        return
+    assert parse_attention_file(text, inventory) == [amap]
 
 
 def built(record, utt_id, words, inventory):
