@@ -141,7 +141,7 @@ class AttentionMap:
             for c, w in enumerate(row):
                 try:
                     finite = math.isfinite(w)
-                except OverflowError:  # an int past the float range
+                except (OverflowError, TypeError):  # an int past the float range, or no number
                     finite = False
                 if not finite:
                     raise DimensionMismatch(self.utterance_id, f"non-finite weight at ({r}, {c})")
@@ -282,11 +282,12 @@ def _attention_maps(text: str, inventory: PhoneInventory | AnySymbol) -> Iterato
             col_phones = record[2][1].split()
             if len(col_phones) != n_cols:
                 raise DimensionMismatch(utt_id, f"{len(col_phones)} col phones declared {n_cols}", record[2][0])
-            for (axis_lineno, _), phones in zip(record[1:3], (row_phones, col_phones)):
-                try:
-                    inventory.require(phones, f"attention map {utt_id!r}")
-                except (ReservedSymbol, ValueError) as err:  # a symbol that breaks the rule names its line
-                    raise _on_line(err, axis_lineno) from None
+            if not inventory._has_all(row_phones + col_phones):
+                for (axis_lineno, _), phones in zip(record[1:3], (row_phones, col_phones)):
+                    try:
+                        inventory.require(phones, f"attention map {utt_id!r}")
+                    except (ReservedSymbol, ValueError) as err:  # a symbol that breaks the rule names its line
+                        raise _on_line(err, axis_lineno) from None
 
             weights = _decimal_lines(record[3:], "weight row")
             yield AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)

@@ -11,9 +11,9 @@ and computes a whole row as bit vectors in a few ``int`` operations, from
 the top edge or carried on from any row it gave. It returns its last row,
 and appends every row after the start to an ``out`` list when given one.
 Both kernels give the same cells, so which one runs never changes an
-output. :func:`_kernel` chooses once per hypothesis: the bit rows at unit
-costs times one gap cost, the cell rows otherwise. The code after it runs
-one path on either kernel's rows, cells and backward walk.
+output. :func:`_kernel` chooses once per call, from the costs alone: the bit
+rows at unit costs times one gap cost, the cell rows otherwise. The code
+after it runs one path on either kernel's rows, cells and backward walk.
 
 :func:`edit_distance` keeps one row of :func:`_cost_rows` and returns the
 cost. :mod:`pronvar.attnalign` scores word spans, always at unit costs, from
@@ -24,7 +24,8 @@ rows (:func:`_cell_steps`, :func:`_bit_steps`). :func:`project_boundaries`
 carves the hypothesis into per-word variants at the native word boundaries,
 projected through the ops of any alignment.
 
-Dictionary alternatives are costed by one rule on either kernel's rows.
+Dictionary alternatives are costed by one rule on either kernel's rows,
+each checked against an inventory once per :func:`extract_variants_dp` call.
 The rows of the given reference are filled first, so the rows of the
 utterance as it stands always run to its end, and the alternative equal to
 a word's given span, and a word with one pronunciation, cost no call.
@@ -282,43 +283,43 @@ def _scaled_unit(exact: _ExactCosts) -> bool:
 
 
 class _Kernel(NamedTuple):
-    """A kernel's rows against one hypothesis (:func:`_kernel`), cells in :func:`_exact`'s integers.
-    ``fill(phones, row, out)`` appends the rows of ``phones`` after ``row`` to ``out`` and returns
-    the last; ``least_difference(row, other, shift)`` is ``min_j (row[j] - other[j])`` for rows
-    ``shift`` apart; ``last_cell(row, i)`` is row i's last cell; ``steps(ref, rows)`` walks back
-    through ``rows``, those of ``ref`` from ``start``, the top edge."""
+    """A kernel, cells in :func:`_exact`'s integers. ``state(hyp, exact)`` is what its rows against
+    one hypothesis need, and each other function takes it first: ``start(s)`` is the top edge;
+    ``fill(s, phones, row, out)`` appends the rows of ``phones`` after ``row`` to ``out`` and returns
+    the last; ``least_difference(s, row, other, shift)`` is ``min_j (row[j] - other[j])`` for rows
+    ``shift`` apart; ``last_cell(s, row, i)`` is row i's last cell; ``steps(s, ref, rows)`` walks
+    back through ``rows``, those of ``ref`` from the top edge."""
 
-    start: object
+    state: Callable
+    start: Callable
     fill: Callable
     least_difference: Callable
     last_cell: Callable
     steps: Callable
 
 
-def _kernel(hyp: Sequence[str], exact: _ExactCosts) -> _Kernel:
-    """The bit rows of ``hyp`` at unit costs times one gap cost, their cells times the gap;
-    the cell rows at any other costs."""
-    if _scaled_unit(exact):
-        masks, width, gap = _column_masks(hyp), len(hyp), exact.gap_penalty
-        return _Kernel(
-            _bit_rows((), masks, width),
-            lambda phones, row, out: _bit_rows(phones, masks, width, 0, row, out),
-            lambda row, other, shift: _least_difference(row, other, shift) * gap,
-            lambda row, i: (i + row[0].bit_count() - row[1].bit_count()) * gap,
-            lambda ref, rows: _bit_steps(hyp, ref, rows),
-        )
+_BIT_ROWS = _Kernel(
+    lambda hyp, exact: (hyp, _column_masks(hyp), len(hyp), exact.gap_penalty),
+    lambda s: _bit_rows((), s[1], s[2]),
+    lambda s, phones, row, out: _bit_rows(phones, s[1], s[2], 0, row, out),
+    lambda s, row, other, shift: _least_difference(row, other, shift) * s[3],
+    lambda s, row, i: (i + row[0].bit_count() - row[1].bit_count()) * s[3],
+    lambda s, ref, rows: _bit_steps(s[0], ref, rows),
+)
+_CELL_ROWS = _Kernel(
+    lambda hyp, exact: (hyp, exact),
+    lambda s: _last_row((), *s),
+    lambda s, phones, row, out: out.extend(islice(_cost_rows(phones, *s, row), 1, None)) or out[-1],
+    lambda s, row, other, _: min(map(sub, row, other)),
+    lambda s, row, _: row[-1],
+    lambda s, ref, rows: _cell_steps(s[0], ref, rows, s[1]),
+)
 
-    def fill(phones, row, out):
-        out.extend(islice(_cost_rows(phones, hyp, exact, row), 1, None))
-        return out[-1]
 
-    return _Kernel(
-        _last_row((), hyp, exact),
-        fill,
-        lambda row, other, _: min(map(sub, row, other)),
-        lambda row, _: row[-1],
-        lambda ref, rows: _cell_steps(hyp, ref, rows, exact),
-    )
+def _kernel(exact: _ExactCosts) -> _Kernel:
+    """The bit rows at unit costs times one gap cost, their cells times the gap; the cell rows
+    at any other costs. It depends on the costs alone, so a call chooses once."""
+    return _BIT_ROWS if _scaled_unit(exact) else _CELL_ROWS
 
 
 def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignConfig()) -> Alignment:
@@ -332,10 +333,11 @@ def nw_align(hyp: PhoneSequence, ref: Sequence[str], cfg: AlignConfig = AlignCon
     a = hyp.phones
     b = _checked_reference(hyp, ref)
     exact = _exact(cfg)
-    kernel = _kernel(a, exact)
-    rows = [kernel.start]
-    cost = kernel.last_cell(kernel.fill(b, rows[0], rows), len(b))
-    return Alignment(a, b, _trace(a, b, kernel.steps(b, rows)), _total(cost, exact))
+    kernel = _kernel(exact)
+    state = kernel.state(a, exact)
+    rows = [kernel.start(state)]
+    cost = kernel.last_cell(state, kernel.fill(state, b, rows[0], rows), len(b))
+    return Alignment(a, b, _trace(a, b, kernel.steps(state, b, rows)), _total(cost, exact))
 
 
 def _cell_steps(
@@ -528,6 +530,8 @@ def _resolve_reference(
     ref_seg: SegmentedUtterance,
     dictionary: ReferenceDictionary,
     kernel: _Kernel,
+    state: tuple,
+    checked: set[tuple[str, ...]],
 ) -> tuple[SegmentedUtterance, list]:
     """Swap in the dictionary variant that aligns cheapest, word by word.
 
@@ -538,7 +542,8 @@ def _resolve_reference(
     aligning the whole utterance decides. Costs are compared in the
     integers of :func:`_exact`; ties keep the dictionary's file order.
     The given reference's phones are checked against the hypothesis
-    inventory first, then each alternative's as it is tried.
+    inventory first, then each alternative's as it is tried, unless it is
+    in ``checked``, which holds those passed on this inventory.
 
     The rows of the given reference are filled before the first word, so
     the rows are always those of the utterance as it stands, resolved up to
@@ -560,15 +565,15 @@ def _resolve_reference(
     the prefix.
 
     Returns the resolved utterance and every row of its phones against the
-    hypothesis on ``kernel``. When no word has alternatives the utterance
-    comes back as given.
+    hypothesis on ``kernel``, from its ``state``. When no word has
+    alternatives the utterance comes back as given.
     """
     spans = list(ref_seg.words)
-    choices = [dictionary.pronunciations(s.word) if s.word in dictionary else () for s in spans]
+    choices = [dictionary._entries.get(s.word, ()) for s in spans]
     given = _checked_reference(hyp, ref_seg.phones)
-    start, fill, least_difference, last_cell, _ = kernel
-    rows = [start]
-    total = last_cell(fill(given, start, rows), len(given))
+    _, start, fill, least_difference, last_cell, _ = kernel
+    rows = [start(state)]
+    total = last_cell(state, fill(state, given, rows[0], rows), len(given))
     if all(len(variants) < 2 for variants in choices):
         return ref_seg, rows
     suffixes = [given[end:] for end in ref_seg.ends]
@@ -585,16 +590,17 @@ def _resolve_reference(
         best_cost = total + 1 if span.phones in variants else math.inf
         standing = rows[at + len(span.phones)]
         for pron in variants:
-            _checked_reference(hyp, pron)
+            if pron not in checked:
+                checked.add(_checked_reference(hyp, pron))
             if pron == span.phones:
                 # the utterance as it stands, whose rows are in place
                 pron_cost, tried = total, None
             else:
                 tried = []
-                own = fill(pron, rows[at], tried)
-                if total + least_difference(own, standing, len(pron) - len(span.phones)) >= best_cost:
+                own = fill(state, pron, rows[at], tried)
+                if total + least_difference(state, own, standing, len(pron) - len(span.phones)) >= best_cost:
                     continue
-                pron_cost = last_cell(fill(suffixes[wi], own, tried), at + len(pron) + len(suffixes[wi]))
+                pron_cost = last_cell(state, fill(state, suffixes[wi], own, tried), at + len(pron) + len(suffixes[wi]))
             if pron_cost < best_cost:
                 best_cost, best, best_rows = pron_cost, pron, tried
         if best_rows is not None:
@@ -624,10 +630,14 @@ def extract_variants_dp(
     walk through the resolver's rows (:func:`_spans`) with no op built.
     """
     exact = _exact(cfg)
+    kernel = _kernel(exact)
     pairs: list[tuple[str, tuple[str, ...]]] = []
     empty = 0
+    checked, inventory = set(), None
     for hyp, ref_seg in pair_by_id(hyps, refs):
-        kernel = _kernel(hyp.phones, exact)
-        resolved, rows = _resolve_reference(hyp, ref_seg, dictionary, kernel)
-        empty += _harvest(_spans(hyp.phones, resolved, kernel.steps(resolved.phones, rows)), pairs)
+        if hyp.inventory is not inventory:
+            checked, inventory = set(), hyp.inventory
+        state = kernel.state(hyp.phones, exact)
+        resolved, rows = _resolve_reference(hyp, ref_seg, dictionary, kernel, state, checked)
+        empty += _harvest(_spans(hyp.phones, resolved, kernel.steps(state, resolved.phones, rows)), pairs)
     return DpExtraction(tuple(pairs), empty)

@@ -229,7 +229,8 @@ class PhoneSequence:
         except TypeError:
             raise ValueError(f"utterance {self.utterance_id!r}: phones must be an iterable") from None
         _check_word(self.utterance_id, what="utterance id")
-        self.inventory.require(self.phones, f"utterance {self.utterance_id!r}")
+        if not self.inventory._has_all(self.phones):
+            self.inventory.require(self.phones, f"utterance {self.utterance_id!r}")
 
     def __len__(self) -> int:
         return len(self.phones)
@@ -582,7 +583,8 @@ def parse_dictionary_file(text: str, inventory: PhoneInventory | AnySymbol = ANY
             word, rest = _split_tab(raw)
             pron = tuple(_last_field(rest, "pronunciation").split())
             dictionary._add(word, pron)
-            inventory.require(pron, f"dictionary word {word!r}")
+            if not inventory._has_all(pron):
+                inventory.require(pron, f"dictionary word {word!r}")
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
     return dictionary
@@ -611,7 +613,8 @@ def _read_lexicon_lines(
             word = fields[0].strip()
             pron = tuple(fields[2].split())
             add(word, pron, _natural(fields[1], "count", 0))
-            inventory.require(pron, f"{role} {word!r}")
+            if not inventory._has_all(pron):
+                inventory.require(pron, f"{role} {word!r}")
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
 

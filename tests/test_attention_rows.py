@@ -3,8 +3,9 @@ old selves (``old_parsers.AttentionMap``, ``old_attention``).
 
 Each takes a weight row in a few C-level calls where the old code took one
 Python step per cell. The check gives the old map or the old error (type and
-message, the first bad cell named; an int past the float range is a non-finite
-weight, where the old check raised ``OverflowError``), the builders the same weights, the writer
+message, the first bad cell named; an int past the float range, and a value that
+is not a number, is a non-finite weight, where the old check raised ``OverflowError``
+or ``TypeError``), the builders the same weights, the writer
 the same bytes, the peak reader the same cuts; ``pronvar synth`` writes the
 files it wrote before.
 """
@@ -72,11 +73,13 @@ def attention_maps(draw):
 @example((("K", "AE"), ("K",), [(math.nan, -1.0)]))  # a leading nan hides the negative from min
 @example((("K", "AE"), ("K",), [(Decimal("1"), Decimal("NaN"))]))  # min cannot compare a decimal nan
 @example((("K", "AE"), ("K",), [(None, 1.0)]))
+@example((("K", "AE"), ("K",), [(0.5, "x")]))  # not a number, after a good weight
+@example((("K", "AE"), ("K", "AE"), [(-1.0, 0.0), (None, 1.0)]))  # a negative is named before a later non-number
 @example((("K", "AE"), ("K", "AE", "T"), [(0.0, 1.0), (0.5, -0.0), (True, -2)]))  # the bad cell is in a later row
 def test_record_check_against_its_old_self(case):
     cols, rows, weights = case
     new = outcome(attnalign.AttentionMap, "u1", cols, rows, weights)
-    old_weights = [type(row)(map(past_range_as_inf, row)) for row in weights]
+    old_weights = [type(row)(map(no_number_as_nan, map(past_range_as_inf, row))) for row in weights]
     assert new == outcome(old_parsers.AttentionMap, "u1", cols, rows, old_weights)
 
 
@@ -89,6 +92,12 @@ def past_range_as_inf(weight):
         except OverflowError:
             return math.inf
     return weight
+
+
+def no_number_as_nan(weight):
+    """``nan`` for a value that is not a number, such as ``None`` or ``"x"``: the check names it a
+    non-finite weight, as it does ``nan``, where its old self raised ``TypeError`` from ``math.isfinite``."""
+    return math.nan if weight is None or isinstance(weight, str) else weight
 
 
 @settings(max_examples=300)

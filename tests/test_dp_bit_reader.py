@@ -2,6 +2,7 @@
 against the projection of the ops that walk traces (``project_boundaries`` of
 ``_trace``)."""
 
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -46,15 +47,17 @@ EDGE_COSTS = [cfg for cfg in COSTS if cfg.mismatch_score <= 2 * cfg.gap_penalty]
 
 
 def filled(hyp, ref, cfg):
-    """``hyp``'s kernel at ``cfg``'s costs, and every row of ``ref`` on it."""
-    kernel = _kernel(hyp, _exact(cfg))
-    rows = [kernel.start]
-    kernel.fill(ref, rows[0], rows)
-    return kernel, rows
+    """The backward walk of the kernel of ``hyp`` at ``cfg``'s costs, and every row of ``ref`` on it."""
+    exact = _exact(cfg)
+    kernel = _kernel(exact)
+    state = kernel.state(hyp, exact)
+    rows = [kernel.start(state)]
+    kernel.fill(state, ref, rows[0], rows)
+    return partial(kernel.steps, state), rows
 
 
-def projected(hyp, ref_seg, kernel, rows):
-    ops = _trace(hyp, ref_seg.phones, kernel.steps(ref_seg.phones, rows))
+def projected(hyp, ref_seg, steps, rows):
+    ops = _trace(hyp, ref_seg.phones, steps(ref_seg.phones, rows))
     return project_boundaries(Alignment(hyp, ref_seg.phones, ops, 0.0), ref_seg)
 
 
@@ -82,8 +85,8 @@ EMPTY_SPANS = (("B", "B"), [(("A",), None), (("B", "B"), None), (("C", "A"), Non
 @example(*EMPTY_SPANS, AlignConfig(0.0, 1.5, 1.0))
 def test_the_spans_are_the_projection_of_the_traced_ops(phones, ref_words, cfg):
     hyp, ref, _ = utterance(phones, ref_words)
-    kernel, rows = filled(hyp.phones, ref.phones, cfg)
-    assert _spans(hyp.phones, ref, kernel.steps(ref.phones, rows)) == projected(hyp.phones, ref, kernel, rows)
+    steps, rows = filled(hyp.phones, ref.phones, cfg)
+    assert _spans(hyp.phones, ref, steps(ref.phones, rows)) == projected(hyp.phones, ref, steps, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,10 +97,12 @@ def test_the_spans_are_the_projection_of_the_traced_ops(phones, ref_words, cfg):
 def test_extraction_harvests_the_projection_of_the_traced_ops(phones, ref_words, cfg):
     # with and without dictionary alternatives, on the resolver's rows
     hyp, ref, d = utterance(phones, ref_words)
-    kernel = _kernel(hyp.phones, _exact(cfg))
-    resolved, rows = _resolve_reference(hyp, ref, d, kernel)
+    exact = _exact(cfg)
+    kernel = _kernel(exact)
+    state = kernel.state(hyp.phones, exact)
+    resolved, rows = _resolve_reference(hyp, ref, d, kernel, state, set())
     pairs = []
-    empty = _harvest(projected(hyp.phones, resolved, kernel, rows), pairs)
+    empty = _harvest(projected(hyp.phones, resolved, partial(kernel.steps, state), rows), pairs)
     with mock.patch.object(dpalign, "nw_align", wraps=dpalign.nw_align) as spy:
         extraction = extract_variants_dp([hyp], [ref], d, cfg)
     assert (extraction.pairs, extraction.empty_spans) == (tuple(pairs), empty)
@@ -118,8 +123,8 @@ def test_extraction_harvests_the_projection_of_the_traced_ops(phones, ref_words,
 def test_edge_paths_cut_as_projected(case, spans, cfg):
     phones, ref_words = case
     hyp, ref, _ = utterance(phones, ref_words)
-    kernel, rows = filled(hyp.phones, ref.phones, cfg)
-    assert _spans(hyp.phones, ref, kernel.steps(ref.phones, rows)) == spans == projected(hyp.phones, ref, kernel, rows)
+    steps, rows = filled(hyp.phones, ref.phones, cfg)
+    assert _spans(hyp.phones, ref, steps(ref.phones, rows)) == spans == projected(hyp.phones, ref, steps, rows)
     one_each = ReferenceDictionary({span.word: [span.phones] for span in ref.words})
     extraction = extract_variants_dp([abc_seq(phones)], [ref], one_each, cfg)
     assert extraction.pairs == tuple((word, span) for word, span in spans if span)

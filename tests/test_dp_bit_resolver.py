@@ -16,16 +16,14 @@ from pronvar.dpalign import (
     _checked_reference,
     _column_masks,
     _exact,
-    _kernel,
     _last_row,
     _least_difference,
-    _resolve_reference,
     edit_distance,
     extract_variants_dp,
 )
 from pronvar.phonecore import AnySymbol, PhoneInventory, PhoneSequence, ReferenceDictionary, SegmentedUtterance, WordSpan
 from test_dp_traceback import utterance
-from test_dpalign import costs, longer, ref_words
+from test_dpalign import ABC, costs, longer, pronunciation, ref_words, resolve
 
 # mostly short, sometimes wider than one 64-bit machine word
 hyp_phones = st.one_of(longer, st.lists(st.sampled_from(["A", "B", "C"]), min_size=60, max_size=100).map(tuple))
@@ -124,7 +122,7 @@ def test_extraction_is_the_cell_row_resolver_and_loop(case):
     hyp, ref, d = utterance(phones, words)
     assert extract_variants_dp([hyp], [ref], d, cfg) == old.extract_variants_dp([hyp], [ref], d, cfg)
     exact = _exact(cfg)
-    assert _resolve_reference(hyp, ref, d, _kernel(hyp.phones, exact))[0] == old._resolve_reference(hyp, ref, d, exact)[0]
+    assert resolve(hyp, ref, d, cfg)[0] == old._resolve_reference(hyp, ref, d, exact)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,7 +142,7 @@ def test_extraction_is_the_cell_row_resolver_and_loop(case):
 def test_the_resolver_rows_are_one_bit_row_pass_over_the_resolved_phones(phones, words, cfg):
     # these are the rows the final ops are traced through
     hyp, ref, d = utterance(phones, words)
-    resolved, rows = _resolve_reference(hyp, ref, d, _kernel(hyp.phones, _exact(cfg)))
+    resolved, rows = resolve(hyp, ref, d, cfg)
     masks, width = _column_masks(hyp.phones), len(hyp.phones)
     expected = [_bit_rows((), masks, width)]
     _bit_rows(resolved.phones, masks, width, out=expected)
@@ -203,7 +201,7 @@ def test_the_row_difference_bounds_an_alternative_from_below(phones, case, cfg):
 def test_a_tie_goes_to_the_first_listed_pronunciation(prons, chosen, cfg):
     # each pronunciation costs one edit against 'A'
     hyp, ref, d = utterance(UNEQUAL_TIE_HYP, [(("A",), prons)])
-    resolved, _ = _resolve_reference(hyp, ref, d, _kernel(hyp.phones, _exact(cfg)))
+    resolved, _ = resolve(hyp, ref, d, cfg)
     assert resolved.words[0].phones == chosen
     assert resolved == old._resolve_reference(hyp, ref, d, _exact(cfg))[0]
 
@@ -231,6 +229,77 @@ def test_a_phone_outside_the_inventory_is_reported_as_before(given_phones, prons
     with pytest.raises(errors.InventoryMismatch) as was:
         old.extract_variants_dp([hyp], [ref], d, cfg)
     assert str(new.value) == str(was.value)
+
+
+@pytest.mark.parametrize("cfg", [AlignConfig(), AlignConfig(0.0, 1.5, 1.0)])
+def test_a_bad_given_phone_is_named_before_a_bad_alternative_after_a_checked_one(cfg):
+    # u1 leaves ('A',) checked; u2's given reference holds 'Z', and the second
+    # alternative of its word w, ('Y',), is outside the inventory too
+    hyps = [PhoneSequence(u, ("A", "B"), AB) for u in ("u1", "u2")]
+    refs = [
+        SegmentedUtterance("u1", (WordSpan("x", ("A",)), WordSpan("v", ("B",))), ABZY),
+        SegmentedUtterance("u2", (WordSpan("w", ("A",)), WordSpan("v", ("Z",))), ABZY),
+    ]
+    d = ReferenceDictionary({"x": [("A",), ("B",)], "w": [("A",), ("Y",)]})
+    with pytest.raises(errors.InventoryMismatch, match="^reference phone 'Z' not in") as new:
+        extract_variants_dp(hyps, refs, d, cfg)
+    with pytest.raises(errors.InventoryMismatch) as was:
+        old.extract_variants_dp(hyps, refs, d, cfg)
+    assert str(new.value) == str(was.value)
+
+
+@pytest.mark.parametrize("cfg", [AlignConfig(), AlignConfig(0.0, 1.5, 1.0)])
+def test_a_pronunciation_passed_on_one_inventory_is_checked_again_on_another(cfg):
+    # ('Y',) passes u1's inventory, which holds 'Y', and fails u2's
+    aby = PhoneInventory.from_phones(["A", "B", "Y"])
+    hyps = [PhoneSequence("u1", ("A", "B"), aby), PhoneSequence("u2", ("A", "B"), AB)]
+    refs = [SegmentedUtterance(u, (WordSpan("w", ("A",)), WordSpan("v", ("B",))), ABZY) for u in ("u1", "u2")]
+    d = ReferenceDictionary({"w": [("A",), ("Y",)]})
+    extract_variants_dp(hyps[:1], refs[:1], d, cfg)
+    with pytest.raises(errors.InventoryMismatch, match="^reference phone 'Y' not in"):
+        extract_variants_dp(hyps, refs, d, cfg)
+
+
+#: two inventories that hold the same phones, but are not one object
+ABC_AGAIN = PhoneInventory.from_phones(["A", "B", "C"])
+
+
+@st.composite
+def corpora(draw):
+    """1-5 utterances over one dictionary of 1-4 words; the hypotheses before a drawn
+    index are on one inventory, and those from it on another that holds the same phones."""
+    listed = draw(st.lists(st.lists(pronunciation, min_size=1, max_size=3, unique=True), min_size=1, max_size=4))
+    count = draw(st.integers(1, 5))
+    switch = draw(st.integers(0, count))
+    hyps, refs = [], []
+    for k in range(count):
+        words = draw(st.lists(st.integers(0, len(listed) - 1), min_size=1, max_size=4))
+        spans = tuple(WordSpan(f"w{i}", draw(st.one_of(st.sampled_from(listed[i]), pronunciation))) for i in words)
+        refs.append(SegmentedUtterance(f"u{k}", spans, ABC))
+        hyps.append(PhoneSequence(f"u{k}", draw(longer), ABC if k < switch else ABC_AGAIN))
+    return hyps, refs, ReferenceDictionary({f"w{i}": prons for i, prons in enumerate(listed)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), st.sampled_from([AlignConfig(), AlignConfig(0.0, 1.5, 1.0)]))
+def test_each_pronunciation_is_checked_once_for_each_inventory(corpus, cfg):
+    hyps, refs, d = corpus
+    with mock.patch.object(dpalign, "_checked_reference", wraps=dpalign._checked_reference) as checked:
+        extraction = extract_variants_dp(hyps, refs, d, cfg)
+    assert extraction == old.extract_variants_dp(hyps, refs, d, cfg)
+    given_refs = {id(ref.phones) for ref in refs}
+    alternatives = [(id(c.args[0].inventory), c.args[1]) for c in checked.call_args_list if id(c.args[1]) not in given_refs]
+    # the given reference of each utterance, and each alternative of a word with
+    # two or more once for each inventory it meets
+    assert checked.call_count - len(alternatives) == len(refs)
+    expected = {
+        (id(hyp.inventory), pron)
+        for hyp, ref in zip(hyps, refs)
+        for span in ref.words
+        if len(d.pronunciations(span.word)) > 1
+        for pron in d.pronunciations(span.word)
+    }
+    assert sorted(alternatives) == sorted(expected)
 
 
 def walked_reference(hyp, ref):

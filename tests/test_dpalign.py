@@ -38,6 +38,13 @@ def abc_seq(phones, utt_id="u"):
     return PhoneSequence(utt_id, tuple(phones), ABC)
 
 
+def resolve(hyp, ref, dictionary, cfg):
+    """``_resolve_reference`` of one utterance on the kernel of ``cfg``'s costs, nothing checked before."""
+    exact = _exact(cfg)
+    kernel = _kernel(exact)
+    return _resolve_reference(hyp, ref, dictionary, kernel, kernel.state(hyp.phones, exact), set())
+
+
 class TestAlignConfig:
     def test_defaults_are_unit_costs(self):
         cfg = AlignConfig()
@@ -372,7 +379,7 @@ class TestExtractVariantsDp:
         d = ReferenceDictionary({"w": [("A",), ("B", "B")], "v": [("Z",)]})
         message = "^reference phone 'Z' not in the hypothesis inventory$"
         with pytest.raises(errors.InventoryMismatch, match=message):
-            _resolve_reference(hyp, ref, d, _kernel(hyp.phones, _exact(AlignConfig())))
+            resolve(hyp, ref, d, AlignConfig())
 
     @pytest.mark.parametrize("alternatives", [[("A",), ("B", "B")], [("Z",)]])
     def test_a_given_span_outside_the_inventory_is_an_error_whatever_the_dictionary_lists(self, alternatives):
@@ -488,7 +495,7 @@ def test_resolved_reference_matches_the_full_alignment_oracle(hyp_phones, words,
     ref = SegmentedUtterance("u", tuple(WordSpan(f"w{i}", p) for i, (p, _) in enumerate(words)), ABC)
     d = ReferenceDictionary({f"w{i}": prons for i, (_, prons) in enumerate(words) if prons is not None})
     hyp = abc_seq(hyp_phones)
-    assert _resolve_reference(hyp, ref, d, _kernel(hyp.phones, _exact(cfg)))[0] == resolve_reference_by_full_alignment(
+    assert resolve(hyp, ref, d, cfg)[0] == resolve_reference_by_full_alignment(
         hyp, ref, d, oracle_cfg
     )
 

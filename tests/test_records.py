@@ -122,13 +122,15 @@ def test_a_segmented_utterance_round_trips_or_is_rejected(utt_id, words, invento
 
 
 #: weights as AttentionMap documents them: floats, mostly finite and >= 0, the ints a float
-#: holds exactly, and ints past the float range, which read back as inf
+#: holds exactly, and ints past the float range, which read back as inf; and now and then
+#: a value that is not a number
 weights = st.one_of(
     st.floats(min_value=0, allow_infinity=False),
     st.integers(0, 2**53),
     st.floats(),
     st.integers(-(2**53), 2**53),
     st.integers(2**1024, 2**1100),
+    st.sampled_from((None, "x", "1.0", 1j)),
 )
 
 
@@ -154,6 +156,8 @@ def attention_maps(draw):
 @example(("u", 1, ["AE"], [[1.0]]), "any")
 @example(("u", ["K"], ["AE"], 1), "any")
 @example(("u", ["K"], ["AE"], [1]), "any")
+@example(("u", ["K"], ["AE"], [["x"]]), "any")  # a weight that is not a number
+@example(("u", ["K", "T"], ["AE"], [[1.0, None]]), "given")
 def test_an_attention_map_round_trips_or_is_rejected(fields, inventory):
     try:
         amap = AttentionMap(*fields)
