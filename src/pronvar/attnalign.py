@@ -7,10 +7,11 @@ Those cuts then move within a radius n, and the segmentation closest to
 the reference pronunciations by unit-cost :func:`pronvar.dpalign.edit_distance`
 wins:
 
-* ``global_shift`` moves all cuts together, 2n+1 candidates. They are
-  visited by a lower bound from each span's length and its word's range,
-  and one is dropped as soon as it cannot beat the best so far
-  (branch-and-bound);
+* ``global_shift`` moves all cuts together: 2n+1 candidates, the shifts
+  that :func:`split_by_attention` lists, as plain cut tuples, so only the
+  winner becomes a record. They are visited by a lower bound from each
+  span's length and its word's range, and one is dropped as soon as it
+  cannot beat the best so far (branch-and-bound);
 * ``per_boundary`` moves each cut on its own and finds the best of all
   (2n+1)^k offset tuples exactly. A best-first search over the cut
   positions, bounded by the ranges summed over the words still to place
@@ -211,19 +212,15 @@ def parse_bounds_file(text: str) -> list[tuple[str, tuple[int, ...]]]:
     return out
 
 
-def _clamp(cut: int, prev: int, length: int) -> int:
-    """Move a cut just past the previous one and no further than the end."""
-    cut = cut if cut > prev else prev + 1  # conditionals: several times faster than min() and max()
-    return cut if cut < length else length
-
-
 def _repair(cuts: Sequence[int], length: int) -> tuple[tuple[int, ...], int]:
-    """Force cuts strictly increasing and within range; count the moves."""
+    """Clamp each cut just past the previous one and no further than the end; count the moves."""
     out: list[int] = []
     moved = 0
     prev = 0
     for cut in cuts:
-        fixed = _clamp(cut, prev, length)
+        # the clamp by conditionals: several times faster than min() and max(), or a call
+        fixed = cut if cut > prev else prev + 1
+        fixed = fixed if fixed < length else length
         if fixed != cut:
             moved += 1
         out.append(fixed)
@@ -334,28 +331,32 @@ def _offset_order(radius: int) -> list[int]:
     return order
 
 
+def _global_shifts(cuts: Sequence[int], length: int, radius: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(cuts, repaired)`` for each shift -n..n of all cuts together, repaired. A repeat keeps
+    its first occurrence and repair count. A radius past the column count ``length`` acts as that
+    count, since a longer shift clamps to the cuts of a shorter one."""
+    n = min(radius, length)
+    seen: set[tuple[int, ...]] = set()
+    for shift in range(-n, n + 1):
+        shifted, moved = _repair([c + shift for c in cuts], length)
+        if shifted not in seen:
+            seen.add(shifted)
+            yield shifted, moved
+
+
 def split_by_attention(
     amap: AttentionMap, ref_seg: SegmentedUtterance, cfg: AttnConfig = AttnConfig()
 ) -> list[Segmentation]:
     """Enumerate the global shifts of the attention-derived cuts.
 
     Every cut moves together through shifts -n..n, giving at most 2n+1
-    candidates; duplicates after repair keep their first occurrence. A
-    radius past the column count acts as that count, since a longer shift
-    clamps to the cuts of a shorter one. ``cfg.mode`` is not read:
-    per-boundary search enumerates nothing and is done by
+    candidates, those of :func:`_global_shifts` as records. ``cfg.mode``
+    is not read: per-boundary search enumerates nothing and is done by
     :func:`align_word_boundaries`.
     """
     base = place_boundaries(amap, ref_seg)
-    length = base.length
-    n = min(cfg.shift_radius, length)
-
-    unique: dict[tuple[int, ...], Segmentation] = {}
-    for shift in range(-n, n + 1):
-        cuts, moved = _repair([c + shift for c in base.cuts], length)
-        if cuts not in unique:
-            unique[cuts] = Segmentation(cuts, length, repaired=moved)
-    return list(unique.values())
+    shifts = _global_shifts(base.cuts, base.length, cfg.shift_radius)
+    return [Segmentation(cuts, base.length, repaired=moved) for cuts, moved in shifts]
 
 
 @dataclass(frozen=True)
@@ -414,34 +415,35 @@ def _span_scorer(cols: Sequence[str], ref_variants: Sequence[Sequence[Sequence[s
 
 
 def _best_global_shift(
-    candidates: Iterable[Segmentation], ranges: Sequence[tuple[int, int]], score: SpanScore
+    base: Segmentation, radius: int, ranges: Sequence[tuple[int, int]], score: SpanScore
 ) -> tuple[Segmentation, float]:
-    """Best of the global shifts: least total, then fewest repairs, then first.
+    """Best global shift of ``base`` within ``radius``: least total, then fewest repairs, then first.
 
-    A branch-and-bound over ``candidates``, those of :func:`split_by_attention`.
-    Unit-cost edit distance is at least the length difference, so a span of
-    ``n`` columns scores at least its floor: its distance from its word's
-    ``ranges[word]``, the lengths ``(lo, hi)`` of the shortest and longest
-    pronunciation. Candidates are visited by ascending floor sum, ties in
-    generation order. The search stops at the first floor sum strictly
-    greater than the best total, and a candidate is dropped part-way once its
-    partial sum plus the floors of its unscored words is strictly greater.
-    A candidate that equals the best is scored in full, so the winner and its
-    exact total are those of scoring every candidate.
+    A branch-and-bound over the ``(cuts, repaired)`` tuples of :func:`_global_shifts`, the
+    candidates of :func:`split_by_attention`; ``order`` is a tuple's place among them, and only
+    the winner becomes a :class:`Segmentation`. Unit-cost edit distance is at least the length
+    difference, so a span of ``n`` columns scores at least its floor: its distance from its
+    word's ``ranges[word]``, the lengths ``(lo, hi)`` of the shortest and longest pronunciation.
+    Candidates are visited by ascending floor sum, ties in generation order. The search stops at
+    the first floor sum strictly greater than the best total, and a candidate is dropped part-way
+    once its partial sum plus the floors of its unscored words is strictly greater. A candidate
+    that equals the best is scored in full, so the winner and its exact total are those of
+    scoring every candidate.
     """
+    length = base.length
     visits = []
-    for order, candidate in enumerate(candidates):
-        spans = list(pairwise((0, *candidate.cuts, candidate.length)))
-        # each span's distance from its word's range, by conditionals as in _clamp: faster than max()
+    for order, (cuts, repaired) in enumerate(_global_shifts(base.cuts, length, radius)):
+        spans = list(pairwise((0, *cuts, length)))
+        # each span's distance from its word's range, by conditionals as in _repair: faster than max()
         span_floors = [
             lo - n if (n := b - a) < lo else n - hi if n > hi else 0 for (lo, hi), (a, b) in zip(ranges, spans)
         ]
-        visits.append((sum(span_floors), order, candidate, spans, span_floors))
+        visits.append((sum(span_floors), order, cuts, repaired, spans, span_floors))
     visits.sort(key=itemgetter(0))
 
-    best = None
+    best: tuple[int, ...] = ()
     best_key: tuple[float, int, int] = (math.inf, 0, 0)
-    for unscored, order, candidate, spans, span_floors in visits:
+    for unscored, order, cuts, repaired, spans, span_floors in visits:
         if unscored > best_key[0]:
             break
         total = 0
@@ -451,10 +453,10 @@ def _best_global_shift(
             if total + unscored > best_key[0]:
                 break
         else:
-            key = (total, candidate.repaired, order)
+            key = (total, repaired, order)
             if key < best_key:
-                best, best_key = candidate, key
-    return best, best_key[0]
+                best, best_key = cuts, key
+    return Segmentation(best, length, repaired=best_key[1]), best_key[0]
 
 
 def _best_per_boundary(
@@ -497,10 +499,11 @@ def _best_per_boundary(
     clamps, ranks). The first pop of each state thus carries its best
     prefix, and a completion's key is the winner's order itself.
 
-    The loop writes :func:`_clamp` and ``h`` out as conditionals, since a pop
-    walks all 2n+1 offsets. The steps stay in offset order and each is scored
-    when pushed, so ``score`` is asked for the same spans, in the same order,
-    as by the loop that called them (``tests/old_attention.py``).
+    The loop writes the clamp of :func:`_repair` and ``h`` out as
+    conditionals, since a pop walks all 2n+1 offsets. The steps stay in
+    offset order and each is scored when pushed, so ``score`` is asked for
+    the same spans, in the same order, as by the loop that called them
+    (``tests/old_attention.py``).
     """
     length = base.length
     n = min(radius, length)
@@ -532,7 +535,7 @@ def _best_per_boundary(
             target = targets[i]
             for rank, offset in enumerate(offsets):
                 wanted = target + offset
-                # _clamp, written out: a call per offset costs more than the clamp itself
+                # _repair's clamp, written out: a call per offset costs more than the clamp itself
                 cut = wanted if wanted > prev else prev + 1
                 cut = cut if cut < length else length
                 if cut == wanted or cut not in steps:
@@ -543,7 +546,7 @@ def _best_per_boundary(
                 continue
             step = g + score(i, prev, cut)
             rest = length - cut
-            # h = max(lo_next - rest, rest - hi_next, 0), by conditionals as in _clamp
+            # h = max(lo_next - rest, rest - hi_next, 0), by conditionals as in _repair
             h = lo_next - rest if rest < lo_next else rest - hi_next if rest > hi_next else 0
             heappush(heap, (step + h, clamps + clamped, (*ranks, rank), cut, step))
 
@@ -563,7 +566,8 @@ def align_word_boundaries(
     A segmentation scores the sum over words of the edit distance between
     the word's hypothesis span and its reference pronunciation (minimum
     over dictionary variants when the word is listed), scored by
-    :func:`_span_scorer`.
+    :func:`_span_scorer`. Both searches move the cuts of one
+    :func:`place_boundaries` call.
 
     * ``global_shift`` tries the :func:`split_by_attention` candidates;
       ties prefer fewer repaired cuts, then generation order.
@@ -577,18 +581,14 @@ def align_word_boundaries(
     reference phone count is within ``cfg.threshold``.
     """
     cols = amap.col_phones
-    ref_variants = [
-        dictionary.pronunciations(span.word) if dictionary is not None and span.word in dictionary else (span.phones,)
-        for span in ref_seg.words
-    ]
-    # each word's range: its shortest and longest pronunciation length
-    ranges = [(min(map(len, prons)), max(map(len, prons))) for prons in ref_variants]
+    entries = dictionary._entries if dictionary is not None else {}
+    ref_variants = [entries.get(span.word, (span.phones,)) for span in ref_seg.words]
+    # each word's range: its shortest and longest pronunciation length, one len for a single one
+    ranges = [((n := len(p[0])), n) if len(p) == 1 else (min(map(len, p)), max(map(len, p))) for p in ref_variants]
 
     score = _span_scorer(cols, ref_variants)
-    if cfg.mode == GLOBAL_SHIFT:
-        best, total = _best_global_shift(split_by_attention(amap, ref_seg, cfg), ranges, score)
-    else:
-        best, total = _best_per_boundary(place_boundaries(amap, ref_seg), cfg.shift_radius, ranges, score)
+    search = _best_global_shift if cfg.mode == GLOBAL_SHIFT else _best_per_boundary
+    best, total = search(place_boundaries(amap, ref_seg), cfg.shift_radius, ranges, score)
 
     normalized = total / len(ref_seg.phones)
     variants = tuple((span.word, hyp) for span, hyp in zip(ref_seg.words, best.spans(cols)))

@@ -7,6 +7,9 @@
   (``_span_floors`` and ``_best_global_shift``).
 * The per-boundary search from when its loop called ``_clamp`` for each
   offset and ``max`` for each step's estimate (``_best_per_boundary``).
+* The global shifts from when each was a ``Segmentation`` record, and the
+  repair from when it called ``_clamp`` for each cut (``split_by_attention``,
+  ``_repair`` and ``_clamp``). The old searches and peak reader call these.
 
 Verbatim. The maps are built by the old record check, ``old_parsers.AttentionMap``;
 the rest is the package's own.
@@ -20,7 +23,7 @@ from itertools import pairwise
 from operator import itemgetter
 
 from old_parsers import AttentionMap
-from pronvar.attnalign import AttnConfig, Segmentation, SpanScore, _clamp, _offset_order, _repair, split_by_attention
+from pronvar.attnalign import AttnConfig, Segmentation, SpanScore, _offset_order
 from pronvar.errors import RowMismatch
 from pronvar.phonecore import SegmentedUtterance
 
@@ -71,6 +74,26 @@ def emit_attention_file(maps: Iterable[AttentionMap]) -> str:
     return "\n".join(blocks)
 
 
+def _clamp(cut: int, prev: int, length: int) -> int:
+    """Move a cut just past the previous one and no further than the end."""
+    cut = cut if cut > prev else prev + 1  # conditionals: several times faster than min() and max()
+    return cut if cut < length else length
+
+
+def _repair(cuts: Sequence[int], length: int) -> tuple[tuple[int, ...], int]:
+    """Force cuts strictly increasing and within range; count the moves."""
+    out: list[int] = []
+    moved = 0
+    prev = 0
+    for cut in cuts:
+        fixed = _clamp(cut, prev, length)
+        if fixed != cut:
+            moved += 1
+        out.append(fixed)
+        prev = fixed
+    return tuple(out), moved
+
+
 def place_boundaries(amap: AttentionMap, ref_seg: SegmentedUtterance) -> Segmentation:
     """Cut after the peak-attention column of each word's final phone.
 
@@ -94,6 +117,30 @@ def place_boundaries(amap: AttentionMap, ref_seg: SegmentedUtterance) -> Segment
         raw_cuts.append(best_col + 1)
     cuts, moved = _repair(raw_cuts, length)
     return Segmentation(cuts, length, repaired=moved)
+
+
+def split_by_attention(
+    amap: AttentionMap, ref_seg: SegmentedUtterance, cfg: AttnConfig = AttnConfig()
+) -> list[Segmentation]:
+    """Enumerate the global shifts of the attention-derived cuts.
+
+    Every cut moves together through shifts -n..n, giving at most 2n+1
+    candidates; duplicates after repair keep their first occurrence. A
+    radius past the column count acts as that count, since a longer shift
+    clamps to the cuts of a shorter one. ``cfg.mode`` is not read:
+    per-boundary search enumerates nothing and is done by
+    :func:`align_word_boundaries`.
+    """
+    base = place_boundaries(amap, ref_seg)
+    length = base.length
+    n = min(cfg.shift_radius, length)
+
+    unique: dict[tuple[int, ...], Segmentation] = {}
+    for shift in range(-n, n + 1):
+        cuts, moved = _repair([c + shift for c in base.cuts], length)
+        if cuts not in unique:
+            unique[cuts] = Segmentation(cuts, length, repaired=moved)
+    return list(unique.values())
 
 
 def _span_floors(ref_variants: Sequence[Sequence[Sequence[str]]], length: int) -> list[list[int]]:

@@ -16,7 +16,6 @@ from pronvar.attnalign import (
     Segmentation,
     _best_global_shift,
     _best_per_boundary,
-    _clamp,
     _offset_order,
     _repair,
     _span_scorer,
@@ -639,7 +638,7 @@ def test_global_shift_from_ranges_asks_what_the_floor_table_asked(case, radius, 
     ranges = [(min(map(len, p)), max(map(len, p))) for p in prons]
     floors = old._span_floors(prons, len(amap.col_phones))
     searches = (
-        lambda score: _best_global_shift(split_by_attention(amap, ref, cfg), ranges, score),
+        lambda score: _best_global_shift(place_boundaries(amap, ref), radius, ranges, score),
         lambda score: old._best_global_shift(amap, ref, cfg, floors, score),
     )
     found = []
@@ -671,7 +670,7 @@ def test_global_shift_scores_only_the_spans_of_an_exact_shift_zero(seg):
         return scorer(word, start, end)
 
     ranges = [(len(w.phones), len(w.phones)) for w in ref.words]
-    best, total = _best_global_shift(split_by_attention(amap, ref, AttnConfig(3)), ranges, score)
+    best, total = _best_global_shift(place_boundaries(amap, ref), 3, ranges, score)
     assert (best.cuts, total) == ((3, 5, 9), 0)
     assert asked == [(0, 0, 3), (1, 3, 5), (2, 5, 9), (3, 9, 10)]
 
@@ -683,7 +682,7 @@ def best_per_boundary_by_full_dp(base, radius, score):
     k = len(base.cuts)
     reach = [{0}]
     for target in base.cuts:
-        reach.append({_clamp(target + o, prev, length) for prev in reach[-1] for o in offsets})
+        reach.append({old._clamp(target + o, prev, length) for prev in reach[-1] for o in offsets})
 
     # best[i][prev]: (distance, clamps, cut i) of the best completion from
     # cut i on, with cut i-1 at prev; best[k] scores the last word alone.
@@ -694,7 +693,7 @@ def best_per_boundary_by_full_dp(base, radius, score):
         for prev in reach[i]:
             choice = None
             for o in offsets:
-                cut = _clamp(target + o, prev, length)
+                cut = old._clamp(target + o, prev, length)
                 distance, clamps, _ = best[i + 1][cut]
                 option = (score(i, prev, cut) + distance, clamps + (cut != target + o), cut)
                 if choice is None or option[:2] < choice[:2]:
@@ -780,3 +779,27 @@ def test_per_boundary_asks_what_its_loop_with_calls_asked(case, radius):
         best, total = search(base, radius, ranges, score)
         found.append((best.cuts, best.length, best.repaired, total, asked))
     assert found[0] == found[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases(max_words=6), st.sampled_from([0, 1, 3]), st.integers(0, 3))
+def test_split_by_attention_lists_the_old_candidates_in_the_old_order(case, scale, extra):
+    # the shifts enumerated once as cut tuples against their old self, which
+    # made each a record as it went: scale 0 draws radii 0-3, and scales 1
+    # and 3 draw radii at and past the column count
+    amap, ref, _ = case
+    cfg = AttnConfig(scale * len(amap.col_phones) + extra)
+    found = [
+        [(c.cuts, c.length, c.repaired) for c in search(amap, ref, cfg)]
+        for search in (split_by_attention, old.split_by_attention)
+    ]
+    assert found[0] == found[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-5, 15), max_size=8), st.integers(1, 10))
+@example([4, 2, 3, 1], 6)  # crossing
+@example([5, 9, 12, 13], 10)  # out of range
+@example([-3, -1, 0, 2], 4)  # negative
+def test_repair_with_its_clamp_in_place_matches_its_old_self(cuts, length):
+    assert _repair(cuts, length) == old._repair(cuts, length)
