@@ -58,7 +58,7 @@ from .phonecore import (
     _check_new_id,
     _check_real,
     _check_word,
-    _decimal_lines,
+    _decimals,
     _last_field,
     _natural,
     _on_line,
@@ -250,12 +250,12 @@ def parse_attention_file(text: str, inventory: PhoneInventory | AnySymbol) -> li
     Each record is ``utt_id R C`` on the first line, R row phones on the
     second, C column phones on the third, then R lines of C weights. R and
     C are ASCII digits with a value of at least 1; a weight row is float
-    fields (:func:`pronvar.phonecore._decimals`, read a record at a time by
-    :func:`pronvar.phonecore._decimal_lines`). :class:`AttentionMap`
-    checks the weights against the axes. An error names the record's first
-    line, unless it is met on a weight row that is not float fields, on a
-    column-phone line of the wrong length, or on an axis line holding a
-    symbol that breaks the phone-symbol rule (:class:`pronvar.phonecore.AnySymbol`).
+    fields, read line by line (:func:`pronvar.phonecore._decimals`).
+    :class:`AttentionMap` checks the weights against the axes. An error
+    names the record's first line, unless it is met on a weight row that is
+    not float fields, on a column-phone line of the wrong length, or on an
+    axis line holding a symbol that breaks the phone-symbol rule
+    (:class:`pronvar.phonecore.AnySymbol`).
     """
     return list(_attention_maps(text, inventory))
 
@@ -286,7 +286,7 @@ def _attention_maps(text: str, inventory: PhoneInventory | AnySymbol) -> Iterato
                     except (ReservedSymbol, ValueError) as err:  # a symbol that breaks the rule names its line
                         raise _on_line(err, axis_lineno) from None
 
-            weights = _decimal_lines(record[3:], "weight row")
+            weights = tuple([_decimals(text, lineno, "weight row") for lineno, text in record[3:]])
             yield AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None

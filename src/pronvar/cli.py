@@ -1,7 +1,8 @@
 """Command-line pipeline: file in, file out, deterministic bytes.
 
 Exit codes: 0 success, 1 usage error, 2 input format error (the message
-names the file and line), 3 constraint violation.
+names the file and line), 3 constraint violation (the message names the
+file, or both files of an error between two).
 """
 
 import argparse
@@ -22,7 +23,7 @@ from .attnalign import (
     parse_bounds_file,
 )
 from .dpalign import AlignConfig, extract_variants_dp
-from .errors import ConstraintError, InputFormatError, PronvarError
+from .errors import ConstraintError, InputFormatError, MissingUtterance, PronvarError, RowMismatch
 from .phonecore import (
     ANY_SYMBOL,
     _check_word,
@@ -111,6 +112,22 @@ def _streamed(path: str, records):
         yield from records
 
 
+@contextmanager
+def _between(left: str, right: str):
+    """Name the files of an error between two inputs paired by id: a :class:`MissingUtterance`
+    is prefixed with the file that holds the id and names the one that lacks it, and a
+    :class:`RowMismatch`, met on an attention map of ``left``, is prefixed with that file."""
+    try:
+        yield
+    except MissingUtterance as err:
+        paths = (left, right)
+        err.args = (f"{paths[err.side]}: {err} in {paths[1 - err.side]}",)
+        raise
+    except RowMismatch as err:
+        err.args = (f"{left}: {err}",)
+        raise
+
+
 def _catching(path: str, parse, *args):
     return _parsed(path, _read(path), parse, *args)
 
@@ -148,7 +165,8 @@ def _cmd_align_dp(args) -> int:
         (args.ref, parse_segmented_file),
     )
     cfg = _checked(AlignConfig, match_score=args.match, mismatch_score=args.mismatch, gap_penalty=args.gap)
-    result = extract_variants_dp(hyps, refs, dictionary, cfg)
+    with _between(args.hyp, args.ref):
+        result = extract_variants_dp(hyps, refs, dictionary, cfg)
     _write(args.out, emit_pairs(result.pairs))
     return 0
 
@@ -162,7 +180,8 @@ def _cmd_align_attn(args) -> int:
     )
     cfg = _checked(AttnConfig, shift_radius=args.radius, mode=MODES.get(args.mode), threshold=args.threshold)
     # one map is held at a time; the outputs are written only once every map is read
-    result = extract_variants_attn(_streamed(args.attn, maps), refs, dictionary, cfg)
+    with _between(args.attn, args.ref):
+        result = extract_variants_attn(_streamed(args.attn, maps), refs, dictionary, cfg)
     _write(args.out, emit_pairs(result.pairs))
     if args.rejects:
         _write(
@@ -255,7 +274,8 @@ def _cmd_eval(args) -> int:
 def _cmd_eval_bounds(args) -> int:
     pred = _catching(args.pred, parse_bounds_file)
     truth = _catching(args.truth, parse_bounds_file)
-    precision, recall, f1 = synthbench.pooled_boundary_f1(pred, truth)
+    with _between(args.pred, args.truth):
+        precision, recall, f1 = synthbench.pooled_boundary_f1(pred, truth)
     print(f"precision\t{precision:.4f}")
     print(f"recall\t{recall:.4f}")
     print(f"f1\t{f1:.4f}")

@@ -518,11 +518,11 @@ def pair_by_id(left: Iterable, right: Iterable) -> Iterator[tuple]:
     for item in left:
         _check_new_id(item.utterance_id, seen)
         if item.utterance_id not in right_map:
-            raise MissingUtterance(item.utterance_id)
+            raise MissingUtterance(item.utterance_id, 0)
         yield item, right_map[item.utterance_id]
     for utt_id in right_map:
         if utt_id not in seen:
-            raise MissingUtterance(utt_id)
+            raise MissingUtterance(utt_id, 1)
 
 
 def _resolve_reference(

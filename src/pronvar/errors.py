@@ -127,9 +127,13 @@ class AlignmentReferenceMismatch(ConstraintError):
 
 
 class MissingUtterance(ConstraintError):
-    def __init__(self, utterance_id: str):
+    """An utterance id in one of two collections paired by id is missing from the other;
+    ``side`` is the index of the collection that holds it: 0 for the left, 1 for the right."""
+
+    def __init__(self, utterance_id: str, side: int):
         super().__init__(f"utterance {utterance_id!r} has no counterpart")
         self.utterance_id = utterance_id
+        self.side = side
 
 
 class NegativeWeight(ConstraintError):

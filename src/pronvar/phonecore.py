@@ -475,35 +475,18 @@ def _natural(token: str, what: str, least: int) -> int:
     raise _bad(what, token, None)
 
 
-def _decimal_chars(text: str) -> bool:
-    """The character rule of float fields: ASCII with no ``_`` and no letter but ``e``/``E``.
-    Besides ``e``, ``float()`` reads letters only in ``nan``, ``inf`` and ``infinity``, and
-    each holds an ``n``. A rule on characters alone, so text that passes it passes on each line."""
-    return text.isascii() and "_" not in text and "n" not in text and "N" not in text
-
-
 def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
-    """Read one line of whitespace-separated float fields that follow :func:`_decimal_chars`;
-    ``1e999`` reads as inf, for the caller to reject. :func:`_decimal_lines` reads a record's
-    lines through this one when their joined test fails, so the error names the first bad line."""
-    if _decimal_chars(text):
+    """Read one line of whitespace-separated float fields, the one reader of float fields:
+    weight rows, rule probabilities and float flags. A field is what ``float()`` reads, in
+    ASCII with no ``_`` and no letter but ``e``/``E``; besides ``e``, ``float()`` reads
+    letters only in ``nan``, ``inf`` and ``infinity``, and each holds an ``n``. ``1e999``
+    reads as inf, for the caller to reject."""
+    if text.isascii() and "_" not in text and "n" not in text and "N" not in text:
         try:
             return tuple(map(float, text.split()))
         except ValueError:
             pass
     raise _bad(what, text, line)
-
-
-def _decimal_lines(lines: Sequence[tuple[int, str]], what: str) -> tuple[tuple[float, ...], ...]:
-    """:func:`_decimals` of each of ``lines``, ``(line number, text)`` pairs, with the
-    character rule tested once on the record's lines joined. If that test or any ``float()``
-    fails, the lines are read again through :func:`_decimals`, for its error on the first bad line."""
-    if _decimal_chars("".join([text for _, text in lines])):
-        try:
-            return tuple([tuple(map(float, text.split())) for _, text in lines])
-        except ValueError:
-            pass
-    return tuple(_decimals(text, lineno, what) for lineno, text in lines)
 
 
 def parse_phone_file(text: str, inventory: PhoneInventory | AnySymbol) -> list[PhoneSequence]:

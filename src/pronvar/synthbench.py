@@ -195,7 +195,7 @@ def pooled_boundary_f1(
     correct = n_pred = n_truth = 0
     for utt_id, cuts in pred:
         if utt_id not in truth_map:
-            raise MissingUtterance(utt_id)
+            raise MissingUtterance(utt_id, 0)
         cuts, truth_cuts = set(cuts), set(truth_map[utt_id])
         correct += len(cuts & truth_cuts)
         n_pred += len(cuts)

@@ -264,11 +264,11 @@ def eager_pair_by_id(left, right):
             raise DuplicateUtteranceId(item.utterance_id)
         seen.add(item.utterance_id)
         if item.utterance_id not in right_map:
-            raise MissingUtterance(item.utterance_id)
+            raise MissingUtterance(item.utterance_id, 0)
         pairs.append((item, right_map[item.utterance_id]))
     for utt_id in right_map:
         if utt_id not in seen:
-            raise MissingUtterance(utt_id)
+            raise MissingUtterance(utt_id, 1)
     return pairs
 
 
@@ -381,25 +381,25 @@ class TestAttentionStream:
         [
             # an error of the search or of the pairing now comes before a parse error in a later record
             ([("row phones disagree", 1), ("bad weight token", 3)], (),
-             (3, "error: attention map 'u1': row phones disagree with the reference phones\n"),
+             (3, "error: TMP/attn.txt: attention map 'u1': row phones disagree with the reference phones\n"),
              (2, "format error: TMP/attn.txt: line 25: bad weight row 'x 0 0'\n")),
             ([("row phones disagree", 1), ("duplicate map id", 3)], (),
-             (3, "error: attention map 'u1': row phones disagree with the reference phones\n"),
+             (3, "error: TMP/attn.txt: attention map 'u1': row phones disagree with the reference phones\n"),
              (3, "error: TMP/attn.txt: duplicate utterance id 'u3' (line 29)\n")),
             ([("map id not in ref.txt", 1), ("negative weight", 3)], (),
-             (3, "error: utterance 'xu1' has no counterpart\n"),
+             (3, "error: TMP/attn.txt: utterance 'xu1' has no counterpart in TMP/ref.txt\n"),
              (3, "error: TMP/attn.txt: line 29: attention map 'u3': negative weight at (0, 0)\n")),
             # and before a reference with no map, which shows only once every map is read
             ([("row phones disagree", 1), ("ref.txt id with no map", 3)], (),
-             (3, "error: attention map 'u1': row phones disagree with the reference phones\n"),
-             (3, "error: utterance 'u3' has no counterpart\n")),
+             (3, "error: TMP/attn.txt: attention map 'u1': row phones disagree with the reference phones\n"),
+             (3, "error: TMP/ref.txt: utterance 'u3' has no counterpart in TMP/attn.txt\n")),
             # a flag value the search rejects now comes before any defect in attn.txt
             ([("bad weight token", 0)], ("--radius", "-1"),
              (1, "usage error: shift_radius must be >= 0\n"),
              (2, "format error: TMP/attn.txt: line 4: bad weight row 'x 0 0'\n")),
             # without --inventory, a bad phone symbol is a defect of its record, met as that is read
             ([("row phones disagree", 1), ("bad phone symbol", 3)], (),
-             (3, "error: attention map 'u1': row phones disagree with the reference phones\n"),
+             (3, "error: TMP/attn.txt: attention map 'u1': row phones disagree with the reference phones\n"),
              (2, "format error: TMP/attn.txt: line 24: bad phone symbol 'É'\n")),
         ],
     )
@@ -448,6 +448,37 @@ def test_a_repeated_utterance_id_names_its_line(tmp_path, capsys, name, command,
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {paths[name]}: duplicate utterance id 'u1' (line {line})\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("align-dp", "hyp.txt", "u1\tK AE T\nu9\tK AE T\n", "{hyp}: utterance 'u9' has no counterpart in {ref}"),
+        ("align-dp", "ref.txt", "u1\tK AE T\tcat\nu9\tK AE T\tcat\n",
+         "{ref}: utterance 'u9' has no counterpart in {hyp}"),
+        ("align-attn", "attn.txt", "u9 3 3\nK AE T\nK AE T\n1 0 0\n0 1 0\n0 0 1\n",
+         "{attn}: utterance 'u9' has no counterpart in {ref}"),
+        ("align-attn", "ref.txt", "u1\tK AE T\tcat\nu9\tK AE T\tcat\n",
+         "{ref}: utterance 'u9' has no counterpart in {attn}"),
+        ("align-attn", "attn.txt", "u1 2 3\nK AE\nK AE T\n1 0 0\n0 1 0\n",
+         "{attn}: attention map 'u1': 2 rows vs 3 reference phones"),
+    ],
+    ids=["dp-hyp-only", "dp-ref-only", "attn-map-only", "attn-ref-only", "attn-row-count"],
+)
+def test_an_error_between_two_files_names_them(tmp_path, capsys, command, name, text, message):
+    files = {
+        "attn.txt": "u1 3 3\nK AE T\nK AE T\n1 0 0\n0 1 0\n0 0 1\n",
+        "ref.txt": "u1\tK AE T\tcat\n",
+        "hyp.txt": "u1\tK AE T\n",
+        "dict.txt": "cat\tK AE T\n",
+        name: text,
+    }
+    paths = {key: write(tmp_path / key, content) for key, content in files.items()}
+    first = ["--attn", paths["attn.txt"]] if command == "align-attn" else ["--hyp", paths["hyp.txt"]]
+    argv = [command, *first, "--ref", paths["ref.txt"], "--dict", paths["dict.txt"], "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    stems = {Path(key).stem: path for key, path in paths.items()}
+    assert capsys.readouterr().err == f"error: {message.format(**stems)}\n"
 
 
 @pytest.mark.parametrize(
@@ -652,6 +683,7 @@ class TestEval:
         pred = write(tmp_path / "pred.bounds", "u9\t2\n")
         truth = write(tmp_path / "truth.bounds", "u1\t2\n")
         assert main(["eval-bounds", "--pred", pred, "--truth", truth]) == 3
+        assert capsys.readouterr().err == f"error: {pred}: utterance 'u9' has no counterpart in {truth}\n"
 
     @pytest.mark.parametrize(
         "line",

@@ -2,11 +2,14 @@
 
 Every subcommand starts from a set of valid input files. One of its inputs
 is then edited with tokens that tend to break parsers, or replaced by random
-bytes. ``main`` must return 0, 1, 2 or 3; any exception that escapes it
+bytes. ``main`` must return 0, 1, 2 or 3, and a message of exit 2 or 3
+must name one of the command's input files; any exception that escapes it
 fails the test.
 """
 
+import io
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -55,9 +58,10 @@ COMMANDS = {
 TOKENS = ["\t", "#", "|", "É", "nan", "-1", "\n", " ", "", "0", "1e999", "inf", "K", "u1", "cat", "\t\t"]
 
 
-def run(command: str, inputs: dict[str, "str | bytes"]) -> int:
+def run(command: str, inputs: dict[str, "str | bytes"]) -> tuple[int, str, list[str]]:
+    """``main``'s exit code and stderr over ``command``'s input files, and their paths."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = []
+        argv, paths = [], []
         for word in COMMANDS[command].split():
             if word.startswith("@"):
                 word = str(Path(tmp, word[1:]))
@@ -69,8 +73,12 @@ def run(command: str, inputs: dict[str, "str | bytes"]) -> int:
                 else:
                     path.write_text(content, encoding="utf-8")
                 word = str(path)
+                paths.append(word)
             argv.append(word)
-        return main(argv)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(argv)
+        return code, err.getvalue(), paths
 
 
 def mutate(text: str, edits) -> str:
@@ -102,7 +110,7 @@ def input_names(command: str) -> list[str]:
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_valid_inputs_succeed(command):
-    assert run(command, {}) == 0
+    assert run(command, {})[0] == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,4 +127,7 @@ def test_mutated_inputs_end_in_a_documented_exit_code(command, which, mutation):
     kind, value = mutation
     if kind == "edits":
         value = mutate(INPUTS[name], value)
-    assert run(command, {name: value}) in (0, 1, 2, 3)
+    code, message, paths = run(command, {name: value})
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert any(path in message for path in paths), message
