@@ -55,10 +55,12 @@ from .phonecore import (
     PhoneInventory,
     ReferenceDictionary,
     SegmentedUtterance,
+    _adopt,
     _check_new_id,
     _check_real,
     _check_word,
     _decimals,
+    _float_chars,
     _last_field,
     _natural,
     _on_line,
@@ -103,7 +105,9 @@ class AttentionMap:
     reads it back with ``float()``, so an ``int`` past 2**53 reads back rounded, and one past the
     float range is not finite. Other reals, such as ``True`` or ``Fraction(1, 2)``, are not checked
     and do not round-trip. Row and column phones follow the phone-symbol rule
-    (:data:`pronvar.phonecore.ANY_SYMBOL`), which a parsed map's inventory has checked already."""
+    (:data:`pronvar.phonecore.ANY_SYMBOL`). The constructor checks every rule for library
+    callers; :func:`parse_attention_file` tests them itself, once for each record, and adopts
+    a map that passes without this second check (:func:`pronvar.phonecore._adopt`)."""
 
     utterance_id: str
     col_phones: tuple[str, ...]
@@ -228,20 +232,20 @@ def _repair(cuts: Sequence[int], length: int) -> tuple[tuple[int, ...], int]:
     return tuple(out), moved
 
 
-def _records(text: str) -> Iterator[list[tuple[int, str]]]:
-    """Yield each blank-line-separated record as its ``(line number, line)`` pairs.
-
-    A whitespace-only line separates records, as an empty one does.
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield each blank-line-separated record as the number of its first line and its lines,
+    one slice of ``text.split("\\n")``; its lines follow each other, so line k of the record
+    is line ``first + k`` of the file. A whitespace-only line separates records, as an empty
+    one does.
     """
-    record: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        if raw.strip():
-            record.append((lineno, raw))
-        elif record:
-            yield record
-            record = []
-    if record:
-        yield record
+    lines = text.split("\n")
+    start = 0
+    for end in [i for i, raw in enumerate(lines) if not raw or raw.isspace()]:
+        if end > start:
+            yield start + 1, lines[start:end]
+        start = end + 1
+    if start < len(lines):
+        yield start + 1, lines[start:]
 
 
 def parse_attention_file(text: str, inventory: PhoneInventory | AnySymbol) -> list[AttentionMap]:
@@ -250,11 +254,13 @@ def parse_attention_file(text: str, inventory: PhoneInventory | AnySymbol) -> li
     Each record is ``utt_id R C`` on the first line, R row phones on the
     second, C column phones on the third, then R lines of C weights. R and
     C are ASCII digits with a value of at least 1; a weight row is float
-    fields, read line by line (:func:`pronvar.phonecore._decimals`).
-    :class:`AttentionMap` checks the weights against the axes. An error
-    names the record's first line, unless it is met on a weight row that is
-    not float fields, on a column-phone line of the wrong length, or on an
-    axis line holding a symbol that breaks the phone-symbol rule
+    fields (:func:`pronvar.phonecore._decimals`). The reader tests each of
+    :class:`AttentionMap`'s rules once for the record (:func:`_checked_weights`)
+    and adopts the map it read; a record that fails a test is read again line
+    by line and built by :class:`AttentionMap`, which raises its first error.
+    An error names the record's first line, unless it is met on a weight row
+    that is not float fields, on a column-phone line of the wrong length, or
+    on an axis line holding a symbol that breaks the phone-symbol rule
     (:class:`pronvar.phonecore.AnySymbol`).
     """
     return list(_attention_maps(text, inventory))
@@ -264,32 +270,55 @@ def _attention_maps(text: str, inventory: PhoneInventory | AnySymbol) -> Iterato
     """Yield the checked maps of :func:`parse_attention_file` one record at a time."""
     seen: set[str] = set()
     try:
-        for record in _records(text):
-            lineno, header = record[0]
+        for lineno, lines in _records(text):
+            header = lines[0]
             fields = header.split()
             if len(fields) != 3:
                 raise ValueError(f"expected 'utt_id R C', got {header!r}")
             utt_id = fields[0]
             n_rows, n_cols = (_natural(token, "dimension", 1) for token in fields[1:])
             _check_new_id(utt_id, seen)
-            if len(record) != 3 + n_rows:
-                raise DimensionMismatch(utt_id, f"expected {n_rows} weight rows, found {len(record) - 3}")
+            if len(lines) != 3 + n_rows:
+                raise DimensionMismatch(utt_id, f"expected {n_rows} weight rows, found {len(lines) - 3}")
 
-            row_phones = record[1][1].split()
-            col_phones = record[2][1].split()
+            row_phones = lines[1].split()
+            col_phones = lines[2].split()
             if len(col_phones) != n_cols:
-                raise DimensionMismatch(utt_id, f"{len(col_phones)} col phones declared {n_cols}", record[2][0])
+                raise DimensionMismatch(utt_id, f"{len(col_phones)} col phones declared {n_cols}", lineno + 2)
             if not inventory._has_all(row_phones + col_phones):
-                for (axis_lineno, _), phones in zip(record[1:3], (row_phones, col_phones)):
+                for axis_lineno, phones in ((lineno + 1, row_phones), (lineno + 2, col_phones)):
                     try:
                         inventory.require(phones, f"attention map {utt_id!r}")
                     except (ReservedSymbol, ValueError) as err:  # a symbol that breaks the rule names its line
                         raise _on_line(err, axis_lineno) from None
 
-            weights = tuple([_decimals(text, lineno, "weight row") for lineno, text in record[3:]])
-            yield AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)
+            rows = lines[3:]
+            weights = _checked_weights(rows, n_cols) if len(row_phones) == n_rows else None
+            if weights is not None:
+                yield _adopt(AttentionMap, utt_id, tuple(col_phones), tuple(row_phones), weights)
+            else:  # line by line, and the map's own checks, for the first error
+                weights = tuple([_decimals(row, lineno + 3 + r, "weight row") for r, row in enumerate(rows)])
+                yield AttentionMap(utt_id, tuple(col_phones), tuple(row_phones), weights)
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
+
+
+def _checked_weights(rows: list[str], n_cols: int) -> tuple[tuple[float, ...], ...] | None:
+    """The weights of the weight lines ``rows`` if they meet :class:`AttentionMap`'s rules,
+    else ``None``. Each rule is one test for all rows: the lines pass the character rule
+    joined, every row holds ``n_cols`` weights, no weight is negative (where no ``-`` is
+    written, none can be) and their sum is finite. Finite weights may overflow the sum; such
+    a record is left to the map's own row-by-row walk."""
+    block = "\n".join(rows)
+    if not _float_chars(block):
+        return None
+    try:
+        weights = tuple([tuple(map(float, row.split())) for row in rows])
+    except ValueError:
+        return None
+    if set(map(len, weights)) != {n_cols} or ("-" in block and min(map(min, weights)) < 0):
+        return None
+    return weights if math.isfinite(sum(map(sum, weights))) else None
 
 
 def emit_attention_file(maps: Iterable[AttentionMap]) -> str:

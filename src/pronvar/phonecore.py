@@ -92,6 +92,18 @@ def _check_entry(word: str, pron: tuple[str, ...], count: int = 0, known: Contai
         raise ValueError(f"bad count {count!r} for {word!r}")
 
 
+def _adopt(cls: type, *values: object):
+    """The frozen dataclass record of ``cls`` that holds ``values``, one for each field in the
+    order the class declares them: made without ``__init__`` and ``__post_init__``, for a parser
+    that has tested the record's rules itself. It equals, hashes as and reads as the record the
+    constructor would build, so each rule is checked once."""
+    record = object.__new__(cls)
+    # field by field: filling vars(record) would make each later attribute read about 3x slower
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
 def _check_real(value: object, name: str) -> None:
     """The type rule of a config number field: a real number (``int``, ``float``,
     ``Fraction``) that is not a ``bool``, which is written ``True``."""
@@ -253,6 +265,8 @@ class SegmentedUtterance:
     Each rule is tested once for the whole record: no span length is 0, the words joined
     split back into the words, and the inventory holds every phone, in one set test. A record
     that fails any of these is checked again span by span, which raises its first error.
+    :func:`parse_segmented_file` tests the same rules on a line and adopts a record that
+    passes without these checks (:func:`_adopt`), setting ``phones`` and ``ends`` itself.
     """
 
     utterance_id: str
@@ -475,13 +489,20 @@ def _natural(token: str, what: str, least: int) -> int:
     raise _bad(what, token, None)
 
 
+def _float_chars(text: str) -> bool:
+    """The character rule of float fields: ASCII with no ``_`` and no letter but ``e``/``E``;
+    besides ``e``, ``float()`` reads letters only in ``nan``, ``inf`` and ``infinity``, and
+    each holds an ``n``. Lines joined by ``\\n`` pass it exactly when each line does."""
+    return text.isascii() and "_" not in text and "n" not in text and "N" not in text
+
+
 def _decimals(text: str, line: int | None, what: str) -> tuple[float, ...]:
-    """Read one line of whitespace-separated float fields, the one reader of float fields:
-    weight rows, rule probabilities and float flags. A field is what ``float()`` reads, in
-    ASCII with no ``_`` and no letter but ``e``/``E``; besides ``e``, ``float()`` reads
-    letters only in ``nan``, ``inf`` and ``infinity``, and each holds an ``n``. ``1e999``
-    reads as inf, for the caller to reject."""
-    if text.isascii() and "_" not in text and "n" not in text and "N" not in text:
+    """Read one line of whitespace-separated float fields: rule probabilities, float flags,
+    and weight rows (the attention reader reads a record's rows at once under the same rule,
+    and a record that fails its tests line by line through here). A field is what ``float()``
+    reads within the character rule (:func:`_float_chars`). ``1e999`` reads as inf, for the
+    caller to reject."""
+    if _float_chars(text):
         try:
             return tuple(map(float, text.split()))
         except ValueError:
@@ -536,7 +557,16 @@ def parse_segmented_file(text: str, inventory: PhoneInventory | AnySymbol) -> li
             words = fields[1].split()
             if len(spans) != len(words):
                 raise SpanWordMismatch(utt_id, len(spans), len(words))
-            out.append(SegmentedUtterance(utt_id, zip(words, spans), inventory))
+            # the words are tokens of a split; the record's other rules are tested once here, and a
+            # record that fails one is checked again by the constructor, for its first error
+            _check_word(utt_id, what="utterance id")
+            lengths = tuple(map(len, spans))
+            phones = tuple(chain.from_iterable(spans))
+            if 0 in lengths or not inventory._has_all(phones):
+                out.append(SegmentedUtterance(utt_id, zip(words, spans), inventory))
+            else:
+                pairs = tuple([tuple.__new__(WordSpan, pair) for pair in zip(words, spans)])
+                out.append(_adopt(SegmentedUtterance, utt_id, pairs, inventory, phones, tuple(accumulate(lengths))))
     except (PronvarError, ValueError) as err:
         raise _on_line(err, lineno) from None
     return out

@@ -3,11 +3,12 @@
 Every subcommand starts from a set of valid input files. One of its inputs
 is then edited with tokens that tend to break parsers, or replaced by random
 bytes. ``main`` must return 0, 1, 2 or 3, and a message of exit 2 or 3
-must name one of the command's input files; any exception that escapes it
-fails the test.
+must name one of the command's input files, and a line of that file if it
+names one; any exception that escapes it fails the test.
 """
 
 import io
+import re
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -58,8 +59,10 @@ COMMANDS = {
 TOKENS = ["\t", "#", "|", "É", "nan", "-1", "\n", " ", "", "0", "1e999", "inf", "K", "u1", "cat", "\t\t"]
 
 
-def run(command: str, inputs: dict[str, "str | bytes"]) -> tuple[int, str, list[str]]:
-    """``main``'s exit code and stderr over ``command``'s input files, and their paths."""
+def run(command: str, inputs: dict[str, "str | bytes"]) -> tuple[int, str, dict[str, int]]:
+    """``main``'s exit code and stderr over ``command``'s input files, and each file's path
+    with its line count as the parsers number lines: those of ``text.split("\\n")`` over the
+    text as read."""
     with tempfile.TemporaryDirectory() as tmp:
         argv, paths = [], []
         for word in COMMANDS[command].split():
@@ -78,7 +81,8 @@ def run(command: str, inputs: dict[str, "str | bytes"]) -> tuple[int, str, list[
         err = io.StringIO()
         with redirect_stderr(err):
             code = main(argv)
-        return code, err.getvalue(), paths
+        lines = {path: len(Path(path).read_text(encoding="utf-8", errors="replace").split("\n")) for path in paths}
+        return code, err.getvalue(), lines
 
 
 def mutate(text: str, edits) -> str:
@@ -104,6 +108,10 @@ mutation_st = st.one_of(
 )
 
 
+#: the line an error names: a ``line N: `` prefix after its path, or a `` (line N)`` suffix
+LINE = re.compile(r"^line (\d+): |\(line (\d+)\)$")
+
+
 def input_names(command: str) -> list[str]:
     return [word for word in COMMANDS[command].split() if word in INPUTS]
 
@@ -118,6 +126,8 @@ def test_valid_inputs_succeed(command):
 @example("align-dp", 0, ("text", "u1\tD AH S N T K É T\n"))
 @example("align-dp", 1, ("text", INPUTS["ref"].replace("Z", "|")))
 @example("align-attn", 0, ("text", INPUTS["attn"].replace("K", "É", 1)))
+# a bad field in the file's last weight row: the error names that row's line
+@example("align-attn", 0, ("text", INPUTS["attn"][:-1].rsplit(" ", 1)[0] + " nan\n"))
 @example("synth", 0, ("text", INPUTS["dict"].replace("K", "É")))
 @example("synth", 1, ("text", "Z\t\t1.0\n"))
 @example("synth", 0, ("text", ""))
@@ -127,7 +137,13 @@ def test_mutated_inputs_end_in_a_documented_exit_code(command, which, mutation):
     kind, value = mutation
     if kind == "edits":
         value = mutate(INPUTS[name], value)
-    code, message, paths = run(command, {name: value})
+    code, message, lines = run(command, {name: value})
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
-        assert any(path in message for path in paths), message
+        assert any(path in message for path in lines), message
+        # the message is "<kind>: <path>: ...", and a line it names lies within that file
+        rest = message.rstrip("\n").partition(": ")[2]
+        (path,) = [path for path in lines if rest.startswith(f"{path}: ")]
+        named = LINE.search(rest.removeprefix(f"{path}: "))
+        if named:
+            assert 1 <= int(named[1] or named[2]) <= lines[path], message

@@ -21,6 +21,8 @@ bad phone symbol among their defects: it gives the same records, or the same
 error.
 """
 
+from itertools import accumulate
+
 from hypothesis import example, given, settings, strategies as st
 
 import old_parsers as old
@@ -37,7 +39,7 @@ PARSERS = {
     "segmented": (
         old.parse_segmented_file,
         phonecore.parse_segmented_file,
-        lambda utts: [(u.utterance_id, tuple(map(tuple, u.words))) for u in utts],
+        lambda utts: [(u.utterance_id, tuple(map(tuple, u.words)), u.phones, ends(u)) for u in utts],
     ),
     "dictionary": (old.parse_dictionary_file, phonecore.parse_dictionary_file, lambda d: d._entries),
     "lexicon": (old.parse_lexicon, phonecore.parse_lexicon, lambda lex: lex._entries),
@@ -54,6 +56,13 @@ PARSERS = {
         lambda maps: [(m.utterance_id, m.col_phones, m.row_phones, m.weights) for m in maps],
     ),
 }
+
+
+def ends(utterance):
+    """A reference's ``ends``; the old record kept none, so its are summed from its spans."""
+    if isinstance(utterance, phonecore.SegmentedUtterance):
+        return utterance.ends
+    return tuple(accumulate(len(span.phones) for span in utterance.words))
 
 
 def verdict(name, side, text, inventory):
@@ -337,19 +346,24 @@ def rules_files(draw):
     return text, line, inventory
 
 
+#: weight fields: "-0.0" holds a "-" but is no negative weight, and two "1e308" overflow the
+#: sum of a record that the old reader accepts
+WEIGHTS = ("0", "1", "0.5", "2e-3", "-0.0", "1E-3", "1e308")
+
+
 @st.composite
-def attention_files(draw):
+def attention_files(draw, defects=True):
     n = draw(st.integers(1, 3))
     records = []
     for i in range(n):
         rows = draw(st.lists(st.sampled_from(PHONES), min_size=1, max_size=3))
         cols = draw(st.lists(st.sampled_from(PHONES), min_size=1, max_size=3))
-        weights = [" ".join(draw(st.sampled_from(("0", "1", "0.5", "2e-3"))) for _ in cols) for _ in rows]
+        weights = [" ".join(draw(st.sampled_from(WEIGHTS)) for _ in cols) for _ in rows]
         records.append([f"u{i} {len(rows)} {len(cols)}", " ".join(rows), " ".join(cols), *weights])
     kinds = ("two header fields", "bad dimension", "repeated id", "row count", "column count", "unknown phone",
              "bad weight row", "negative weight", "infinite weight", "long row", "row phone too many",
              "bad symbol")  # fmt: skip
-    kind = draw(st.sampled_from((None, *kinds)))
+    kind = draw(st.sampled_from((None, *kinds))) if defects else None
     j = draw(st.integers(0, n - 1))
     offset = 0  # the line within record j that the defect is on
     if kind is not None:
@@ -407,6 +421,8 @@ def test_phone_parser_against_its_old_self(case):
 @settings(max_examples=200, deadline=None)
 @given(segmented_files())
 @with_order_changes("segmented")
+# a bad id on a line that passes the reader's other tests, which it would otherwise adopt
+@example(("u0\tK\tcat\nu 1\tK # AE\tcat a\n", 2, "given"))
 def test_segmented_parser_against_its_old_self(case):
     check("segmented", *case)
 
@@ -450,9 +466,25 @@ def test_rules_parser_against_its_old_self(case):
 @example(("u0 1 1\nK\nK\n1\n\nu1 2 2\nK K\nK K\n1 0\n1..0 0\n", 9, "given"))
 # one row holds "_", so the record's rows fail the character rule together and are read one by one
 @example(("u0 2 2\nK K\nK K\n1 0\n0 1_0\n", 5, "given"))
+# weight blocks that pass the character rule but break one of the map's rules: one row phone too
+# many, a long row, a negative weight in the last row, and an overflowing weight
+@example(("u0 1 2\nK AE\nK AE\n1 0\n", 1, "given"))
+@example(("u0 1 1\nK\nK\n1\n\nu1 2 2\nK AE\nK AE\n1 0\n0 1 0\n", 6, "given"))
+@example(("u0 2 2\nK AE\nK AE\n1 0\n0.5 -1\n", 1, "given"))
+@example(("u0 1 2\nK\nK AE\n0 1e999\n", 1, "given"))
 def test_attention_parser_against_its_old_self(case):
     check("attention", *case)
 
+
+@settings(max_examples=100, deadline=None)
+@given(attention_files(defects=False))
+@example(("u0 2 2\nK AE\nK AE\n0.5 1E-3\n-0.0 1\n", None, "given"))
+def test_a_parsed_map_is_the_map_its_fields_construct(case):
+    """A map the reader adopts, unchecked by the constructor, is equal to, hashes as and
+    reads as the map that the constructor builds from its fields."""
+    for parsed in attnalign.parse_attention_file(case[0], INVENTORIES["new"]):
+        built = attnalign.AttentionMap(parsed.utterance_id, parsed.col_phones, parsed.row_phones, parsed.weights)
+        assert (parsed == built, hash(parsed), repr(parsed)) == (True, hash(built), repr(built))
 
 
 # --- one pass against the scan, then the parse ---------------------------------------------

@@ -118,7 +118,12 @@ def test_a_segmented_utterance_round_trips_or_is_rejected(utt_id, words, invento
         return
     (parsed,) = parse_segmented_file(emit_segmented_file([utterance]), inventory)
     assert parsed == utterance
-    assert (parsed.phones, parsed.ends) == (utterance.phones, utterance.ends)
+    assert (parsed.phones, parsed.ends, hash(parsed), repr(parsed)) == (
+        utterance.phones,
+        utterance.ends,
+        hash(utterance),
+        repr(utterance),
+    )
 
 
 #: weights as AttentionMap documents them: floats, mostly finite and >= 0, the ints a float
